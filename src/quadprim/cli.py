@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Callable
 
@@ -141,6 +142,25 @@ def _parse_q_list(text: str) -> list[int]:
     return values
 
 
+def _parse_oracle_q_list(text: str) -> list[int]:
+    values = _parse_q_list(text)
+    for q in values:
+        if q > ORACLE_Q_CAP:
+            raise argparse.ArgumentTypeError(
+                f"oracle supports q <= {ORACLE_Q_CAP}, got {q}")
+    return values
+
+
+def _parse_threads(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("threads must be an integer")
+    if n < 1:
+        raise argparse.ArgumentTypeError("threads must be at least 1")
+    return min(n, os.cpu_count() or 1)
+
+
 # -- scan -------------------------------------------------------------------
 
 
@@ -237,15 +257,15 @@ def _parse_pair(text: str) -> tuple[int, int]:
         t1, t2 = int(t1_s), int(t2_s)
     except ValueError:
         raise argparse.ArgumentTypeError("pair must look like T1:T2")
-    if not 1 <= t1 <= t2:
-        raise argparse.ArgumentTypeError("pair must satisfy 1 <= T1 <= T2")
+    if not 2 <= t1 <= t2:
+        raise argparse.ArgumentTypeError("pair must satisfy 2 <= T1 <= T2")
     return t1, t2
 
 
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_once(q: int, prop: str, mode: str, workers: int) -> list[PropertyReport]:
+def _verify_once(q: int, prop: str, mode: str) -> list[PropertyReport]:
     fld = build_field(ctx_for_prime_power(q))
     reports = []
     if prop == "translate":
@@ -257,7 +277,7 @@ def _verify_once(q: int, prop: str, mode: str, workers: int) -> list[PropertyRep
         if mode in ("reference", "both"):
             reports.append(("reference", verify_line_reference(fld)))
         if mode in ("fast", "both"):
-            reports.append(("fast", verify_line_fast(fld, workers=workers)))
+            reports.append(("fast", verify_line_fast(fld)))
     return reports
 
 
@@ -267,7 +287,7 @@ def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
     holds_count = 0
     fails_count = 0
     for q in args.q_list:
-        reports = _verify_once(q, prop, args.mode, args.threads)
+        reports = _verify_once(q, prop, args.mode)
         for flavor, report in reports:
             p, k = _p_k_of(q)
             rows.append(_row(q, p, k, f"verify-{prop}:{flavor}",
@@ -300,8 +320,6 @@ def _cmd_oracle(args) -> int:
     rows: list[dict] = []
     failures: list[str] = []
     for q in args.q_list:
-        if q > ORACLE_Q_CAP:
-            raise SystemExit(f"oracle supports q <= {ORACLE_Q_CAP}, got {q}")
         fld = build_field(ctx_for_prime_power(q))
         p, k = fld.p, fld.k
         sums = survey_translate_sums(fld, tol=args.tol_sums)
@@ -366,7 +384,7 @@ def _cmd_reproduce(args) -> int:
     bad = []
     for q in line_qs:
         fld = build_field(ctx_for_prime_power(q))
-        report = verify_line_fast(fld, workers=args.threads)
+        report = verify_line_fast(fld)
         if report.holds != (q not in LINE_EXCEPTIONS):
             bad.append(q)
         _progress(args, f"line: q={q} {'holds' if report.holds else 'fails'}")
@@ -403,8 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default="-",
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for parallel stages")
+    common.add_argument("--threads", type=_parse_threads, default=1,
+                        help="worker processes that split scan chunks "
+                             "(at least 1, capped at the CPU count)")
     common.add_argument("--stable-output", action="store_true",
                         help="zero all elapsed fields for reproducible bytes")
     common.add_argument("--progress", action="store_true",
@@ -440,7 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="character-sum surveys for small q")
-    p_oracle.add_argument("--q-list", type=_parse_q_list, required=True)
+    p_oracle.add_argument("--q-list", type=_parse_oracle_q_list, required=True,
+                          help=f"comma-separated odd prime powers "
+                               f"q <= {ORACLE_Q_CAP}")
     p_oracle.add_argument("--tol-sums", type=float, default=1e-6)
     p_oracle.add_argument("--tol-identity", type=float, default=1e-3)
     p_oracle.set_defaults(handler=_cmd_oracle)

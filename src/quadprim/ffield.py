@@ -9,10 +9,17 @@ run and platform.
 Elements are coordinate tuples of length 2k over F_p, constant term
 first.  The subfield F_q sits inside as the fixed points of the q-power
 map, which is precomputed as a linear map on coordinates.
+
+F_q-coordinates write an element as s + y*x with s, y in F_q, where x is
+the class of the polynomial variable.  An element of F_q is named by its
+digit index: sum c_t * p**t for the element sum c_t * b**t, with
+b = a**(q+1) generating F_q*.  Adding in F_q is then digit-wise addition
+mod p of indices, and multiplying is addition of discrete logs base b.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .arith import PrimePowerCtx
@@ -115,12 +122,29 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(h + [0, 0])]) == []
 
 
+def _pinverse(cols: list[FieldElem], p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse mod p of the invertible matrix with these columns."""
+    n = len(cols)
+    aug = [[col[r] for col in cols] + [int(r == c) for c in range(n)]
+           for r in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        scale = pow(aug[c][c], p - 2, p)
+        aug[c] = [v * scale % p for v in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 class QuadExtField:
     """Arithmetic for F_{q**2} = F_p[x]/(f) with q = p**k odd.
 
     Immutable after construction.  All derived data (modulus, primitive
     element ``a``, root of unity ``zeta``, q-power map) is deterministic
-    in the context.
+    in the context; the F_q-coordinate tables are built on first use.
     """
 
     def __init__(self, ctx: PrimePowerCtx):
@@ -324,6 +348,88 @@ class QuadExtField:
             out.append(cur)
             cur = self.mul(cur, b)
         return out
+
+    # -- F_q-coordinates (built on first use) ---------------------------------
+
+    @cached_property
+    def _fq_frame(self) -> tuple[tuple[FieldElem, ...], tuple[tuple[int, ...], ...]]:
+        """The F_p-basis b**t, b**t * x (t < k) behind F_q-coordinates, as
+        columns, and the rows of its inverse."""
+        b = self.pow(self.a, self.q + 1)
+        basis = [self.one]
+        for _ in range(self.k - 1):
+            basis.append(self.mul(basis[-1], b))
+        x = self.element_from_index(self.p)
+        cols = tuple(basis + [self.mul(v, x) for v in basis])
+        return cols, _pinverse(cols, self.p)
+
+    def fq_coords(self, u: FieldElem) -> tuple[int, int]:
+        """Digit indices (s, y) of the F_q-coordinates of u = s + y*x."""
+        p, k = self.p, self.k
+        rows = self._fq_frame[1]
+        s = y = 0
+        for t in reversed(range(k)):
+            s = s * p + sum(r * c for r, c in zip(rows[t], u)) % p
+            y = y * p + sum(r * c for r, c in zip(rows[k + t], u)) % p
+        return s, y
+
+    def from_fq_coords(self, s: int, y: int) -> FieldElem:
+        """The element s + y*x, for digit indices s and y."""
+        p = self.p
+        digits = []
+        for n in (s, y):
+            for _ in range(self.k):
+                digits.append(n % p)
+                n //= p
+        acc = [0] * self.deg
+        for d, col in zip(digits, self._fq_frame[0]):
+            for i, c in enumerate(col):
+                acc[i] += d * c
+        return tuple(v % p for v in acc)
+
+    @cached_property
+    def fq_exp(self) -> tuple[int, ...]:
+        """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1."""
+        b = self.pow(self.a, self.q + 1)
+        out = []
+        u = self.one
+        for _ in range(self.q - 1):
+            out.append(self.fq_coords(u)[0])
+            u = self.mul(u, b)
+        return tuple(out)
+
+    @cached_property
+    def fq_log(self) -> tuple[int | None, ...]:
+        """fq_log[s] is the log base b of the digit index s; None at s = 0."""
+        log: list[int | None] = [None] * self.q
+        for e, s in enumerate(self.fq_exp):
+            log[s] = e
+        return tuple(log)
+
+    @cached_property
+    def _fq_shift_plan(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        # plan[r] holds one step (low, up, down) per nonzero digit d of r, at
+        # place w = p**t: the bits whose digit t is below p - d (the set low)
+        # move up by d*w, the others wrap down by (p - d)*w.  Digits add
+        # without carries, so the steps are independent.
+        p, q, k = self.p, self.q, self.k
+        steps = []
+        for t in range(k):
+            w = p**t
+            tiles = sum(1 << n for n in range(0, q, w * p))
+            steps.append([None] + [(((1 << (p - d) * w) - 1) * tiles,
+                                    d * w, (p - d) * w) for d in range(1, p)])
+        return tuple(
+            tuple(steps[t][r // p**t % p] for t in range(k) if r // p**t % p)
+            for r in range(q))
+
+    def fq_shift(self, mask: int, r: int) -> int:
+        """Translate a set of F_q digit indices, given as a bitmask, by the
+        index r: bit s moves to the digit index of the field sum s + r."""
+        for low, up, down in self._fq_shift_plan[r]:
+            part = mask & low
+            mask = part << up | (mask ^ part) >> down
+        return mask
 
 
 def build_field(ctx: PrimePowerCtx) -> QuadExtField:

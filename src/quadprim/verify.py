@@ -12,9 +12,12 @@ Each property ships in two independent flavors that must agree:
 - the reference verifiers walk exponents in ascending order and test
   membership of a candidate against every accepted one through the
   pairwise criterion ((a**i - a**j) / gamma) ** (q-1) == 1;
-- the fast verifiers mark translate class keys (u**q - u is constant on
-  a translate set and distinguishes them) and stop as soon as q - 1
-  distinct classes are covered.
+- the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
+  There the translate sets are the rows y != 0, and the lines of slope
+  gamma are the affine lines of direction gamma that miss 0.  The
+  2-primitive elements are stored as one bitmask per row; a slope is
+  checked by ORing the rows, each translated along the direction, until
+  every line is met.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -23,6 +26,7 @@ confirm by direct order computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from time import perf_counter
 
@@ -95,6 +99,65 @@ def build_gamma_set(fld: QuadExtField) -> GammaSet:
     return GammaSet(q=q, gammas=tuple(gammas))
 
 
+# -- the F_q-coordinate walk behind the fast verifiers ---------------------
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitmask(flags: bytes) -> int:
+    """The integer whose bit i is flags[i], for flags of 0s and 1s."""
+    return int(flags[::-1].translate(_BIT_CHARS), 2)
+
+
+def _cosets(fld: QuadExtField):
+    """Walk the cosets a**j * F_q* that hold 2-primitive elements.
+
+    As q + 1 is even, a**(j + l*(q+1)) has the parity of j, so only the
+    even j < q + 1 matter.  Yields the F_q-coordinates (s, y) of a**j and
+    flags of length q - 1, flags[l] == 1 when a**j * b**l is 2-primitive
+    (b = a**(q+1)); the element then has coordinates b**l * (s, y).  The
+    flags come from a sieve over the even exponents: gcd(2e, q**2 - 1) is
+    2 exactly when e is prime to (q**2 - 1)/2.
+    """
+    half = fld.m // 2
+    h = (fld.q + 1) // 2
+    sieve = bytearray(b"\x01") * half
+    for r in fld.ctx.fact_q2m1.primes():
+        sieve[::r] = bytes(len(range(0, half, r)))
+    a2 = fld.mul(fld.a, fld.a)
+    u = fld.one
+    for i in range(h):
+        yield fld.fq_coords(u), sieve[i::h]
+        u = fld.mul(u, a2)
+
+
+def _two_primitive_rows(fld: QuadExtField) -> list[int]:
+    """rows[y] is the bitmask of the s with s + y*x 2-primitive."""
+    q, n = fld.q, fld.q - 1
+    exp, log = fld.fq_exp, fld.fq_log
+    exp2 = exp + exp
+    zeros = (0,) * n
+    grid = bytearray(q * q)  # grid[y*q + s]
+    for (s, y), flags in _cosets(fld):
+        ss = exp2[log[s]:log[s] + n] if s else zeros
+        ys = exp2[log[y]:log[y] + n] if y else zeros
+        for s_l, y_l in compress(zip(ss, ys), flags):
+            grid[y_l * q + s_l] = 1
+    return [_bitmask(grid[y * q:(y + 1) * q]) for y in range(q)]
+
+
+def _min_key(fld: QuadExtField, gamma: FieldElem,
+             points: list[FieldElem]) -> FieldElem:
+    """Smallest class key (u/gamma)**q - u/gamma over the given points."""
+    inv = fld.inv(gamma)
+    keys = []
+    for u in points:
+        w = fld.mul(u, inv)
+        keys.append(fld.sub(fld.frobenius_q(w), w))
+    return min(keys)
+
+
 # -- translate property ----------------------------------------------------
 
 
@@ -147,131 +210,33 @@ def verify_translate_reference(fld: QuadExtField) -> PropertyReport:
 
 
 def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
-    """Mark translate class keys of 2-primitive elements, earliest exit.
+    """Row cover test with earliest exit: direction (1, 0) of the line test.
 
-    Only even exponents can have gcd 2 with q**2 - 1, so the walk steps
-    through a**2.  For k == 1 the key of u reduces to its x-coordinate.
+    The translate sets are the rows y != 0 of F_q-coordinates.  Rows are
+    tracked by their log base b: a coset a**j * F_q* with y-coordinate
+    y != 0 meets row y * b**l exactly for its flagged l, so the walk ORs in
+    its flag mask rotated by log y and stops once every row is met.
     """
     t0 = perf_counter()
-    q, m = fld.q, fld.m
-    target = q - 1
-    a2 = fld.mul(fld.a, fld.a)
-    mul = fld.mul
-    hit: set = set()
-    add = hit.add
-    if fld.deg == 2:
-        u = fld.one
-        for j in range(2, m - 1, 2):
-            u = mul(u, a2)
-            if gcd(j, m) == 2:
-                c = u[1]
-                if c not in hit:
-                    add(c)
-                    if len(hit) == target:
-                        return PropertyReport(q, "translate", True, None,
-                                              target, perf_counter() - t0)
-        # classes are x-coordinates; report the smallest missing key tuple
-        witness = min(
-            fld.sub(fld.frobenius_q((0, c)), (0, c))
-            for c in range(1, fld.p) if c not in hit)
-        covered = len(hit)
-    else:
-        p = fld.p
-        rows = _key_map_rows(fld)
-        u = fld.one
-        for j in range(2, m - 1, 2):
-            u = mul(u, a2)
-            if gcd(j, m) == 2:
-                key = tuple(sum(r * c for r, c in zip(row, u)) % p
-                            for row in rows)
-                if key not in hit:
-                    add(key)
-                    if len(hit) == target:
-                        return PropertyReport(q, "translate", True, None,
-                                              target, perf_counter() - t0)
-        witness = _missing_translate_key(fld, hit)
-        covered = len(hit)
-    return PropertyReport(q, "translate", False, witness, covered,
+    q, n = fld.q, fld.q - 1
+    log = fld.fq_log
+    full = (1 << n) - 1
+    met = 0
+    for (_, y), flags in _cosets(fld):
+        if y:
+            e, mask = log[y], _bitmask(flags)
+            met |= (mask << e | mask >> (n - e)) & full
+            if met == full:
+                return PropertyReport(q, "translate", True, None, n,
+                                      perf_counter() - t0)
+    missing = [fld.from_fq_coords(0, fld.fq_exp[e]) for e in range(n)
+               if not met >> e & 1]
+    return PropertyReport(q, "translate", False,
+                          _min_key(fld, fld.one, missing), met.bit_count(),
                           perf_counter() - t0)
 
 
 # -- line property ---------------------------------------------------------
-
-
-def _key_map_rows(fld: QuadExtField, scale: FieldElem | None = None) -> list[tuple]:
-    """Row form of the linear map u -> v**q - v with v = u * scale.
-
-    The q-power map and multiplication by a fixed element are both
-    F_p-linear, so the whole class-key computation composes into one
-    matrix; applying it costs deg**2 multiplications per element instead
-    of a full product plus a q-power evaluation.  The zero key signals
-    v in F_q.
-    """
-    deg = fld.deg
-    cols = []
-    for i in range(deg):
-        e = tuple(1 if j == i else 0 for j in range(deg))
-        v = e if scale is None else fld.mul(e, scale)
-        cols.append(fld.sub(fld.frobenius_q(v), v))
-    return [tuple(col[r] for col in cols) for r in range(deg)]
-
-
-def _two_primitive_elements(fld: QuadExtField) -> list[FieldElem]:
-    """All 2-primitive elements, ascending in exponent of a."""
-    m = fld.m
-    mul = fld.mul
-    a2 = fld.mul(fld.a, fld.a)
-    out = []
-    u = fld.one
-    for j in range(2, m - 1, 2):
-        u = mul(u, a2)
-        if gcd(j, m) == 2:
-            out.append(u)
-    return out
-
-
-def _line_classes_covered(fld: QuadExtField, gamma: FieldElem,
-                          two_primitive: list[FieldElem]) -> tuple[int, set]:
-    """Count distinct line classes of gamma containing a 2-primitive element.
-
-    Returns (count, hit set); the hit set holds x-coordinates for k == 1
-    and full keys otherwise.  Elements with u/gamma in F_q lie on no line
-    of gamma and are skipped.
-    """
-    target = fld.q - 1
-    invg = fld.inv(gamma)
-    hit: set = set()
-    add = hit.add
-    if fld.deg == 2:
-        p = fld.p
-        b0, b1 = invg
-        r21 = fld._r21
-        bb = (b0 + b1 * r21) % p
-        for u0, u1 in two_primitive:
-            c = (u0 * b1 + u1 * bb) % p
-            if c and c not in hit:
-                add(c)
-                if len(hit) == target:
-                    return target, hit
-    else:
-        p = fld.p
-        rows = _key_map_rows(fld, invg)
-        zero = fld.zero
-        for u in two_primitive:
-            key = tuple(sum(r * c for r, c in zip(row, u)) % p for row in rows)
-            if key != zero and key not in hit:
-                add(key)
-                if len(hit) == target:
-                    return target, hit
-    return len(hit), hit
-
-
-def _line_witness(fld: QuadExtField, gamma: FieldElem, hit: set) -> tuple:
-    if fld.deg == 2:
-        covered = {fld.sub(fld.frobenius_q((0, c)), (0, c)) for c in hit}
-    else:
-        covered = set(hit)
-    return (gamma, _missing_translate_key(fld, covered))
 
 
 def verify_line_reference(fld: QuadExtField) -> PropertyReport:
@@ -310,73 +275,47 @@ def verify_line_reference(fld: QuadExtField) -> PropertyReport:
     return PropertyReport(q, "line", True, None, q - 1, perf_counter() - t0)
 
 
-def verify_line_fast(fld: QuadExtField, workers: int = 1) -> PropertyReport:
-    """Class-key marking per gamma with early exit.
+def verify_line_fast(fld: QuadExtField) -> PropertyReport:
+    """Row-bitmask cover test per gamma, in gamma-set order, earliest exit.
 
-    The 2-primitive elements are enumerated once; each gamma then only
-    consumes the prefix needed to cover its q - 1 line classes.  With
-    workers > 1 the gamma values are split over a process pool and the
-    verdicts merged in index order, so the first failing gamma (and the
-    overall outcome) does not depend on the worker count.
+    The lines of slope gamma are the affine lines of direction
+    gamma = (g_s, g_y) that miss 0.  For g_y != 0 line t is {s + c*y = t}
+    with c = -g_s/g_y, so the lines met are the union over y of rows[y]
+    translated by c*y; for g_y == 0 they are the nonempty rows y != 0.
+    The first gamma that leaves a line t != 0 unmet fails.
     """
     t0 = perf_counter()
-    q = fld.q
-    gammas = build_gamma_set(fld).gammas
-    two_primitive = _two_primitive_elements(fld)
-    target = q - 1
-    if workers > 1:
-        return _verify_line_fast_parallel(fld, gammas, workers, t0)
-    for gamma in gammas:
-        covered, hit = _line_classes_covered(fld, gamma, two_primitive)
-        if covered < target:
-            witness = _line_witness(fld, gamma, hit)
-            return PropertyReport(q, "line", False, witness, covered,
-                                  perf_counter() - t0)
-    return PropertyReport(q, "line", True, None, target, perf_counter() - t0)
-
-
-_LINE_WORKER_STATE: dict = {}
-
-
-def _line_worker_init(p: int, k: int) -> None:
-    from .arith import prime_power_ctx
-    from .ffield import build_field
-
-    fld = build_field(prime_power_ctx(p, k))
-    _LINE_WORKER_STATE["fld"] = fld
-    _LINE_WORKER_STATE["gammas"] = build_gamma_set(fld).gammas
-    _LINE_WORKER_STATE["tp"] = _two_primitive_elements(fld)
-
-
-def _line_worker_chunk(bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    fld = _LINE_WORKER_STATE["fld"]
-    gammas = _LINE_WORKER_STATE["gammas"]
-    tp = _LINE_WORKER_STATE["tp"]
-    lo, hi = bounds
-    return [(i, _line_classes_covered(fld, gammas[i], tp)[0]) for i in range(lo, hi)]
-
-
-def _verify_line_fast_parallel(fld: QuadExtField, gammas: tuple,
-                               workers: int, t0: float) -> PropertyReport:
-    from concurrent.futures import ProcessPoolExecutor
-
-    q = fld.q
-    target = q - 1
-    n = len(gammas)
-    step = max(1, n // (workers * 4) + 1)
-    chunks = [(i, min(i + step, n)) for i in range(0, n, step)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_line_worker_init,
-                             initargs=(fld.p, fld.k)) as pool:
-        parts = pool.map(_line_worker_chunk, chunks)
-        results = [item for part in parts for item in part]
-    for idx, covered in results:
-        if covered < target:
-            two_primitive = _two_primitive_elements(fld)
-            _, hit = _line_classes_covered(fld, gammas[idx], two_primitive)
-            witness = _line_witness(fld, gammas[idx], hit)
-            return PropertyReport(q, "line", False, witness, covered,
-                                  perf_counter() - t0)
-    return PropertyReport(q, "line", True, None, target, perf_counter() - t0)
+    q, n = fld.q, fld.q - 1
+    rows = _two_primitive_rows(fld)
+    exp, log = fld.fq_exp, fld.fq_log
+    exp2 = exp + exp
+    rows_by_log = [rows[y] for y in exp]
+    nonempty = sum(1 << y for y in range(1, q) if rows[y])
+    full = (1 << q) - 1
+    shift = fld.fq_shift
+    for gamma in build_gamma_set(fld).gammas:
+        gs, gy = fld.fq_coords(gamma)
+        if gy == 0:
+            met = nonempty
+        else:
+            met = rows[0]
+            if gs:  # log of -g_s/g_y, with -1 = b**(n/2)
+                e = (log[gs] + n // 2 - log[gy]) % n
+                shifts = exp2[e:e + n]
+            else:
+                shifts = (0,) * n
+            for row, r in zip(rows_by_log, shifts):
+                met |= shift(row, r)
+                if met | 1 == full:
+                    break
+        if met | 1 != full:
+            missing = [fld.from_fq_coords(0, t) if gy == 0
+                       else fld.from_fq_coords(t, 0)
+                       for t in range(1, q) if not met >> t & 1]
+            return PropertyReport(q, "line", False,
+                                  (gamma, _min_key(fld, gamma, missing)),
+                                  (met >> 1).bit_count(), perf_counter() - t0)
+    return PropertyReport(q, "line", True, None, n, perf_counter() - t0)
 
 
 # -- dumb witness re-checkers ----------------------------------------------

@@ -2,10 +2,11 @@
 
 One test per headline claim, each printing a single [acceptance] line
 (visible with -s, or in captured output on failure) before asserting.
-The full run needs a few minutes, almost all of it in the exhaustive
-line verification; set QUADPRIM_SKIP_SLOW=1 to cap that at q <= 1021
-and to shrink the interval scan, keeping every check that is exact on
-the reduced scope.
+The full run needs a few minutes, most of it in the reference
+verifiers that cross-check the fast ones; set QUADPRIM_SKIP_SLOW=1 to
+cap line verification at q <= 1021, the line cross-check at q <= 49 and
+to shrink the interval scan, keeping every check that is exact on the
+reduced scope.
 """
 
 import os

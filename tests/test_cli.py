@@ -6,11 +6,12 @@ output files can be checked without spawning subprocesses.
 
 import csv
 import json
+import os
 
 import pytest
 
 from quadprim.arith import ctx_for_prime_power
-from quadprim.cli import main
+from quadprim.cli import _build_parser, main
 from quadprim.criteria import classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
 
@@ -71,10 +72,22 @@ def test_usage_errors_exit_2():
     for argv in (["scan", "--range", "50:3"],
                  ["scan", "--range", "abc"],
                  ["verify-translate", "--q-list", "4,5"],
-                 ["verify-line", "--q-list", "15"]):
+                 ["verify-line", "--q-list", "15"],
+                 ["settle-prime-counts", "1:1"],
+                 ["oracle", "--q-list", "211"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_threads_bounded_at_parse_time():
+    # parsing fails before any worker could start
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--range", "3:5", "--threads", value])
+        assert err.value.code == 2
+    args = _build_parser().parse_args(["scan", "--threads", "100000"])
+    assert args.threads == (os.cpu_count() or 1)
 
 
 def test_verify_translate_both_modes(tmp_path):
@@ -105,6 +118,27 @@ def test_verify_line_known_verdicts(tmp_path):
     assert verdicts[3] == ("fails" if 3 in LINE_EXCEPTIONS else "holds")
     assert verdicts[3] == "fails"
     assert verdicts[43] == "holds"
+
+
+def test_failure_witnesses_are_pinned(tmp_path):
+    # the detail cells of the fast verifiers on every failing q
+    expected = {
+        "line": ("3,5,7,9,11,13,31,41",
+                 ["gamma=0.2|key=0.1", "gamma=1.0|key=0.2",
+                  "gamma=1.0|key=0.3", "gamma=0.1.2.0|key=0.1.0.1",
+                  "gamma=1.0|key=0.1", "gamma=1.0|key=0.2",
+                  "gamma=1.0|key=0.11", "gamma=1.0|key=0.6"]),
+        "translate": ("5,7,11,13,31,41",
+                      ["key=0.2", "key=0.3", "key=0.1", "key=0.2",
+                       "key=0.11", "key=0.6"]),
+    }
+    for prop, (q_list, details) in expected.items():
+        out = tmp_path / f"{prop}.csv"
+        assert main([f"verify-{prop}", "--q-list", q_list, "--stable-output",
+                     "--output", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [row["detail"] for row in rows] == details
+        assert all(row["result"] == "fails" for row in rows)
 
 
 def test_verify_expect_known_catches_wrong_expectation(tmp_path, monkeypatch):
@@ -155,8 +189,9 @@ def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys):
 
 
 def test_oracle_rejects_large_q():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["oracle", "--q-list", "211"])
+    assert err.value.code == 2
 
 
 def test_reproduce_all_smoke(tmp_path, capsys):

@@ -200,3 +200,54 @@ def test_element_count(fields):
         elems = list(fld.elements())
         assert len(elems) == q * q
         assert len(set(elems)) == q * q
+
+
+COORD_QS = (13, 9, 25, 27, 81, 125)
+
+
+@pytest.fixture(scope="module")
+def coord_fields():
+    return {q: build_field(ctx_for_prime_power(q)) for q in COORD_QS}
+
+
+def test_fq_coords_roundtrip(coord_fields):
+    for q, fld in coord_fields.items():
+        seen = set()
+        for u in fld.elements():
+            s, y = fld.fq_coords(u)
+            assert 0 <= s < q and 0 <= y < q
+            assert fld.from_fq_coords(s, y) == u
+            seen.add((s, y))
+        assert len(seen) == q * q
+        assert {fld.fq_coords(u)[1] for u in fld.base_field_elements()} == {0}
+
+
+def test_fq_log_tables(coord_fields):
+    # exp/log name the powers of b = a**(q+1), and coordinates are F_q-linear:
+    # b**l * (s + y*x) has coordinates (b**l * s, b**l * y)
+    for q, fld in coord_fields.items():
+        exp, log = fld.fq_exp, fld.fq_log
+        b = fld.pow(fld.a, q + 1)
+        assert sorted(exp) == list(range(1, q))
+        assert all(log[exp[e]] == e for e in range(q - 1))
+        u = fld.mul(fld.a, fld.a)
+        s, y = fld.fq_coords(u)
+        for e in range(0, q - 1, max(1, q // 9)):
+            assert fld.from_fq_coords(exp[e], 0) == fld.pow(b, e)
+            scaled = fld.fq_coords(fld.mul(u, fld.pow(b, e)))
+            assert scaled == (exp[(log[s] + e) % (q - 1)],
+                              exp[(log[y] + e) % (q - 1)])
+
+
+def test_fq_shift_is_field_addition(coord_fields):
+    for q, fld in coord_fields.items():
+        for r in range(0, q, 7 if q == 125 else 1):
+            ur = fld.from_fq_coords(r, 0)
+            for s in range(q):
+                total = fld.add(fld.from_fq_coords(s, 0), ur)
+                assert fld.fq_shift(1 << s, r) == 1 << fld.fq_coords(total)[0]
+
+
+def test_fq_tables_built_on_first_use():
+    fld = build_field(ctx_for_prime_power(25))
+    assert not {"_fq_frame", "fq_exp", "fq_log", "_fq_shift_plan"} & set(vars(fld))

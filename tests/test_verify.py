@@ -1,6 +1,7 @@
 import pytest
 
 from quadprim.arith import ctx_for_prime_power
+from quadprim.criteria import SCAN_EXCEPTIONS
 from quadprim.ffield import build_field, line_class_key, translate_class_key
 from quadprim.verify import (
     LINE_EXCEPTIONS,
@@ -167,14 +168,13 @@ def test_line_scaling_invariance(fields):
                 sorted(map(sorted, part2.values()))
 
 
-def test_line_fast_worker_determinism(fields):
-    for q in (31, 43):
-        fld = fields[q]
-        seq = verify_line_fast(fld, workers=1)
-        par = verify_line_fast(fld, workers=2)
-        assert seq.holds == par.holds
-        assert seq.witness == par.witness
-        assert seq.classes_covered == par.classes_covered
+def test_line_flavors_agree_on_small_exceptions(fields):
+    # every scan exception q <= 49, which covers k = 1, 2 and 3
+    for q in sorted(q for q in SCAN_EXCEPTIONS if q <= 49):
+        fld = fields.get(q) or build_field(ctx_for_prime_power(q))
+        fast, ref = verify_line_fast(fld), verify_line_reference(fld)
+        assert (fast.holds, fast.witness, fast.classes_covered) == \
+            (ref.holds, ref.witness, ref.classes_covered), q
 
 
 def test_report_fields(fields):
