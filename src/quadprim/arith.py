@@ -260,7 +260,9 @@ def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
         raise ValueError("exponent k must be at least 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = p**k
+    # p**1 is a new int object; reusing p keeps q and p one object in the
+    # scan's output rows, which hold both for every q.
+    q = p if k == 1 else p**k
     # q**2 - 1 factors through the two halves, both of size about q.
     fact = product_factorization(factorize(q - 1), factorize(q + 1))
     d = fact.multiplicity(2)

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from .arith import euler_phi, factorize, mobius
-from .ffield import FieldElem, QuadExtField
+from .ffield import FieldElem, QuadExtField, translate_classes
 
 __all__ = [
     "ORACLE_Q_CAP",
@@ -55,9 +54,6 @@ __all__ = [
 
 ORACLE_Q_CAP = 200
 
-# Optional hard ceiling on the memoized table footprint, in bytes.
-_DLOG_BYTES_ENV = "QUADPRIM_DLOG_MAX_BYTES"
-
 _dlog_cache: "WeakKeyDictionary[QuadExtField, list[int]]" = WeakKeyDictionary()
 _roots_cache: "WeakKeyDictionary[QuadExtField, list[complex]]" = WeakKeyDictionary()
 
@@ -68,29 +64,16 @@ def _require_oracle_field(fld: QuadExtField) -> None:
             f"oracle supports q <= {ORACLE_Q_CAP}, got q = {fld.q}")
 
 
-def _pack(u: FieldElem, p: int) -> int:
-    code = 0
-    for c in reversed(u):
-        code = code * p + c
-    return code
-
-
 def _dlog_table(fld: QuadExtField) -> list[int]:
     tbl = _dlog_cache.get(fld)
     if tbl is not None:
         return tbl
     _require_oracle_field(fld)
-    m, p = fld.m, fld.p
-    size = fld.q * fld.q
-    budget = int(os.environ.get(_DLOG_BYTES_ENV, "0") or "0")
-    if budget and (size * 8 + m * 16) > budget:
-        raise RuntimeError(
-            f"dlog table would exceed {_DLOG_BYTES_ENV}={budget} bytes")
-    tbl = [-1] * size
+    tbl = [-1] * (fld.q * fld.q)
     v = fld.one
-    mul, a = fld.mul, fld.a
-    for e in range(m):
-        tbl[_pack(v, p)] = e
+    mul, a, index = fld.mul, fld.a, fld.index_of
+    for e in range(fld.m):
+        tbl[index(v)] = e
         v = mul(v, a)
     _dlog_cache[fld] = tbl
     return tbl
@@ -109,7 +92,7 @@ def _root_table(fld: QuadExtField) -> list[complex]:
 
 def dlog(u: FieldElem, fld: QuadExtField) -> int:
     """Exponent e with a**e == u; ValueError for the zero element."""
-    e = _dlog_table(fld)[_pack(u, fld.p)]
+    e = _dlog_table(fld)[fld.index_of(u)]
     if e < 0:
         raise ValueError("zero has no discrete logarithm")
     return e
@@ -148,31 +131,19 @@ def translate_character_sum(chi: CharIndex, theta: FieldElem,
         raise ValueError("theta must lie outside the base field")
     roots = _root_table(fld)
     tbl = _dlog_table(fld)
-    m, p, t = fld.m, fld.p, chi.t
-    add = fld.add
+    m, t = fld.m, chi.t
+    add, index = fld.add, fld.index_of
     total = 0j
     for x in fld.base_field_elements():
-        total += roots[(t * tbl[_pack(add(theta, x), p)]) % m]
+        total += roots[(t * tbl[index(add(theta, x))]) % m]
     return total
 
 
 def translate_transversal(fld: QuadExtField) -> tuple[FieldElem, ...]:
-    """One representative per translate class, q - 1 in all, deterministic."""
+    """One representative per translate class, q - 1 in all: the first
+    element of each class in elements() order, in that order."""
     _require_oracle_field(fld)
-    reps: list[FieldElem] = []
-    seen: set[FieldElem] = set()
-    target = fld.q - 1
-    for u in fld.elements():
-        uq = fld.frobenius_q(u)
-        if uq == u:
-            continue
-        key = fld.sub(uq, u)
-        if key not in seen:
-            seen.add(key)
-            reps.append(u)
-            if len(reps) == target:
-                break
-    return tuple(reps)
+    return tuple(translate_classes(fld).values())
 
 
 # -- indicators ------------------------------------------------------------
@@ -317,9 +288,8 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
 
     roots = _root_table(fld)
     tbl = _dlog_table(fld)
-    p = fld.p
     # discrete logs of the q line elements, computed once
-    logs = [tbl[_pack(fld.mul(alpha, fld.add(theta, x)), p)]
+    logs = [tbl[fld.index_of(fld.mul(alpha, fld.add(theta, x)))]
             for x in fld.base_field_elements()]
     quartet = ((0, 1.0), (m // 2, 1.0), (m // 4, -1.0), (3 * m // 4, -1.0))
     total = 0j

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Callable
 
-from .arith import ctx_for_prime_power, factorize, is_prime
+from .arith import ctx_for_prime_power
 from .charoracle import ORACLE_Q_CAP, survey_line_identities, survey_translate_sums
 from .criteria import (
     SCAN_EXCEPTIONS,
@@ -33,7 +33,7 @@ from .criteria import (
     scan_interval,
     settle_prime_count_range,
 )
-from .ffield import build_field
+from .ffield import QuadExtField, build_field
 from .verify import (
     LINE_EXCEPTIONS,
     TRANSLATE_EXCEPTIONS,
@@ -53,12 +53,6 @@ FULL_SCAN_TOTAL = 82247
 FULL_SCAN_BASIC_FAILURES = 2425
 FULL_SCAN_LARGEST_BASIC_FAILURE = 1044889
 FULL_SCAN_EXCEPTION_COUNT = 101
-
-
-def _p_k_of(q: int) -> tuple[int, int]:
-    if is_prime(q):
-        return q, 1
-    return factorize(q).factors[0]
 
 
 def _fmt_float(x: float) -> str:
@@ -181,8 +175,8 @@ def _scan_rows(lo: int, hi: int, workers: int,
                 largest_basic_failure = max(largest_basic_failure, verdict.q)
             if verdict.stage is Stage.EXCEPTION:
                 exceptions.append(verdict.q)
-            p, k = _p_k_of(verdict.q)
-            rows.append(_row(verdict.q, p, k, "scan", verdict.stage.value,
+            rows.append(_row(verdict.q, verdict.p, verdict.k, "scan",
+                             verdict.stage.value,
                              _fmt_float(verdict.margin), 0.0))
         _progress(args, f"scan: finished q <= {end} ({len(rows)} prime powers)")
         start = end + 1
@@ -265,7 +259,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_once(q: int, prop: str, mode: str) -> list[PropertyReport]:
+def _verify_once(q: int, prop: str, mode: str
+                 ) -> tuple[QuadExtField, list[tuple[str, PropertyReport]]]:
     fld = build_field(ctx_for_prime_power(q))
     reports = []
     if prop == "translate":
@@ -278,7 +273,7 @@ def _verify_once(q: int, prop: str, mode: str) -> list[PropertyReport]:
             reports.append(("reference", verify_line_reference(fld)))
         if mode in ("fast", "both"):
             reports.append(("fast", verify_line_fast(fld)))
-    return reports
+    return fld, reports
 
 
 def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
@@ -287,10 +282,9 @@ def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
     holds_count = 0
     fails_count = 0
     for q in args.q_list:
-        reports = _verify_once(q, prop, args.mode)
+        fld, reports = _verify_once(q, prop, args.mode)
         for flavor, report in reports:
-            p, k = _p_k_of(q)
-            rows.append(_row(q, p, k, f"verify-{prop}:{flavor}",
+            rows.append(_row(q, fld.p, fld.k, f"verify-{prop}:{flavor}",
                              "holds" if report.holds else "fails",
                              _fmt_witness(report), report.elapsed * 1000.0))
         outcomes = {report.holds for _, report in reports}
@@ -369,27 +363,18 @@ def _cmd_reproduce(args) -> int:
                  and not settle_prime_count_range(2, 2))
     phase("settle-prime-counts", settle_ok, f"cutoff={cutoff}")
 
-    translate_qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= args.translate_max]
-    bad = []
-    for q in translate_qs:
-        fld = build_field(ctx_for_prime_power(q))
-        report = verify_translate_fast(fld)
-        if report.holds != (q not in TRANSLATE_EXCEPTIONS):
-            bad.append(q)
-        _progress(args, f"translate: q={q} {'holds' if report.holds else 'fails'}")
-    phase("verify-translate", not bad,
-          f"{len(translate_qs)} candidates" + ("" if not bad else f"; wrong at {bad}"))
-
-    line_qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= args.line_max]
-    bad = []
-    for q in line_qs:
-        fld = build_field(ctx_for_prime_power(q))
-        report = verify_line_fast(fld)
-        if report.holds != (q not in LINE_EXCEPTIONS):
-            bad.append(q)
-        _progress(args, f"line: q={q} {'holds' if report.holds else 'fails'}")
-    phase("verify-line", not bad,
-          f"{len(line_qs)} candidates" + ("" if not bad else f"; wrong at {bad}"))
+    for prop, exceptions, q_max in (
+            ("translate", TRANSLATE_EXCEPTIONS, args.translate_max),
+            ("line", LINE_EXCEPTIONS, args.line_max)):
+        qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= q_max]
+        bad = []
+        for q in qs:
+            _, [(_, report)] = _verify_once(q, prop, "fast")
+            if report.holds != (q not in exceptions):
+                bad.append(q)
+            _progress(args, f"{prop}: q={q} {'holds' if report.holds else 'fails'}")
+        phase(f"verify-{prop}", not bad,
+              f"{len(qs)} candidates" + ("" if not bad else f"; wrong at {bad}"))
 
     bad = []
     for q in (5, 7, 9, 11, 13):

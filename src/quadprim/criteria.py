@@ -99,13 +99,16 @@ class CriterionVerdict:
 
     margin is lhs - rhs of the decisive inequality: the passing one for
     BasicPass/SievePass, the closest failing attempt for Exception, and
-    infinity for EliminatedByPrimeCount.
+    infinity for EliminatedByPrimeCount.  p and k give q = p**k, as the
+    classifying context holds them.
     """
 
     q: int
     stage: Stage
     decomposition: SieveDecomposition | None
     margin: float
+    p: int
+    k: int
 
 
 def _holds(lhs: float, rhs: float) -> tuple[bool, float]:
@@ -278,18 +281,20 @@ def prime_count_cutoff() -> int:
 def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     """Classify one odd prime power by the first stage that settles it."""
     if ctx.t_q >= prime_count_cutoff():
-        return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf)
+        return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf,
+                                ctx.p, ctx.k)
     R = ctx.rprime
     ok, margin = basic_condition(ctx, R, r1_of(ctx, R))
     if ok:
-        return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin)
+        return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin, ctx.p, ctx.k)
     best = margin
     for dec in greedy_decompose(ctx):
         ok, margin = sieve_condition(ctx, dec)
         if ok:
-            return CriterionVerdict(ctx.q, Stage.SIEVE_PASS, dec, margin)
+            return CriterionVerdict(ctx.q, Stage.SIEVE_PASS, dec, margin,
+                                    ctx.p, ctx.k)
         best = max(best, margin)
-    return CriterionVerdict(ctx.q, Stage.EXCEPTION, None, best)
+    return CriterionVerdict(ctx.q, Stage.EXCEPTION, None, best, ctx.p, ctx.k)
 
 
 def _scan_chunk(bounds: tuple[int, int]) -> list[CriterionVerdict]:

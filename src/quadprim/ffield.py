@@ -31,6 +31,7 @@ __all__ = [
     "translate_class_key",
     "line_class_key",
     "is_two_primitive_exponent",
+    "translate_classes",
 ]
 
 FieldElem = tuple  # coordinate vector of length 2k over F_p
@@ -329,9 +330,10 @@ class QuadExtField:
         return tuple(coords)
 
     def index_of(self, u: FieldElem) -> int:
+        p = self.p
         n = 0
         for c in reversed(u):
-            n = n * self.p + c
+            n = n * p + c
         return n
 
     def elements(self):
@@ -453,6 +455,23 @@ def translate_class_key(u: FieldElem, fld: QuadExtField) -> FieldElem:
     if uq == u:
         raise ValueError("element lies in the base field")
     return fld.sub(uq, u)
+
+
+def translate_classes(fld: QuadExtField) -> dict[FieldElem, FieldElem]:
+    """Map each of the q - 1 translate class keys u**q - u to the first
+    element, in elements() order, whose translate set carries it.
+
+    A plain element sweep, independent of F_q-coordinates, so the
+    reference verifiers and the witness re-checkers can rely on it.
+    """
+    reps: dict[FieldElem, FieldElem] = {}
+    for u in fld.elements():
+        uq = fld.frobenius_q(u)
+        if uq != u:
+            reps.setdefault(fld.sub(uq, u), u)
+            if len(reps) == fld.q - 1:
+                break
+    return reps
 
 
 def line_class_key(u: FieldElem, gamma: FieldElem, fld: QuadExtField) -> FieldElem | None:

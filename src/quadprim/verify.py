@@ -9,9 +9,12 @@ alpha from a fixed transversal (the gamma set below) of q + 1 values.
 
 Each property ships in two independent flavors that must agree:
 
-- the reference verifiers walk exponents in ascending order and test
-  membership of a candidate against every accepted one through the
-  pairwise criterion ((a**i - a**j) / gamma) ** (q-1) == 1;
+- the reference verifiers share one loop: for a slope gamma it walks
+  exponents in ascending order and tests each 2-primitive candidate
+  w = a**j / gamma against every accepted one through the pairwise
+  criterion (v - w) ** (q-1) == 1.  Candidates with w in F_q lie on the
+  line through 0, which is not a line of the property, and are skipped.
+  The translate property is slope 1 of this loop;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
   There the translate sets are the rows y != 0, and the lines of slope
   gamma are the affine lines of direction gamma that miss 0.  The
@@ -30,7 +33,7 @@ from itertools import compress
 from math import gcd
 from time import perf_counter
 
-from .ffield import FieldElem, QuadExtField
+from .ffield import FieldElem, QuadExtField, line_class_key, translate_classes
 
 __all__ = [
     "TRANSLATE_EXCEPTIONS",
@@ -147,65 +150,54 @@ def _two_primitive_rows(fld: QuadExtField) -> list[int]:
     return [_bitmask(grid[y * q:(y + 1) * q]) for y in range(q)]
 
 
-def _min_key(fld: QuadExtField, gamma: FieldElem,
-             points: list[FieldElem]) -> FieldElem:
-    """Smallest class key (u/gamma)**q - u/gamma over the given points."""
-    inv = fld.inv(gamma)
-    keys = []
-    for u in points:
-        w = fld.mul(u, inv)
-        keys.append(fld.sub(fld.frobenius_q(w), w))
-    return min(keys)
+# -- the reference cover loop ----------------------------------------------
 
 
-# -- translate property ----------------------------------------------------
+def _reference_cover(fld: QuadExtField, gamma: FieldElem) -> set[FieldElem]:
+    """Keys of the lines of slope gamma confirmed to hold a 2-primitive element.
 
-
-def _all_translate_keys(fld: QuadExtField) -> set[FieldElem]:
-    # q - 1 keys; failures only happen for small q, so a full sweep is fine
-    keys: set[FieldElem] = set()
-    target = fld.q - 1
-    for u in fld.elements():
-        uq = fld.frobenius_q(u)
-        if uq != u:
-            keys.add(fld.sub(uq, u))
-            if len(keys) == target:
-                break
-    return keys
-
-
-def _missing_translate_key(fld: QuadExtField, covered: set[FieldElem]) -> FieldElem:
-    return min(_all_translate_keys(fld) - covered)
-
-
-def verify_translate_reference(fld: QuadExtField) -> PropertyReport:
-    """Walk all exponents, testing candidates pairwise against accepted ones.
-
-    A candidate exponent j with gcd(j, q**2 - 1) == 2 is accepted when no
-    accepted i satisfies (a**i - a**j)**(q-1) == 1; acceptance stops as
-    soon as q - 1 classes are represented.
+    Walks the exponents j with gcd(j, q**2 - 1) == 2 in ascending order.
+    The candidate w = a**j / gamma is skipped when it lies in F_q (a**j is
+    then on the line through 0) and otherwise accepted unless
+    (v - w)**(q-1) == 1 for some accepted v, i.e. w shares its translate
+    class with v.  Acceptance stops at q - 1 classes, all there are.
     """
-    t0 = perf_counter()
     q, m, one = fld.q, fld.m, fld.one
     mul, sub, powf = fld.mul, fld.sub, fld.pow
-    a = fld.a
+    a, invg = fld.a, fld.inv(gamma)
     accepted: list[FieldElem] = []
     u = one
     for j in range(1, m - 1):
         u = mul(u, a)
         if gcd(j, m) != 2:
             continue
+        w = mul(u, invg)
+        if fld.in_base_field(w):
+            continue
         for v in accepted:
-            if powf(sub(v, u), q - 1) == one:
+            if powf(sub(v, w), q - 1) == one:
                 break
         else:
-            accepted.append(u)
+            accepted.append(w)
             if len(accepted) == q - 1:
-                return PropertyReport(q, "translate", True, None, q - 1,
-                                      perf_counter() - t0)
-    covered = {sub(fld.frobenius_q(v), v) for v in accepted}
-    witness = _missing_translate_key(fld, covered)
-    return PropertyReport(q, "translate", False, witness, len(accepted),
+                break
+    return {sub(fld.frobenius_q(w), w) for w in accepted}
+
+
+# -- translate property ----------------------------------------------------
+
+
+def verify_translate_reference(fld: QuadExtField) -> PropertyReport:
+    """The reference cover loop at slope 1: the translate sets are the
+    lines of slope 1."""
+    t0 = perf_counter()
+    q = fld.q
+    covered = _reference_cover(fld, fld.one)
+    if len(covered) == q - 1:
+        return PropertyReport(q, "translate", True, None, q - 1,
+                              perf_counter() - t0)
+    witness = min(translate_classes(fld).keys() - covered)
+    return PropertyReport(q, "translate", False, witness, len(covered),
                           perf_counter() - t0)
 
 
@@ -232,44 +224,22 @@ def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
     missing = [fld.from_fq_coords(0, fld.fq_exp[e]) for e in range(n)
                if not met >> e & 1]
     return PropertyReport(q, "translate", False,
-                          _min_key(fld, fld.one, missing), met.bit_count(),
-                          perf_counter() - t0)
+                          min(line_class_key(u, fld.one, fld) for u in missing),
+                          met.bit_count(), perf_counter() - t0)
 
 
 # -- line property ---------------------------------------------------------
 
 
 def verify_line_reference(fld: QuadExtField) -> PropertyReport:
-    """Per-gamma pairwise verification over all slopes of the gamma set."""
+    """The reference cover loop over all slopes of the gamma set, in order;
+    the first slope that leaves a line unconfirmed fails."""
     t0 = perf_counter()
-    q, m, one = fld.q, fld.m, fld.one
-    mul, sub, powf = fld.mul, fld.sub, fld.pow
-    a = fld.a
+    q = fld.q
     for gamma in build_gamma_set(fld).gammas:
-        invg = fld.inv(gamma)
-        accepted: list[FieldElem] = []
-        u = one
-        done = False
-        for j in range(1, m - 1):
-            u = mul(u, a)
-            if gcd(j, m) != 2:
-                continue
-            for v in accepted:
-                if powf(mul(sub(v, u), invg), q - 1) == one:
-                    break
-            else:
-                accepted.append(u)
-                if len(accepted) == q - 1:
-                    done = True
-                    break
-        if not done:
-            covered = set()
-            for v in accepted:
-                w = mul(v, invg)
-                wq = fld.frobenius_q(w)
-                if wq != w:
-                    covered.add(sub(wq, w))
-            witness = (gamma, _missing_translate_key(fld, covered))
+        covered = _reference_cover(fld, gamma)
+        if len(covered) < q - 1:
+            witness = (gamma, min(translate_classes(fld).keys() - covered))
             return PropertyReport(q, "line", False, witness, len(covered),
                                   perf_counter() - t0)
     return PropertyReport(q, "line", True, None, q - 1, perf_counter() - t0)
@@ -312,8 +282,8 @@ def verify_line_fast(fld: QuadExtField) -> PropertyReport:
             missing = [fld.from_fq_coords(0, t) if gy == 0
                        else fld.from_fq_coords(t, 0)
                        for t in range(1, q) if not met >> t & 1]
-            return PropertyReport(q, "line", False,
-                                  (gamma, _min_key(fld, gamma, missing)),
+            key = min(line_class_key(u, gamma, fld) for u in missing)
+            return PropertyReport(q, "line", False, (gamma, key),
                                   (met >> 1).bit_count(), perf_counter() - t0)
     return PropertyReport(q, "line", True, None, n, perf_counter() - t0)
 
@@ -332,30 +302,22 @@ def _order_by_multiplication(fld: QuadExtField, u: FieldElem) -> int:
     return n
 
 
-def _translate_set_for_key(fld: QuadExtField, key: FieldElem) -> list[FieldElem]:
-    for u in fld.elements():
-        uq = fld.frobenius_q(u)
-        if uq != u and fld.sub(uq, u) == key:
-            return [fld.add(u, x) for x in fld.base_field_elements()]
-    raise ValueError("no translate set carries this key")
-
-
 def recheck_translate_witness(fld: QuadExtField, key: FieldElem) -> bool:
     """Confirm by direct order computation that the named translate set
-    contains no element of order (q**2 - 1)/2."""
-    half = fld.m // 2
-    for w in _translate_set_for_key(fld, key):
-        if w != fld.zero and _order_by_multiplication(fld, w) == half:
-            return False
-    return True
+    contains no element of order (q**2 - 1)/2: the line of slope 1."""
+    return recheck_line_witness(fld, fld.one, key)
 
 
 def recheck_line_witness(fld: QuadExtField, gamma: FieldElem, key: FieldElem) -> bool:
     """Confirm by direct order computation that the named line contains
-    no element of order (q**2 - 1)/2."""
+    no element of order (q**2 - 1)/2.  Raises ValueError for a key that
+    no translate set carries."""
+    theta = translate_classes(fld).get(key)
+    if theta is None:
+        raise ValueError("no translate set carries this key")
     half = fld.m // 2
-    for w in _translate_set_for_key(fld, key):
-        v = fld.mul(gamma, w)
+    for x in fld.base_field_elements():
+        v = fld.mul(gamma, fld.add(theta, x))
         if v != fld.zero and _order_by_multiplication(fld, v) == half:
             return False
     return True

@@ -13,6 +13,7 @@ from quadprim.verify import (
     verify_line_reference,
     verify_translate_fast,
     verify_translate_reference,
+    _reference_cover,
 )
 
 
@@ -143,6 +144,28 @@ def test_recheck_rejects_covered_classes(fields):
     key = translate_class_key(u, fld)
     assert not recheck_translate_witness(fld, key)
     assert not recheck_line_witness(fld, fld.one, key)
+
+
+def test_recheck_rejects_unknown_keys(fields):
+    # keys u**q - u never lie in F_q, so fld.one is carried by no class
+    for q in (9, 13):
+        fld = fields[q]
+        with pytest.raises(ValueError):
+            recheck_translate_witness(fld, fld.one)
+        with pytest.raises(ValueError):
+            recheck_line_witness(fld, fld.one, fld.one)
+
+
+def test_reference_cover_skips_the_line_through_0(fields):
+    # a 2-primitive a**j with a**j / gamma in F_q lies on the line through
+    # 0, which is no line of the property: its key 0 must never be counted
+    for q in (9, 25):
+        fld = fields[q]
+        for gamma in build_gamma_set(fld).gammas:
+            covered = _reference_cover(fld, gamma)
+            assert fld.zero not in covered, (q, gamma)
+            if q == 25:  # the line property holds at q = 25
+                assert len(covered) == q - 1, gamma
 
 
 def test_line_scaling_invariance(fields):
