@@ -5,13 +5,20 @@ rho), the classical multiplicative functions, the square-free divisor
 bound, and enumeration of odd prime powers together with the derived
 data every later stage needs.  Everything here is exact integer
 arithmetic; the only real-valued result is ``w_bound_constant``.
+
+Enumeration takes its primes from a segmented sieve and never re-tests
+them.  It factors q - 1 and q + 1 through a smallest-prime-factor table
+of the odd numbers up to (hi + 1) / 2, built once per call; the table
+stops at ``_FACTOR_TABLE_CAP`` so its memory stays bounded, and larger
+values go through ``factorize``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, isqrt, log
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "TRIAL_DIVISION_BOUND",
@@ -40,6 +47,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Gaps of the mod-30 wheel starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+# Largest odd number the factor table covers.  Its bytes index the odd
+# primes below 1621; there are 255 of them, and they hold the smallest
+# factor of every odd composite below 1621**2.
+_FACTOR_TABLE_CAP = 1621**2 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -254,6 +266,23 @@ class PrimePowerCtx:
     t_q: int
 
 
+def _ctx(p: int, k: int, q: int, factor: Callable[[int], Factorization]
+         ) -> PrimePowerCtx:
+    # q**2 - 1 factors through the two halves, both of size about q.
+    fact = product_factorization(factor(q - 1), factor(q + 1))
+    d = fact.multiplicity(2)
+    return PrimePowerCtx(
+        p=p,
+        k=k,
+        q=q,
+        fact_q2m1=fact,
+        two_adic_d=d,
+        odd_part=(q * q - 1) >> d,
+        rprime=squarefree_odd_radical(fact),
+        t_q=len(fact.factors),
+    )
+
+
 def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
     """Build the context for q = p**k; p must be prime, k >= 1."""
     if k < 1:
@@ -262,21 +291,7 @@ def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
         raise ValueError(f"{p} is not prime")
     # p**1 is a new int object; reusing p keeps q and p one object in the
     # scan's output rows, which hold both for every q.
-    q = p if k == 1 else p**k
-    # q**2 - 1 factors through the two halves, both of size about q.
-    fact = product_factorization(factorize(q - 1), factorize(q + 1))
-    d = fact.multiplicity(2)
-    odd_part = (q * q - 1) >> d
-    return PrimePowerCtx(
-        p=p,
-        k=k,
-        q=q,
-        fact_q2m1=fact,
-        two_adic_d=d,
-        odd_part=odd_part,
-        rprime=squarefree_odd_radical(fact),
-        t_q=len(fact.factors),
-    )
+    return _ctx(p, k, p if k == 1 else p**k, factorize)
 
 
 def ctx_for_prime_power(q: int) -> PrimePowerCtx:
@@ -337,8 +352,57 @@ def _odd_primes_in_range(lo: int, hi: int) -> Iterator[int]:
                 yield v
 
 
+def _odd_factor_table(n: int) -> tuple[bytearray, list[int]]:
+    """Smallest-prime-factor table of the odd numbers up to n.
+
+    Byte j describes 2*j + 1: 0 if it is 1 or prime, otherwise the index
+    of its smallest prime factor in the returned list of odd primes up to
+    sqrt(n), whose entry 0 is a placeholder.  n must not exceed
+    ``_FACTOR_TABLE_CAP``.
+    """
+    primes = [0] + primes_upto(isqrt(n))[1:]
+    table = bytearray((n >> 1) + 1)
+    # Larger primes first, so each odd composite keeps its smallest one.
+    for i in range(len(primes) - 1, 0, -1):
+        p = primes[i]
+        start = (p * p) >> 1
+        table[start::p] = bytes((i,)) * len(range(start, len(table), p))
+    return table, primes
+
+
+def _table_factorize(n: int, table: bytearray, primes: list[int]) -> Factorization:
+    """``factorize(n)`` for n >= 1 whose odd part the table covers."""
+    factors = []
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        factors.append((2, twos))
+    m = n >> twos
+    while m > 1:
+        i = table[m >> 1]
+        if not i:
+            factors.append((m, 1))
+            break
+        p = primes[i]
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+    return Factorization(n, tuple(factors))
+
+
 def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
-    """Contexts for every odd prime power in [lo, hi], ascending in q."""
+    """Contexts for every odd prime power in [lo, hi], ascending in q.
+
+    The primes come from a sieve, which proves them, so they are not
+    tested again.  q - 1 and q + 1 are even, so their odd parts are at
+    most (hi + 1) / 2; they are factored from one smallest-prime-factor
+    table of the odd numbers up to there, built here and capped at
+    ``_FACTOR_TABLE_CAP``.  Beyond the cap they go through ``factorize``.
+    The result equals ``[prime_power_ctx(p, k) ...]`` over the same prime
+    powers.
+    """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
     entries: list[tuple[int, int, int]] = [(v, v, 1) for v in _odd_primes_in_range(lo, hi)]
@@ -352,4 +416,10 @@ def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
             value *= p
             k += 1
     entries.sort()
-    return [prime_power_ctx(p, k) for _, p, k in entries]
+    top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
+    from_table = factorize
+    if (lo + 1) >> 1 <= top:
+        table, primes = _odd_factor_table(top)
+        from_table = partial(_table_factorize, table=table, primes=primes)
+    return [_ctx(p, k, q, from_table if (q + 1) >> 1 <= top else factorize)
+            for q, p, k in entries]

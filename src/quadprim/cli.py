@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from time import perf_counter
 from typing import Callable
 
 from .arith import ctx_for_prime_power
@@ -233,13 +234,16 @@ def _cmd_scan(args) -> int:
 
 def _cmd_settle(args) -> int:
     rows = []
+    t0 = perf_counter()
     cutoff = prime_count_cutoff()
-    rows.append(_row("", "", "", "prime-count-cutoff", str(cutoff), "", 0.0))
+    rows.append(_row("", "", "", "prime-count-cutoff", str(cutoff), "",
+                     (perf_counter() - t0) * 1000.0))
     for t1, t2 in args.pairs:
+        t0 = perf_counter()
         settled = settle_prime_count_range(t1, t2)
         rows.append(_row("", "", "", "settle-prime-counts",
                          "settled" if settled else "unsettled",
-                         f"t1={t1}|t2={t2}", 0.0))
+                         f"t1={t1}|t2={t2}", (perf_counter() - t0) * 1000.0))
     summary = {"cutoff": cutoff, "pairs": len(args.pairs)}
     _emit(args, rows, summary)
     return 0

@@ -237,29 +237,41 @@ def settle_prime_count_range(t1: int, t2: int) -> bool:
     return c <= t1
 
 
+# Bound on the square-free divisor constant for a = 8; its true maximum
+# over prime prefixes is 4514.6265..., reached at the first 54 primes.
+_DIVISOR_BOUND = Fraction(45147, 10)
+
+
+def _divisor_bound_holds(bound: Fraction) -> bool:
+    """True when 2**j / (p_1 ... p_j)**(1/8) < bound for every prefix of
+    the primes up to 256, decided exactly in integers."""
+    num8, den8 = bound.numerator ** 8, bound.denominator ** 8
+    prod = 1
+    for j, p in enumerate(primes_upto(256), start=1):
+        prod *= p
+        if not 2 ** (8 * j) * den8 < num8 * prod:
+            return False
+    return True
+
+
 @lru_cache(maxsize=1)
 def prime_count_cutoff() -> int:
     """Smallest prime count of q**2 - 1 at which every q is settled.
 
     Verifies the full elimination argument before answering:
     - the square-free divisor bound constant for a = 8, maximized over
-      prefixes of the primes up to 256, stays below 4514.7, so every
-      q >= q0 = (2 * 4514.7)**4 passes the basic condition outright;
+      prefixes of the primes up to 256, stays below 4514.7 (checked in
+      integers), so every q >= q0 = (2 * 4514.7)**4 passes the basic
+      condition outright;
     - below q0 the value q**2 - 1 carries at most c_max distinct primes
       (primorial comparison, exact);
     - for every t from the cutoff up to c_max the sieved condition is
       settled by exact greedy arithmetic over the prime counts alone.
     """
     cutoff = 14
-    ps = primes_upto(256)
-    best = 0.0
-    prod = 1
-    for j, p in enumerate(ps, start=1):
-        prod *= p
-        best = max(best, float(2**j) / float(prod) ** 0.125)
-    if not best < 4514.7:
+    if not _divisor_bound_holds(_DIVISOR_BOUND):
         raise RuntimeError("divisor bound constant check failed")
-    q0 = (2 * Fraction(45147, 10)) ** 4
+    q0 = (2 * _DIVISOR_BOUND) ** 4
     limit = q0 * q0 - 1
     primes = first_primes(64)
     c_max = 1

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from quadprim import arith
 from quadprim.arith import (
+    _FACTOR_TABLE_CAP,
     Factorization,
+    _odd_factor_table,
+    _table_factorize,
     ctx_for_prime_power,
     enumerate_odd_prime_powers,
     euler_phi,
@@ -190,3 +194,46 @@ def test_enumerate_rejects_bad_range():
         enumerate_odd_prime_powers(2, 10)
     with pytest.raises(ValueError):
         enumerate_odd_prime_powers(10, 5)
+
+
+def test_factor_table_matches_factorize():
+    n = (1 << 20) + 1
+    table, primes = _odd_factor_table(n)
+    for v in [*range(1, 200_001), *range((1 << 20) - 2000, n + 1)]:
+        assert _table_factorize(v, table, primes) == factorize(v), v
+    # even values need the table only up to their odd part
+    table, primes = _odd_factor_table(n >> 1)
+    for v in range((1 << 20) - 2000, n + 1, 2):
+        assert _table_factorize(v, table, primes) == factorize(v), v
+
+
+def test_factor_table_cap_fits_a_byte():
+    table, primes = _odd_factor_table(_FACTOR_TABLE_CAP)
+    assert len(primes) == 256 and primes[-1] == 1619 and max(table) == 255
+    # 1621**2 is the first odd composite whose smallest prime needs index 256
+    assert _FACTOR_TABLE_CAP + 1 == 1621**2 and is_prime(1621)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (3, 30_000),
+    ((1 << 20) - 30_000, 1 << 20),
+    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+])
+def test_enumerate_matches_prime_power_ctx(lo, hi):
+    got = enumerate_odd_prime_powers(lo, hi)
+    assert got == [prime_power_ctx(ctx.p, ctx.k) for ctx in got]
+    assert [ctx.q for ctx in got] == [
+        q for q in range(lo | 1, hi + 1, 2) if len(factorize(q).factors) == 1]
+    if lo > _FACTOR_TABLE_CAP:
+        # the odd parts of q + 1 straddle the cap, so both factor sources run
+        assert any((ctx.q + 1) >> 1 <= _FACTOR_TABLE_CAP for ctx in got)
+        assert any((ctx.q + 1) >> 1 > _FACTOR_TABLE_CAP for ctx in got)
+
+
+def test_enumerate_below_the_cap_neither_factorizes_nor_tests_primes(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"called for {n}")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    assert len(enumerate_odd_prime_powers(3, 50_000)) == 5_202

@@ -95,6 +95,25 @@ def test_translate_sum_values(fields):
         assert survey.translates == q - 1
 
 
+def test_translate_sum_survey_matches_direct_sums(fields):
+    # reference: every character evaluated at every theta + x afresh,
+    # summed in base_field_elements() order; at q = 11 another order
+    # changes the last bits
+    for q in (7, 9, 11):
+        fld = fields[q]
+        base = fld.base_field_elements()
+        worst = 0.0
+        for t in range(1, fld.m):
+            chi = CharIndex(t, 0)
+            for theta in translate_transversal(fld):
+                b = 0j
+                for x in base:
+                    b += char_eval(chi, fld.add(theta, x), fld)
+                dev = abs(b + 1.0) if t % (q - 1) == 0 else abs(abs(b) - math.sqrt(q))
+                worst = max(worst, dev)
+        assert survey_translate_sums(fld).max_deviation == worst
+
+
 def test_translate_sum_trivial_character(fields):
     fld = fields[7]
     theta = translate_transversal(fld)[0]

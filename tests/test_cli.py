@@ -165,6 +165,17 @@ def test_settle_prime_counts(tmp_path):
     assert results["t1=11|t2=13"] == "settled"
     assert results["t1=10|t2=10"] == "settled"
     assert results["t1=2|t2=2"] == "unsettled"
+    assert all(row["elapsed_ms"] == "0" for row in rows)
+
+
+def test_settle_rows_are_timed(tmp_path):
+    out = tmp_path / "settle.csv"
+    assert main(["settle-prime-counts", "11:13", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert [row["command"] for row in rows] == ["prime-count-cutoff",
+                                                "settle-prime-counts"]
+    assert all(float(row["elapsed_ms"]) >= 0 for row in rows)
+    assert float(rows[1]["elapsed_ms"]) > 0
 
 
 def test_oracle_passes_at_default_tolerance(tmp_path):

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from quadprim.arith import ctx_for_prime_power
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
+    _divisor_bound_holds,
     CriterionVerdict,
     Stage,
     basic_condition,
@@ -139,10 +141,16 @@ def test_scan_small_interval():
     assert all(v.stage is not Stage.ELIMINATED_BY_PRIME_COUNT for v in verdicts)
 
 
+def test_divisor_bound_check_is_exact():
+    # the true maximum over prime prefixes is 4514.6265... (54 primes)
+    assert _divisor_bound_holds(Fraction(45147, 10))
+    assert not _divisor_bound_holds(Fraction(45146, 10))
+
+
 def test_scan_worker_determinism():
-    seq = scan_interval(3, 9000)
-    par = scan_interval(3, 9000, workers=2)
-    assert seq == par
+    seq = scan_interval(3, 60_000)
+    assert scan_interval(3, 20_000) + scan_interval(20_001, 60_000) == seq
+    assert scan_interval(3, 60_000, workers=2) == seq
 
 
 def test_scan_rejects_bad_range():
