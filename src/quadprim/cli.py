@@ -22,6 +22,8 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from time import perf_counter
 from typing import Callable
 
@@ -159,18 +161,30 @@ def _parse_threads(text: str) -> int:
 # -- scan -------------------------------------------------------------------
 
 
+def _scan_blocks(lo: int, hi: int, workers: int):
+    """Yield (end, verdicts) for the 16 progress blocks of [lo, hi] in
+    order.  With workers > 1 one process pool scans every block."""
+    block = max(1, (hi - lo + 1) // 16)
+    bounds = [(start, min(start + block - 1, hi))
+              for start in range(lo, hi + 1, block)]
+    if workers <= 1:
+        for start, end in bounds:
+            yield end, scan_interval(start, end)
+        return
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=get_context("spawn")) as pool:
+        yield from zip([end for _, end in bounds],
+                       pool.map(scan_interval, *zip(*bounds)))
+
+
 def _scan_rows(lo: int, hi: int, workers: int,
                args) -> tuple[list[dict], dict, list[int]]:
     rows: list[dict] = []
     counts = {stage: 0 for stage in Stage}
     largest_basic_failure = 0
     exceptions: list[int] = []
-    span = hi - lo + 1
-    block = max(1, span // 16)
-    start = lo
-    while start <= hi:
-        end = min(start + block - 1, hi)
-        for verdict in scan_interval(start, end, workers=workers):
+    for end, verdicts in _scan_blocks(lo, hi, workers):
+        for verdict in verdicts:
             counts[verdict.stage] += 1
             if verdict.stage is not Stage.BASIC_PASS:
                 largest_basic_failure = max(largest_basic_failure, verdict.q)
@@ -180,7 +194,7 @@ def _scan_rows(lo: int, hi: int, workers: int,
                              verdict.stage.value,
                              _fmt_float(verdict.margin), 0.0))
         _progress(args, f"scan: finished q <= {end} ({len(rows)} prime powers)")
-        start = end + 1
+        del verdicts  # free this block before the next one is scanned
     total = len(rows)
     summary = {
         "total": total,

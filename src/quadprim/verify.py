@@ -10,11 +10,12 @@ alpha from a fixed transversal (the gamma set below) of q + 1 values.
 Each property ships in two independent flavors that must agree:
 
 - the reference verifiers share one loop: for a slope gamma it walks
-  exponents in ascending order and tests each 2-primitive candidate
-  w = a**j / gamma against every accepted one through the pairwise
-  criterion (v - w) ** (q-1) == 1.  Candidates with w in F_q lie on the
-  line through 0, which is not a line of the property, and are skipped.
-  The translate property is slope 1 of this loop;
+  exponents in ascending order and files each 2-primitive candidate
+  w = a**j / gamma under its translate class key w**q - w, computed with
+  the field's own Frobenius map.  Key 0 means w lies in F_q, i.e. a**j is
+  on the line through 0, which is not a line of the property, and is
+  skipped.  The translate property is slope 1 of this loop, and the loop
+  never touches the F_q-coordinates of the fast flavor;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
   There the translate sets are the rows y != 0, and the lines of slope
   gamma are the affine lines of direction gamma that miss 0.  The
@@ -156,32 +157,29 @@ def _two_primitive_rows(fld: QuadExtField) -> list[int]:
 def _reference_cover(fld: QuadExtField, gamma: FieldElem) -> set[FieldElem]:
     """Keys of the lines of slope gamma confirmed to hold a 2-primitive element.
 
-    Walks the exponents j with gcd(j, q**2 - 1) == 2 in ascending order.
-    The candidate w = a**j / gamma is skipped when it lies in F_q (a**j is
-    then on the line through 0) and otherwise accepted unless
-    (v - w)**(q-1) == 1 for some accepted v, i.e. w shares its translate
-    class with v.  Acceptance stops at q - 1 classes, all there are.
+    Walks the exponents j with gcd(j, q**2 - 1) == 2 in ascending order and
+    files each candidate w = a**j / gamma under its translate class key
+    w**q - w.  The map u -> u**q - u is F_q-linear with kernel F_q, so two
+    candidates share a key exactly when their difference lies in F_q*, and
+    key 0 marks a**j on the line through 0, which is skipped.  The walk
+    stops at q - 1 keys, all there are.
     """
-    q, m, one = fld.q, fld.m, fld.one
-    mul, sub, powf = fld.mul, fld.sub, fld.pow
+    q, m, zero = fld.q, fld.m, fld.zero
+    mul, sub, frob = fld.mul, fld.sub, fld.frobenius_q
     a, invg = fld.a, fld.inv(gamma)
-    accepted: list[FieldElem] = []
-    u = one
+    covered: set[FieldElem] = set()
+    u = fld.one
     for j in range(1, m - 1):
         u = mul(u, a)
         if gcd(j, m) != 2:
             continue
         w = mul(u, invg)
-        if fld.in_base_field(w):
-            continue
-        for v in accepted:
-            if powf(sub(v, w), q - 1) == one:
+        key = sub(frob(w), w)
+        if key != zero:
+            covered.add(key)
+            if len(covered) == q - 1:
                 break
-        else:
-            accepted.append(w)
-            if len(accepted) == q - 1:
-                break
-    return {sub(fld.frobenius_q(w), w) for w in accepted}
+    return covered
 
 
 # -- translate property ----------------------------------------------------

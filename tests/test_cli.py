@@ -7,11 +7,13 @@ output files can be checked without spawning subprocesses.
 import csv
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from quadprim import cli, criteria
 from quadprim.arith import ctx_for_prime_power
-from quadprim.cli import _build_parser, main
+from quadprim.cli import _build_parser, _scan_rows, main
 from quadprim.criteria import classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
 
@@ -88,6 +90,23 @@ def test_threads_bounded_at_parse_time():
         assert err.value.code == 2
     args = _build_parser().parse_args(["scan", "--threads", "100000"])
     assert args.threads == (os.cpu_count() or 1)
+
+
+def test_scan_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(criteria, "ProcessPoolExecutor", CountingPool)
+    args = _build_parser().parse_args(["scan"])
+    pooled = _scan_rows(3, 60_000, 2, args)
+    assert len(opened) == 1
+    assert pooled == _scan_rows(3, 60_000, 1, args)
+    assert len(opened) == 1
 
 
 def test_verify_translate_both_modes(tmp_path):

@@ -1,8 +1,16 @@
+from math import gcd
+
 import pytest
 
+from quadprim import verify
 from quadprim.arith import ctx_for_prime_power
 from quadprim.criteria import SCAN_EXCEPTIONS
-from quadprim.ffield import build_field, line_class_key, translate_class_key
+from quadprim.ffield import (
+    QuadExtField,
+    build_field,
+    line_class_key,
+    translate_class_key,
+)
 from quadprim.verify import (
     LINE_EXCEPTIONS,
     TRANSLATE_EXCEPTIONS,
@@ -166,6 +174,61 @@ def test_reference_cover_skips_the_line_through_0(fields):
             assert fld.zero not in covered, (q, gamma)
             if q == 25:  # the line property holds at q = 25
                 assert len(covered) == q - 1, gamma
+
+
+def test_reference_cover_matches_the_pairwise_walk(fields):
+    # the pairwise criterion the class keys replace: a candidate w joins the
+    # class of an accepted v exactly when (v - w)**(q-1) == 1, i.e. when
+    # v - w lies in F_q*; only pow is used here, never the Frobenius map
+    for q in (9, 13, 25, 27):
+        fld = fields[q]
+        one, m = fld.one, fld.m
+        for gamma in build_gamma_set(fld).gammas:
+            invg = fld.inv(gamma)
+            accepted = []
+            u = one
+            for j in range(1, m - 1):
+                u = fld.mul(u, fld.a)
+                if gcd(j, m) != 2:
+                    continue
+                w = fld.mul(u, invg)
+                if fld.pow(w, q) == w:
+                    continue
+                if all(fld.pow(fld.sub(v, w), q - 1) != one for v in accepted):
+                    accepted.append(w)
+                    if len(accepted) == q - 1:
+                        break
+            keys = {fld.sub(fld.pow(w, q), w) for w in accepted}
+            assert _reference_cover(fld, gamma) == keys, (q, gamma)
+
+
+# (holds, witness, classes_covered) of the reference verifiers, pinned
+REFERENCE_REPORTS = {
+    9: ((True, None, 8), (False, ((0, 1, 2, 0), (0, 1, 0, 1)), 4)),
+    13: ((False, (0, 2), 10), (False, ((1, 0), (0, 2)), 10)),
+    27: ((True, None, 26), (True, None, 26)),
+}
+
+
+def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
+    # the reference flavor must not share the fast flavor's F_q-coordinate
+    # layer, so every piece of that layer raises here
+    def broken(*args, **kwargs):
+        raise AssertionError("reference verifier used the coordinate layer")
+
+    for name in ("fq_coords", "from_fq_coords", "fq_shift"):
+        monkeypatch.setattr(QuadExtField, name, broken)
+    for name in ("fq_exp", "fq_log", "_fq_frame"):
+        monkeypatch.setattr(QuadExtField, name, property(broken))
+    for name in ("_cosets", "_two_primitive_rows", "_bitmask"):
+        monkeypatch.setattr(verify, name, broken)
+    for q, (translate, line) in REFERENCE_REPORTS.items():
+        fld = build_field(ctx_for_prime_power(q))
+        for rep, expected in ((verify_translate_reference(fld), translate),
+                              (verify_line_reference(fld), line)):
+            assert (rep.holds, rep.witness, rep.classes_covered) == expected, q
+        with pytest.raises(AssertionError):
+            verify_line_fast(fld)
 
 
 def test_line_scaling_invariance(fields):
