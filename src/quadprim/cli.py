@@ -22,8 +22,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable
 
@@ -161,20 +160,17 @@ def _parse_threads(text: str) -> int:
 # -- scan -------------------------------------------------------------------
 
 
-def _scan_blocks(lo: int, hi: int, workers: int):
-    """Yield (end, verdicts) for the 16 progress blocks of [lo, hi] in
-    order.  With workers > 1 one process pool scans every block."""
-    block = max(1, (hi - lo + 1) // 16)
-    bounds = [(start, min(start + block - 1, hi))
-              for start in range(lo, hi + 1, block)]
-    if workers <= 1:
-        for start, end in bounds:
-            yield end, scan_interval(start, end)
+@contextmanager
+def _block_map(workers: int):
+    """Yield the map that scans the progress blocks: the builtin one for
+    one worker, else the map of one process pool kept for the whole scan."""
+    if workers == 1:
+        yield map
         return
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=get_context("spawn")) as pool:
-        yield from zip([end for _, end in bounds],
-                       pool.map(scan_interval, *zip(*bounds)))
+    # imported here: multiprocessing adds about 30 ms to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def _scan_rows(lo: int, hi: int, workers: int,
@@ -183,18 +179,22 @@ def _scan_rows(lo: int, hi: int, workers: int,
     counts = {stage: 0 for stage in Stage}
     largest_basic_failure = 0
     exceptions: list[int] = []
-    for end, verdicts in _scan_blocks(lo, hi, workers):
-        for verdict in verdicts:
-            counts[verdict.stage] += 1
-            if verdict.stage is not Stage.BASIC_PASS:
-                largest_basic_failure = max(largest_basic_failure, verdict.q)
-            if verdict.stage is Stage.EXCEPTION:
-                exceptions.append(verdict.q)
-            rows.append(_row(verdict.q, verdict.p, verdict.k, "scan",
-                             verdict.stage.value,
-                             _fmt_float(verdict.margin), 0.0))
-        _progress(args, f"scan: finished q <= {end} ({len(rows)} prime powers)")
-        del verdicts  # free this block before the next one is scanned
+    block = max(1, (hi - lo + 1) // 16)
+    starts = range(lo, hi + 1, block)
+    ends = [min(start + block - 1, hi) for start in starts]
+    with _block_map(workers) as block_map:
+        blocks = block_map(scan_interval, starts, ends)
+        for end in ends:
+            for verdict in next(blocks):
+                counts[verdict.stage] += 1
+                if verdict.stage is not Stage.BASIC_PASS:
+                    largest_basic_failure = max(largest_basic_failure, verdict.q)
+                if verdict.stage is Stage.EXCEPTION:
+                    exceptions.append(verdict.q)
+                rows.append(_row(verdict.q, verdict.p, verdict.k, "scan",
+                                 verdict.stage.value,
+                                 _fmt_float(verdict.margin), 0.0))
+            _progress(args, f"scan: finished q <= {end} ({len(rows)} prime powers)")
     total = len(rows)
     summary = {
         "total": total,
@@ -425,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=_parse_threads, default=1,
-                        help="worker processes that split scan chunks "
-                             "(at least 1, capped at the CPU count)")
+                        help="worker processes of the one pool that scans "
+                             "the scan's blocks (at least 1, capped at the "
+                             "CPU count)")
     common.add_argument("--stable-output", action="store_true",
                         help="zero all elapsed fields for reproducible bytes")
     common.add_argument("--progress", action="store_true",

@@ -20,7 +20,6 @@ the band, so near-ties are conservatively demoted to the next stage.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -309,29 +308,12 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     return CriterionVerdict(ctx.q, Stage.EXCEPTION, None, best, ctx.p, ctx.k)
 
 
-def _scan_chunk(bounds: tuple[int, int]) -> list[CriterionVerdict]:
-    lo, hi = bounds
-    return [classify_prime_power(ctx) for ctx in enumerate_odd_prime_powers(lo, hi)]
-
-
-def scan_interval(lo: int, hi: int, workers: int = 1) -> list[CriterionVerdict]:
+def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
     """Verdicts for every odd prime power in [lo, hi], ascending in q.
 
-    With workers > 1 the interval is split into contiguous chunks handled
-    by a process pool; results are concatenated in chunk order, so the
-    output is identical for any worker count.
+    The verdict of q depends on q alone, so the scans of adjacent
+    intervals concatenate to the scan of their union.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
-    if workers <= 1:
-        return _scan_chunk((lo, hi))
-    span = hi - lo + 1
-    step = max(4096, span // (workers * 8) + 1)
-    chunks = []
-    start = lo
-    while start <= hi:
-        chunks.append((start, min(start + step - 1, hi)))
-        start += step
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_scan_chunk, chunks))
-    return [v for part in parts for v in part]
+    return [classify_prime_power(ctx) for ctx in enumerate_odd_prime_powers(lo, hi)]

@@ -4,6 +4,7 @@ Everything runs in process through quadprim.cli.main so exit codes and
 output files can be checked without spawning subprocesses.
 """
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -11,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from quadprim import cli, criteria
 from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import _build_parser, _scan_rows, main
 from quadprim.criteria import classify_prime_power
@@ -100,8 +100,7 @@ def test_scan_opens_one_pool(monkeypatch):
             opened.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(criteria, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     args = _build_parser().parse_args(["scan"])
     pooled = _scan_rows(3, 60_000, 2, args)
     assert len(opened) == 1

