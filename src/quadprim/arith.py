@@ -10,15 +10,16 @@ Enumeration takes its primes from a segmented sieve and never re-tests
 them.  It factors q - 1 and q + 1 through a smallest-prime-factor table
 of the odd numbers up to (hi + 1) / 2, built once per call; the table
 stops at ``_FACTOR_TABLE_CAP`` so its memory stays bounded, and larger
-values go through ``factorize``.
+values go through ``factorize``.  ``_odd_prime_powers`` owns both the
+prime powers and that factor source; ``enumerate_odd_prime_powers`` and
+the scan in ``criteria`` read them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, isqrt, log
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "TRIAL_DIVISION_BOUND",
@@ -266,10 +267,13 @@ class PrimePowerCtx:
     t_q: int
 
 
-def _ctx(p: int, k: int, q: int, factor: Callable[[int], Factorization]
-         ) -> PrimePowerCtx:
+def _ctx(p: int, k: int, q: int, minus: Sequence[tuple[int, int]],
+         plus: Sequence[tuple[int, int]]) -> PrimePowerCtx:
+    """Context for q = p**k from ``factorize(q - 1).factors`` (minus) and
+    ``factorize(q + 1).factors`` (plus)."""
     # q**2 - 1 factors through the two halves, both of size about q.
-    fact = product_factorization(factor(q - 1), factor(q + 1))
+    fact = product_factorization(Factorization(q - 1, tuple(minus)),
+                                 Factorization(q + 1, tuple(plus)))
     d = fact.multiplicity(2)
     return PrimePowerCtx(
         p=p,
@@ -291,7 +295,8 @@ def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
         raise ValueError(f"{p} is not prime")
     # p**1 is a new int object; reusing p keeps q and p one object in the
     # scan's output rows, which hold both for every q.
-    return _ctx(p, k, p if k == 1 else p**k, factorize)
+    q = p if k == 1 else p**k
+    return _ctx(p, k, q, factorize(q - 1).factors, factorize(q + 1).factors)
 
 
 def ctx_for_prime_power(q: int) -> PrimePowerCtx:
@@ -370,8 +375,10 @@ def _odd_factor_table(n: int) -> tuple[bytearray, list[int]]:
     return table, primes
 
 
-def _table_factorize(n: int, table: bytearray, primes: list[int]) -> Factorization:
-    """``factorize(n)`` for n >= 1 whose odd part the table covers."""
+def _table_factors(n: int, table: bytearray, primes: list[int]
+                   ) -> list[tuple[int, int]]:
+    """``factorize(n).factors`` as a list, for n >= 1 whose odd part the
+    table covers."""
     factors = []
     twos = (n & -n).bit_length() - 1
     if twos:
@@ -389,19 +396,20 @@ def _table_factorize(n: int, table: bytearray, primes: list[int]) -> Factorizati
             m //= p
             e += 1
         factors.append((p, e))
-    return Factorization(n, tuple(factors))
+    return factors
 
 
-def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
-    """Contexts for every odd prime power in [lo, hi], ascending in q.
+def _odd_prime_powers(lo: int, hi: int) -> tuple[
+        list[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]]]:
+    """The odd prime powers in [lo, hi] and a factor source for q +- 1.
 
-    The primes come from a sieve, which proves them, so they are not
-    tested again.  q - 1 and q + 1 are even, so their odd parts are at
-    most (hi + 1) / 2; they are factored from one smallest-prime-factor
-    table of the odd numbers up to there, built here and capped at
-    ``_FACTOR_TABLE_CAP``.  Beyond the cap they go through ``factorize``.
-    The result equals ``[prime_power_ctx(p, k) ...]`` over the same prime
-    powers.
+    Returns the triples (q, p, k) with q = p**k, ascending in q, and a
+    function mapping n = q - 1 or q + 1 to ``factorize(n).factors``.  The
+    primes come from a sieve, which proves them, so they are not tested
+    again.  The odd parts of q - 1 and q + 1 are at most (hi + 1) / 2;
+    the source reads them from one smallest-prime-factor table of the odd
+    numbers up to there, capped at ``_FACTOR_TABLE_CAP``, and calls
+    ``factorize`` beyond the cap.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
@@ -417,9 +425,25 @@ def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
             k += 1
     entries.sort()
     top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
-    from_table = factorize
-    if (lo + 1) >> 1 <= top:
-        table, primes = _odd_factor_table(top)
-        from_table = partial(_table_factorize, table=table, primes=primes)
-    return [_ctx(p, k, q, from_table if (q + 1) >> 1 <= top else factorize)
-            for q, p, k in entries]
+    if (lo + 1) >> 1 > top:
+        top = 0  # every q of the call is beyond the cap: no table
+    table, primes = _odd_factor_table(top)
+
+    def factors(n: int) -> Sequence[tuple[int, int]]:
+        # n is even, so its odd part is at most n / 2
+        if n >> 1 <= top:
+            return _table_factors(n, table, primes)
+        return factorize(n).factors
+
+    return entries, factors
+
+
+def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
+    """Contexts for every odd prime power in [lo, hi], ascending in q.
+
+    Below ``_FACTOR_TABLE_CAP`` neither ``is_prime`` nor ``factorize``
+    runs (see ``_odd_prime_powers``).  The result equals
+    ``[prime_power_ctx(p, k) ...]`` over the same prime powers.
+    """
+    entries, factors = _odd_prime_powers(lo, hi)
+    return [_ctx(p, k, q, factors(q - 1), factors(q + 1)) for q, p, k in entries]

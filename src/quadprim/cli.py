@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable
 
@@ -95,9 +96,9 @@ def _emit(args, rows: list[dict], summary: dict) -> None:
         else:
             for key in sorted(summary):
                 out.write(f"# summary: {key}={summary[key]}\n")
-            writer = csv.DictWriter(out, fieldnames=ROW_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(out)
+            writer.writerow(ROW_FIELDS)
+            writer.writerows(map(itemgetter(*ROW_FIELDS), rows))
     finally:
         if out is not sys.stdout:
             out.close()

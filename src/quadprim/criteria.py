@@ -13,6 +13,13 @@ relaxes it.  ``scan_interval`` classifies every odd prime power in an
 interval by the first stage that settles it; survivors are Exceptions and
 must be checked exhaustively.
 
+The basic stage needs only two numbers from q**2 - 1.  Since
+gcd(q - 1, q + 1) = 2, the odd parts of q - 1 and q + 1 share no prime,
+so with a and b their distinct prime counts W(R') = 2**(a + b),
+W(R1) = 2**b and q**2 - 1 has a + b + 1 distinct primes.  The scan reads
+a and b from the factor source of the interval and builds the full
+``PrimePowerCtx`` only for the q that the basic inequality does not pass.
+
 All inequality evaluations use double precision with a relative guard
 band: a condition only counts as holding when it clears the threshold by
 the band, so near-ties are conservatively demoted to the next stage.
@@ -28,7 +35,8 @@ from math import inf, sqrt
 
 from .arith import (
     PrimePowerCtx,
-    enumerate_odd_prime_powers,
+    _ctx,
+    _odd_prime_powers,
     first_primes,
     primes_upto,
 )
@@ -142,8 +150,12 @@ def basic_condition(ctx: PrimePowerCtx, R: int, R1: int) -> tuple[bool, float]:
         raise ValueError("q must be odd")
     if R < 1 or ctx.rprime % R:
         raise ValueError("R must divide the odd radical of q**2 - 1")
-    w_r = 1 << _count_prime_divisors(ctx, R)
-    w_r1 = 1 << _count_prime_divisors(ctx, R1)
+    return _basic_holds(q, 1 << _count_prime_divisors(ctx, R),
+                        1 << _count_prime_divisors(ctx, R1))
+
+
+def _basic_holds(q: int, w_r: int, w_r1: int) -> tuple[bool, float]:
+    # The basic inequality for odd q, given W(R) = w_r and W(R1) = w_r1.
     sq = sqrt(q)
     if q % 4 == 1:
         rhs = 4.0 * (w_r * sq - w_r1 * (sq - 1.0) / 2.0)
@@ -311,9 +323,23 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
 def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
     """Verdicts for every odd prime power in [lo, hi], ascending in q.
 
+    Each verdict equals ``classify_prime_power`` of the q's context, but
+    the basic stage is decided from the odd prime counts a of q - 1 and b
+    of q + 1 alone; only the q it does not pass get a ``PrimePowerCtx``.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
     """
-    if not 3 <= lo <= hi:
-        raise ValueError("range must satisfy 3 <= lo <= hi")
-    return [classify_prime_power(ctx) for ctx in enumerate_odd_prime_powers(lo, hi)]
+    entries, factors = _odd_prime_powers(lo, hi)
+    cutoff = prime_count_cutoff()
+    verdicts = []
+    for q, p, k in entries:
+        minus, plus = factors(q - 1), factors(q + 1)
+        # both lists start with the prime 2
+        a, b = len(minus) - 1, len(plus) - 1
+        if a + b + 1 < cutoff:
+            ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
+            if ok:
+                verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
+                continue
+        verdicts.append(classify_prime_power(_ctx(p, k, q, minus, plus)))
+    return verdicts

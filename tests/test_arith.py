@@ -7,7 +7,7 @@ from quadprim.arith import (
     _FACTOR_TABLE_CAP,
     Factorization,
     _odd_factor_table,
-    _table_factorize,
+    _table_factors,
     ctx_for_prime_power,
     enumerate_odd_prime_powers,
     euler_phi,
@@ -200,11 +200,11 @@ def test_factor_table_matches_factorize():
     n = (1 << 20) + 1
     table, primes = _odd_factor_table(n)
     for v in [*range(1, 200_001), *range((1 << 20) - 2000, n + 1)]:
-        assert _table_factorize(v, table, primes) == factorize(v), v
+        assert tuple(_table_factors(v, table, primes)) == factorize(v).factors, v
     # even values need the table only up to their odd part
     table, primes = _odd_factor_table(n >> 1)
     for v in range((1 << 20) - 2000, n + 1, 2):
-        assert _table_factorize(v, table, primes) == factorize(v), v
+        assert tuple(_table_factors(v, table, primes)) == factorize(v).factors, v
 
 
 def test_factor_table_cap_fits_a_byte():

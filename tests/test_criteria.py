@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quadprim.arith import ctx_for_prime_power
+from quadprim import arith, criteria
+from quadprim.arith import (
+    _FACTOR_TABLE_CAP,
+    ctx_for_prime_power,
+    enumerate_odd_prime_powers,
+)
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
     _divisor_bound_holds,
@@ -145,6 +150,47 @@ def test_divisor_bound_check_is_exact():
     # the true maximum over prime prefixes is 4514.6265... (54 primes)
     assert _divisor_bound_holds(Fraction(45147, 10))
     assert not _divisor_bound_holds(Fraction(45146, 10))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (3, 60_000),
+    ((1 << 20) - 30_000, 1 << 20),
+    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+])
+def test_scan_equals_classifying_every_context(lo, hi):
+    # the counts-first basic stage gives the verdicts, margins included,
+    # of the full context path; the last window runs both factor sources
+    assert scan_interval(lo, hi) == [
+        classify_prime_power(ctx) for ctx in enumerate_odd_prime_powers(lo, hi)]
+
+
+def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
+    built = []
+
+    def counting_ctx(p, k, q, minus, plus):
+        built.append(q)
+        return arith._ctx(p, k, q, minus, plus)
+
+    def refuse(n):
+        raise AssertionError(f"called for {n}")
+
+    monkeypatch.setattr(criteria, "_ctx", counting_ctx)
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    verdicts = scan_interval(3, 50_000)
+    failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
+    assert len(verdicts) == 5_202
+    assert built == failures and len(failures) > 100
+
+
+def test_scan_q3_has_no_odd_primes():
+    # q**2 - 1 = 8: a = b = 0, and both sides of the basic inequality
+    # meet exactly
+    scanned = scan_interval(3, 3)
+    classified = classify_prime_power(ctx_for_prime_power(3))
+    assert scanned == [classified]
+    assert classified.stage is Stage.EXCEPTION
+    assert classified.margin == 0.0
 
 
 def test_scan_worker_determinism():
