@@ -7,17 +7,28 @@ data every later stage needs.  Everything here is exact integer
 arithmetic; the only real-valued result is ``w_bound_constant``.
 
 Enumeration takes its primes from a segmented sieve and never re-tests
-them.  It factors q - 1 and q + 1 through a smallest-prime-factor table
-of the odd numbers up to (hi + 1) / 2, built once per call; the table
-stops at ``_FACTOR_TABLE_CAP`` so its memory stays bounded, and larger
-values go through ``factorize``.  ``_odd_prime_powers`` owns both the
-prime powers and that factor source; ``enumerate_odd_prime_powers`` and
-the scan in ``criteria`` read them from it.
+them.  ``_odd_prime_powers`` owns the prime powers of an interval and two
+sources for the even numbers n = q - 1 and q + 1, both built once per
+call from tables indexed up to (hi + 1) / 2, which bounds the odd part
+and the half n / 2 of every such n:
+
+- a factor source, from a smallest-prime-factor table of the odd
+  numbers up to there;
+- a count source for the number of distinct odd primes of n, from a
+  count table: one byte per n / 2, raised by one slice increment per
+  odd prime.
+
+Both tables stop at ``_FACTOR_TABLE_CAP``, so their memory stays
+bounded; beyond it both sources go through ``factorize``.
+``enumerate_odd_prime_powers`` reads the factor source; the scan in
+``criteria`` reads the counts for every q and factor lists only for the
+q whose basic inequality fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt, log
 from typing import Callable, Iterator, Sequence
 
@@ -49,10 +60,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Gaps of the mod-30 wheel starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
-# Largest odd number the factor table covers.  Its bytes index the odd
-# primes below 1621; there are 255 of them, and they hold the smallest
-# factor of every odd composite below 1621**2.
+# Largest odd number the factor table covers, and the largest n / 2 the
+# count table covers.  The factor table's bytes index the odd primes
+# below 1621; there are 255 of them, and they hold the smallest factor of
+# every odd composite below 1621**2.
 _FACTOR_TABLE_CAP = 1621**2 - 1
+
+# Byte map adding one to a count.  No count exceeds 6, since the product
+# of the first seven odd primes, 4849845, already exceeds the cap.
+_INC = bytes(range(1, 256)) + b"\0"
 
 
 def is_prime(n: int) -> bool:
@@ -320,7 +336,7 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def first_primes(count: int) -> list[int]:
@@ -352,9 +368,8 @@ def _odd_primes_in_range(lo: int, hi: int) -> Iterator[int]:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             seg[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        for v in range(start | 1, end + 1, 2):
-            if seg[v - start]:
-                yield v
+        odd = start | 1
+        yield from compress(range(odd, end + 1, 2), seg[odd - start :: 2])
 
 
 def _odd_factor_table(n: int) -> tuple[bytearray, list[int]]:
@@ -399,17 +414,35 @@ def _table_factors(n: int, table: bytearray, primes: list[int]
     return factors
 
 
-def _odd_prime_powers(lo: int, hi: int) -> tuple[
-        list[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]]]:
-    """The odd prime powers in [lo, hi] and a factor source for q +- 1.
+def _odd_prime_counts(base: int, top: int) -> bytearray:
+    """Count table of the numbers from base >= 1 up to top.
 
-    Returns the triples (q, p, k) with q = p**k, ascending in q, and a
-    function mapping n = q - 1 or q + 1 to ``factorize(n).factors``.  The
-    primes come from a sieve, which proves them, so they are not tested
-    again.  The odd parts of q - 1 and q + 1 are at most (hi + 1) / 2;
-    the source reads them from one smallest-prime-factor table of the odd
-    numbers up to there, capped at ``_FACTOR_TABLE_CAP``, and calls
-    ``factorize`` beyond the cap.
+    Byte i is the number of distinct odd primes of base + i; the table is
+    empty when top < base.  Each odd prime p <= top raises every multiple
+    of p by one in a single slice increment.
+    """
+    out = bytearray(max(top - base + 1, 0))
+    for p in primes_upto(top)[1:]:
+        s = -base % p
+        out[s::p] = out[s::p].translate(_INC)
+    return out
+
+
+def _odd_prime_powers(lo: int, hi: int) -> tuple[
+        list[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]],
+        Callable[[int], int]]:
+    """The odd prime powers in [lo, hi] and two sources for q +- 1.
+
+    Returns the triples (q, p, k) with q = p**k, ascending in q, a factor
+    source mapping n = q - 1 or q + 1 to ``factorize(n).factors`` and a
+    count source mapping such n to its number of distinct odd primes,
+    ``len(factorize(n).factors) - 1``.  The primes come from a sieve,
+    which proves them, so they are not tested again.  The odd part and
+    the half n / 2 of every such n are at most (hi + 1) / 2.  The factor
+    source reads one smallest-prime-factor table of the odd numbers up to
+    there, and the count source one count table of the n / 2 from
+    (lo - 1) / 2 up to there; both tables are capped at
+    ``_FACTOR_TABLE_CAP``, and both sources call ``factorize`` beyond it.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
@@ -426,8 +459,10 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
     entries.sort()
     top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
     if (lo + 1) >> 1 > top:
-        top = 0  # every q of the call is beyond the cap: no table
+        top = 0  # every q of the call is beyond the cap: no tables
     table, primes = _odd_factor_table(top)
+    base = (lo - 1) >> 1
+    count_table = _odd_prime_counts(base, top)
 
     def factors(n: int) -> Sequence[tuple[int, int]]:
         # n is even, so its odd part is at most n / 2
@@ -435,7 +470,13 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
             return _table_factors(n, table, primes)
         return factorize(n).factors
 
-    return entries, factors
+    def count(n: int) -> int:
+        # n is even and n / 2 >= base
+        if n >> 1 <= top:
+            return count_table[(n >> 1) - base]
+        return len(factorize(n).factors) - 1
+
+    return entries, factors, count
 
 
 def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
@@ -445,5 +486,5 @@ def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
     runs (see ``_odd_prime_powers``).  The result equals
     ``[prime_power_ctx(p, k) ...]`` over the same prime powers.
     """
-    entries, factors = _odd_prime_powers(lo, hi)
+    entries, factors, _ = _odd_prime_powers(lo, hi)
     return [_ctx(p, k, q, factors(q - 1), factors(q + 1)) for q, p, k in entries]

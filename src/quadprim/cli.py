@@ -11,6 +11,8 @@ Subcommands map one-to-one onto the library layers:
 
 Data subcommands emit rows with a fixed schema (CSV with leading
 `# summary:` comment lines, or a JSON object with `rows` and `summary`).
+Rows are tuples in ``ROW_FIELDS`` order; only JSON output turns them into
+objects.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails, 2 for usage errors.
 """
@@ -22,8 +24,6 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-from operator import itemgetter
 from time import perf_counter
 from typing import Callable
 
@@ -58,12 +58,6 @@ FULL_SCAN_LARGEST_BASIC_FAILURE = 1044889
 FULL_SCAN_EXCEPTION_COUNT = 101
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return str(x)
-    return f"{x:.6g}"
-
-
 def _fmt_elem(u: tuple) -> str:
     return ".".join(str(c) for c in u)
 
@@ -78,27 +72,26 @@ def _fmt_witness(report: PropertyReport) -> str:
 
 
 def _row(q, p, k, command: str, result: str, detail: str,
-         elapsed_ms: float) -> dict:
-    return {"q": q, "p": p, "k": k, "command": command, "result": result,
-            "detail": detail, "elapsed_ms": round(elapsed_ms, 3)}
+         elapsed_ms: float) -> tuple:
+    return (q, p, k, command, result, detail, round(elapsed_ms, 3))
 
 
-def _emit(args, rows: list[dict], summary: dict) -> None:
+def _emit(args, rows: list[tuple], summary: dict) -> None:
     if args.stable_output:
-        for row in rows:
-            row["elapsed_ms"] = 0
+        # elapsed_ms is the last cell
+        rows = [row[:-1] + (0,) for row in rows]
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     try:
         if args.format == "json":
-            json.dump({"rows": rows, "summary": summary}, out, indent=2,
-                      default=str)
+            json.dump({"rows": [dict(zip(ROW_FIELDS, row)) for row in rows],
+                       "summary": summary}, out, indent=2, default=str)
             out.write("\n")
         else:
             for key in sorted(summary):
                 out.write(f"# summary: {key}={summary[key]}\n")
             writer = csv.writer(out)
             writer.writerow(ROW_FIELDS)
-            writer.writerows(map(itemgetter(*ROW_FIELDS), rows))
+            writer.writerows(rows)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -161,46 +154,33 @@ def _parse_threads(text: str) -> int:
 # -- scan -------------------------------------------------------------------
 
 
-@contextmanager
-def _block_map(workers: int):
-    """Yield the map that scans the progress blocks: the builtin one for
-    one worker, else the map of one process pool kept for the whole scan."""
-    if workers == 1:
-        yield map
-        return
-    # imported here: multiprocessing adds about 30 ms to every start-up
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
-def _scan_rows(lo: int, hi: int, workers: int,
-               args) -> tuple[list[dict], dict, list[int]]:
-    rows: list[dict] = []
-    counts = {stage: 0 for stage in Stage}
+def _scan_rows(lo: int, hi: int, args) -> tuple[list[tuple], dict, list[int]]:
+    # Stage members hash and read .value in Python code, so the basic
+    # passes, 97% of the full interval, take a branch that does neither.
+    basic, basic_value = Stage.BASIC_PASS, Stage.BASIC_PASS.value
+    rows: list[tuple] = []
+    counts = {stage: 0 for stage in Stage if stage is not basic}
     largest_basic_failure = 0
     exceptions: list[int] = []
-    block = max(1, (hi - lo + 1) // 16)
-    starts = range(lo, hi + 1, block)
-    ends = [min(start + block - 1, hi) for start in starts]
-    with _block_map(workers) as block_map:
-        blocks = block_map(scan_interval, starts, ends)
-        for end in ends:
-            for verdict in next(blocks):
-                counts[verdict.stage] += 1
-                if verdict.stage is not Stage.BASIC_PASS:
-                    largest_basic_failure = max(largest_basic_failure, verdict.q)
-                if verdict.stage is Stage.EXCEPTION:
-                    exceptions.append(verdict.q)
-                rows.append(_row(verdict.q, verdict.p, verdict.k, "scan",
-                                 verdict.stage.value,
-                                 _fmt_float(verdict.margin), 0.0))
-            _progress(args, f"scan: finished q <= {end} ({len(rows)} prime powers)")
+    # One call for the whole interval: scan_interval builds its count
+    # table once per call, so splitting the interval repeats that work.
+    for q, stage, _, margin, p, k in scan_interval(lo, hi):
+        if stage is basic:
+            value = basic_value
+        else:
+            counts[stage] += 1
+            value = stage.value
+            largest_basic_failure = q  # the verdicts ascend in q
+            if stage is Stage.EXCEPTION:
+                exceptions.append(q)
+        rows.append((q, p, k, "scan", value, f"{margin:.6g}", 0.0))
+    _progress(args, f"scan: finished q <= {hi} ({len(rows)} prime powers)")
     total = len(rows)
+    basic_failures = sum(counts.values())
     summary = {
         "total": total,
-        "basic_pass": counts[Stage.BASIC_PASS],
-        "basic_failures": total - counts[Stage.BASIC_PASS],
+        "basic_pass": total - basic_failures,
+        "basic_failures": basic_failures,
         "sieve_pass": counts[Stage.SIEVE_PASS],
         "exceptions": counts[Stage.EXCEPTION],
         "eliminated_by_prime_count": counts[Stage.ELIMINATED_BY_PRIME_COUNT],
@@ -233,7 +213,7 @@ def _scan_expectation_failures(lo: int, hi: int, summary: dict,
 
 def _cmd_scan(args) -> int:
     lo, hi = args.range
-    rows, summary, exceptions = _scan_rows(lo, hi, args.threads, args)
+    rows, summary, exceptions = _scan_rows(lo, hi, args)
     failures: list[str] = []
     if args.expect_known:
         failures = _scan_expectation_failures(lo, hi, summary, exceptions)
@@ -296,7 +276,7 @@ def _verify_once(q: int, prop: str, mode: str
 
 
 def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
-    rows: list[dict] = []
+    rows: list[tuple] = []
     failures: list[str] = []
     holds_count = 0
     fails_count = 0
@@ -330,7 +310,7 @@ def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    rows: list[dict] = []
+    rows: list[tuple] = []
     failures: list[str] = []
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
@@ -338,14 +318,14 @@ def _cmd_oracle(args) -> int:
         sums = survey_translate_sums(fld, tol=args.tol_sums)
         rows.append(_row(q, p, k, "oracle:translate-sums",
                          "ok" if sums.ok else "fail",
-                         f"max_dev={_fmt_float(sums.max_deviation)}", 0.0))
+                         f"max_dev={sums.max_deviation:.6g}", 0.0))
         if not sums.ok:
             failures.append(f"q={q}: translate sums deviate by "
                             f"{sums.max_deviation:.3g}")
         ident = survey_line_identities(fld, tol=args.tol_identity)
         rows.append(_row(q, p, k, "oracle:line-identity",
                          "ok" if ident.ok else "fail",
-                         f"max_dev={_fmt_float(ident.max_deviation)}", 0.0))
+                         f"max_dev={ident.max_deviation:.6g}", 0.0))
         if not ident.ok:
             failures.append(f"q={q}: line-count identity deviates by "
                             f"{ident.max_deviation:.3g}")
@@ -369,7 +349,7 @@ def _cmd_reproduce(args) -> int:
         print(f"{name}: {'ok' if good else 'FAIL'} ({detail})", flush=True)
 
     lo, hi = FULL_SCAN_LO, args.scan_hi
-    rows, summary, exceptions = _scan_rows(lo, hi, args.threads, args)
+    rows, summary, exceptions = _scan_rows(lo, hi, args)
     problems = _scan_expectation_failures(lo, hi, summary, exceptions)
     phase("scan", not problems,
           f"{summary['total']} prime powers, {summary['exceptions']} exceptions"
@@ -426,9 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=_parse_threads, default=1,
-                        help="worker processes of the one pool that scans "
-                             "the scan's blocks (at least 1, capped at the "
-                             "CPU count)")
+                        help="accepted for compatibility (at least 1, capped "
+                             "at the CPU count); no longer changes the scan, "
+                             "which runs in one process")
     common.add_argument("--stable-output", action="store_true",
                         help="zero all elapsed fields for reproducible bytes")
     common.add_argument("--progress", action="store_true",

@@ -17,8 +17,12 @@ The basic stage needs only two numbers from q**2 - 1.  Since
 gcd(q - 1, q + 1) = 2, the odd parts of q - 1 and q + 1 share no prime,
 so with a and b their distinct prime counts W(R') = 2**(a + b),
 W(R1) = 2**b and q**2 - 1 has a + b + 1 distinct primes.  The scan reads
-a and b from the factor source of the interval and builds the full
+a and b from the count source of the interval and builds the full
 ``PrimePowerCtx`` only for the q that the basic inequality does not pass.
+
+The sieve stage builds its decompositions lazily: ``greedy_decompose``
+yields them one at a time, so ``classify_prime_power`` builds no
+decomposition past the first one that passes.
 
 All inequality evaluations use double precision with a relative guard
 band: a condition only counts as holding when it clears the threshold by
@@ -32,6 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, sqrt
+from typing import Iterator, NamedTuple
 
 from .arith import (
     PrimePowerCtx,
@@ -100,14 +105,15 @@ class SieveDecomposition:
     epsilon_prime: float
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    """Outcome of the staged criteria for one prime power.
+class CriterionVerdict(NamedTuple):
+    """Outcome of the staged criteria for one prime power; immutable.
 
     margin is lhs - rhs of the decisive inequality: the passing one for
     BasicPass/SievePass, the closest failing attempt for Exception, and
     infinity for EliminatedByPrimeCount.  p and k give q = p**k, as the
-    classifying context holds them.
+    classifying context holds them.  A named tuple, not a frozen
+    dataclass: the scan makes one per prime power, and a tuple is built
+    without a ``__setattr__`` call per field.
     """
 
     q: int
@@ -179,42 +185,42 @@ def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, 
     return _holds(float(q + 1), rhs)
 
 
-def greedy_decompose(ctx: PrimePowerCtx) -> list[SieveDecomposition]:
+def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     """Greedy sieve decompositions of R', largest primes moved first.
 
     Moves one prime at a time from kk into the sieve set while epsilon
-    stays positive, recording every intermediate decomposition.  When R'
-    has no primes at all the single trivial decomposition (s = 0) is
-    returned, which makes the sieve condition coincide with the basic one.
+    stays positive, yielding every intermediate decomposition as it is
+    reached.  k1 starts as the odd radical of q + 1 and r at 0; both
+    change only when the moved prime divides q + 1.  When R' has no
+    primes at all the single trivial decomposition (s = 0) is yielded,
+    which makes the sieve condition coincide with the basic one.
     """
-    q = ctx.q
-    primes_desc = sorted((p for p, _ in ctx.fact_q2m1.factors if p != 2), reverse=True)
+    qp1 = ctx.q + 1
+    primes_desc = [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
     if not primes_desc:
-        return [SieveDecomposition(kk=1, k1=1, sieve_primes=(), s=0, r=0,
-                                   epsilon=1.0, epsilon_prime=1.0)]
-    out = []
-    sieve: list[int] = []
+        yield SieveDecomposition(kk=1, k1=1, sieve_primes=(), s=0, r=0,
+                                 epsilon=1.0, epsilon_prime=1.0)
+        return
+    sieve: tuple[int, ...] = ()
     kk = ctx.rprime
+    k1 = r1_of(ctx, kk)
+    r = 0
     eps = Fraction(1)
     eps_prime = Fraction(1)
     for p in primes_desc:
         new_eps = eps - Fraction(1, p)
         if new_eps <= 0:
             break
-        sieve.append(p)
+        sieve += (p,)
         kk //= p
         eps = new_eps
-        if (q + 1) % p == 0:
+        if qp1 % p == 0:
             eps_prime -= Fraction(1, p)
-        r = sum(1 for sp in sieve if (q + 1) % sp == 0)
-        k1 = 1
-        for fp, _ in ctx.fact_q2m1.factors:
-            if kk % fp == 0 and (q + 1) % fp == 0:
-                k1 *= fp
-        out.append(SieveDecomposition(kk=kk, k1=k1, sieve_primes=tuple(sieve),
-                                      s=len(sieve), r=r, epsilon=float(eps),
-                                      epsilon_prime=float(eps_prime)))
-    return out
+            k1 //= p
+            r += 1
+        yield SieveDecomposition(kk=kk, k1=k1, sieve_primes=sieve, s=len(sieve),
+                                 r=r, epsilon=float(eps),
+                                 epsilon_prime=float(eps_prime))
 
 
 def settle_prime_count_range(t1: int, t2: int) -> bool:
@@ -325,21 +331,22 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
     the basic stage is decided from the odd prime counts a of q - 1 and b
-    of q + 1 alone; only the q it does not pass get a ``PrimePowerCtx``.
-    The verdict of q depends on q alone, so the scans of adjacent
-    intervals concatenate to the scan of their union.
+    of q + 1 alone, read from the count table that ``_odd_prime_powers``
+    builds once for the whole interval.  Only the q the basic stage does
+    not pass get their two factor lists and a ``PrimePowerCtx``.  The
+    verdict of q depends on q alone, so the scans of adjacent intervals
+    concatenate to the scan of their union.
     """
-    entries, factors = _odd_prime_powers(lo, hi)
+    entries, factors, count = _odd_prime_powers(lo, hi)
     cutoff = prime_count_cutoff()
     verdicts = []
     for q, p, k in entries:
-        minus, plus = factors(q - 1), factors(q + 1)
-        # both lists start with the prime 2
-        a, b = len(minus) - 1, len(plus) - 1
+        a, b = count(q - 1), count(q + 1)
         if a + b + 1 < cutoff:
             ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
             if ok:
                 verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
                 continue
-        verdicts.append(classify_prime_power(_ctx(p, k, q, minus, plus)))
+        verdicts.append(classify_prime_power(
+            _ctx(p, k, q, factors(q - 1), factors(q + 1))))
     return verdicts

@@ -7,6 +7,8 @@ from quadprim.arith import (
     _FACTOR_TABLE_CAP,
     Factorization,
     _odd_factor_table,
+    _odd_prime_counts,
+    _odd_prime_powers,
     _table_factors,
     ctx_for_prime_power,
     enumerate_odd_prime_powers,
@@ -205,6 +207,34 @@ def test_factor_table_matches_factorize():
     table, primes = _odd_factor_table(n >> 1)
     for v in range((1 << 20) - 2000, n + 1, 2):
         assert tuple(_table_factors(v, table, primes)) == factorize(v).factors, v
+
+
+def test_count_table_matches_factorize():
+    # byte i counts the odd primes of base + i, that is of n = 2 * (base + i)
+    top = 100_000
+    for base in (1, 2, 777, 4_096, 31_337):
+        counts = _odd_prime_counts(base, top)
+        assert len(counts) == top - base + 1
+        for n in range(2 * base, 2 * top + 1, 2):
+            assert counts[(n >> 1) - base] == len(factorize(n).factors) - 1, (base, n)
+    assert _odd_prime_counts(10, 9) == bytearray()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((1 << 20) - 1_999, 1 << 20),
+    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+])
+def test_count_source_matches_factorize(lo, hi):
+    # the source covers the even n with (lo - 1) / 2 <= n / 2 <= (hi + 1) / 2;
+    # in the second window n / 2 straddles the cap, so the table and
+    # factorize both run
+    _, _, count = _odd_prime_powers(lo, hi)
+    window = range(2 * ((lo - 1) >> 1), hi + 2, 2)
+    for n in window:
+        assert count(n) == len(factorize(n).factors) - 1, n
+    if lo > _FACTOR_TABLE_CAP:
+        assert any(n >> 1 <= _FACTOR_TABLE_CAP for n in window)
+        assert any(n >> 1 > _FACTOR_TABLE_CAP for n in window)
 
 
 def test_factor_table_cap_fits_a_byte():

@@ -6,9 +6,9 @@ output files can be checked without spawning subprocesses.
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -92,20 +92,30 @@ def test_threads_bounded_at_parse_time():
     assert args.threads == (os.cpu_count() or 1)
 
 
-def test_scan_opens_one_pool(monkeypatch):
-    opened = []
+def test_scan_runs_without_a_pool(monkeypatch):
+    # --threads is still accepted, but the scan opens no process pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs)
-            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    parser = _build_parser()
+    two = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "2"]))
+    one = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "1"]))
+    assert two == one
+    assert len(one[0]) == one[1]["total"] > 6_000
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    args = _build_parser().parse_args(["scan"])
-    pooled = _scan_rows(3, 60_000, 2, args)
-    assert len(opened) == 1
-    assert pooled == _scan_rows(3, 60_000, 1, args)
-    assert len(opened) == 1
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["scan", "--range", "3:60000", "--stable-output"],
+     "4352aa01209c8522fa2d16b332cdb51eecab6bd765073c4450e55037dc23d91f"),
+    (["scan", "--range", "3:5000", "--format", "json", "--stable-output"],
+     "8de0078f6364250fbaaaccd58acf925593e444c43411cdd70a066bf257e5acc7"),
+])
+def test_scan_output_bytes_are_pinned(tmp_path, argv, sha256):
+    # digests of the stable scan output, row format and margins included
+    out = tmp_path / "scan.out"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_verify_translate_both_modes(tmp_path):

@@ -13,6 +13,7 @@ from quadprim.criteria import (
     SCAN_EXCEPTIONS,
     _divisor_bound_holds,
     CriterionVerdict,
+    SieveDecomposition,
     Stage,
     basic_condition,
     classify_prime_power,
@@ -55,7 +56,7 @@ def test_r1_of():
 
 def test_greedy_decomposition_q41():
     ctx = ctx_for_prime_power(41)
-    decs = greedy_decompose(ctx)
+    decs = list(greedy_decompose(ctx))
     assert [dec.s for dec in decs] == [1, 2, 3]
     assert decs[0].sieve_primes == (7,)
     assert decs[1].sieve_primes == (7, 5)
@@ -83,12 +84,56 @@ def test_greedy_decomposition_invariants():
             assert moved == sorted(moved, reverse=True)
 
 
+def _basic_failure_contexts(lo, hi):
+    return [ctx for ctx in enumerate_odd_prime_powers(lo, hi)
+            if classify_prime_power(ctx).stage is not Stage.BASIC_PASS]
+
+
+def test_greedy_k1_and_r_match_direct_recomputation():
+    # greedy_decompose updates k1 and r per moved prime; recompute both
+    # from the factor list of q**2 - 1 for every decomposition
+    ctxs = [ctx_for_prime_power(q) for q in (41, 43, 109, 3541, 9973)]
+    ctxs += _basic_failure_contexts(3, 60_000)
+    seen = 0
+    for ctx in ctxs:
+        qp1 = ctx.q + 1
+        for dec in greedy_decompose(ctx):
+            k1 = 1
+            for p, _ in ctx.fact_q2m1.factors:
+                if dec.kk % p == 0 and qp1 % p == 0:
+                    k1 *= p
+            assert dec.k1 == k1, (ctx.q, dec)
+            assert dec.r == sum(1 for p in dec.sieve_primes if qp1 % p == 0)
+            seen += 1
+    assert seen > 1_000
+
+
+def test_classify_stops_at_first_passing_decomposition(monkeypatch):
+    # every decomposition built is tested: none past the first that passes
+    built = []
+    tested = []
+
+    def counting_decomposition(*args, **kwargs):
+        built.append(1)
+        return SieveDecomposition(*args, **kwargs)
+
+    def counting_sieve_condition(ctx, dec):
+        tested.append(1)
+        return sieve_condition(ctx, dec)
+
+    monkeypatch.setattr(criteria, "SieveDecomposition", counting_decomposition)
+    monkeypatch.setattr(criteria, "sieve_condition", counting_sieve_condition)
+    verdicts = scan_interval(3, 60_000)
+    assert any(v.stage is Stage.SIEVE_PASS for v in verdicts)
+    assert len(built) == len(tested) > 100
+
+
 def test_sieve_with_no_primes_matches_basic():
     # q = 3 has q**2 - 1 = 8: no odd primes, so the greedy list holds a
     # single s = 0 decomposition and the sieve degenerates to the basic
     # condition
     ctx = ctx_for_prime_power(3)
-    decs = greedy_decompose(ctx)
+    decs = list(greedy_decompose(ctx))
     assert len(decs) == 1 and decs[0].s == 0
     basic_ok, basic_margin = basic_condition(
         ctx, ctx.rprime, r1_of(ctx, ctx.rprime))
@@ -166,21 +211,34 @@ def test_scan_equals_classifying_every_context(lo, hi):
 
 def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
     built = []
+    requested = []
 
     def counting_ctx(p, k, q, minus, plus):
         built.append(q)
         return arith._ctx(p, k, q, minus, plus)
 
+    def counting_sources(lo, hi):
+        entries, factors, count = arith._odd_prime_powers(lo, hi)
+
+        def counting_factors(n):
+            requested.append(n)
+            return factors(n)
+
+        return entries, counting_factors, count
+
     def refuse(n):
         raise AssertionError(f"called for {n}")
 
     monkeypatch.setattr(criteria, "_ctx", counting_ctx)
+    monkeypatch.setattr(criteria, "_odd_prime_powers", counting_sources)
     monkeypatch.setattr(arith, "factorize", refuse)
     monkeypatch.setattr(arith, "is_prime", refuse)
     verdicts = scan_interval(3, 50_000)
     failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
     assert len(verdicts) == 5_202
     assert built == failures and len(failures) > 100
+    # two factor lists per basic failure, none for a basic pass
+    assert requested == [n for q in failures for n in (q - 1, q + 1)]
 
 
 def test_scan_q3_has_no_odd_primes():
