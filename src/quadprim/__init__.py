@@ -8,87 +8,24 @@ Layers, bottom up:
 - verify       exhaustive translate / line property verification
 - charoracle   character-sum consistency checks for small fields
 - cli          command line front end
+
+The package namespace re-exports the entry points of the README's
+library sketch; everything else is imported from its layer module.
 """
 
-from .arith import (
-    Factorization,
-    PrimePowerCtx,
-    ctx_for_prime_power,
-    enumerate_odd_prime_powers,
-    factorize,
-    is_prime,
-    prime_power_ctx,
-)
-from .criteria import (
-    SCAN_EXCEPTIONS,
-    CriterionVerdict,
-    SieveDecomposition,
-    Stage,
-    basic_condition,
-    classify_prime_power,
-    greedy_decompose,
-    prime_count_cutoff,
-    scan_interval,
-    settle_prime_count_range,
-    sieve_condition,
-)
-from .ffield import (
-    QuadExtField,
-    build_field,
-    is_two_primitive_exponent,
-    line_class_key,
-    translate_class_key,
-)
-from .verify import (
-    LINE_EXCEPTIONS,
-    TRANSLATE_EXCEPTIONS,
-    GammaSet,
-    PropertyReport,
-    build_gamma_set,
-    recheck_line_witness,
-    recheck_translate_witness,
-    verify_line_fast,
-    verify_line_reference,
-    verify_translate_fast,
-    verify_translate_reference,
-)
+from .arith import ctx_for_prime_power
+from .criteria import classify_prime_power, scan_interval
+from .ffield import build_field
+from .verify import verify_line_fast, verify_translate_fast
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factorization",
-    "PrimePowerCtx",
     "ctx_for_prime_power",
-    "enumerate_odd_prime_powers",
-    "factorize",
-    "is_prime",
-    "prime_power_ctx",
-    "SCAN_EXCEPTIONS",
-    "CriterionVerdict",
-    "SieveDecomposition",
-    "Stage",
-    "basic_condition",
     "classify_prime_power",
-    "greedy_decompose",
-    "prime_count_cutoff",
     "scan_interval",
-    "settle_prime_count_range",
-    "sieve_condition",
-    "QuadExtField",
     "build_field",
-    "is_two_primitive_exponent",
-    "line_class_key",
-    "translate_class_key",
-    "LINE_EXCEPTIONS",
-    "TRANSLATE_EXCEPTIONS",
-    "GammaSet",
-    "PropertyReport",
-    "build_gamma_set",
-    "recheck_line_witness",
-    "recheck_translate_witness",
-    "verify_line_fast",
-    "verify_line_reference",
     "verify_translate_fast",
-    "verify_translate_reference",
+    "verify_line_fast",
     "__version__",
 ]

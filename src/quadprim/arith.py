@@ -8,15 +8,16 @@ arithmetic; the only real-valued result is ``w_bound_constant``.
 
 Enumeration takes its primes from a segmented sieve and never re-tests
 them.  ``_odd_prime_powers`` owns the prime powers of an interval and two
-sources for the even numbers n = q - 1 and q + 1, both built once per
-call from tables indexed up to (hi + 1) / 2, which bounds the odd part
-and the half n / 2 of every such n:
+sources for the even numbers n = q - 1 and q + 1, both read from tables
+indexed up to (hi + 1) / 2, which bounds the odd part and the half n / 2
+of every such n:
 
 - a factor source, from a smallest-prime-factor table of the odd
   numbers up to there;
 - a count source for the number of distinct odd primes of n, from a
   count table: one byte per n / 2, raised by one slice increment per
-  odd prime.
+  odd prime, built on the source's first call, so a caller that never
+  asks for counts never pays for it.
 
 Both tables stop at ``_FACTOR_TABLE_CAP``, so their memory stays
 bounded; beyond it both sources go through ``factorize``.
@@ -441,8 +442,9 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
     the half n / 2 of every such n are at most (hi + 1) / 2.  The factor
     source reads one smallest-prime-factor table of the odd numbers up to
     there, and the count source one count table of the n / 2 from
-    (lo - 1) / 2 up to there; both tables are capped at
-    ``_FACTOR_TABLE_CAP``, and both sources call ``factorize`` beyond it.
+    (lo - 1) / 2 up to there, built on its first call; both tables are
+    capped at ``_FACTOR_TABLE_CAP``, and both sources call ``factorize``
+    beyond it.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
@@ -462,7 +464,7 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
         top = 0  # every q of the call is beyond the cap: no tables
     table, primes = _odd_factor_table(top)
     base = (lo - 1) >> 1
-    count_table = _odd_prime_counts(base, top)
+    count_table = None
 
     def factors(n: int) -> Sequence[tuple[int, int]]:
         # n is even, so its odd part is at most n / 2
@@ -472,7 +474,10 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
 
     def count(n: int) -> int:
         # n is even and n / 2 >= base
+        nonlocal count_table
         if n >> 1 <= top:
+            if count_table is None:  # built on the first use
+                count_table = _odd_prime_counts(base, top)
             return count_table[(n >> 1) - base]
         return len(factorize(n).factors) - 1
 

@@ -7,12 +7,13 @@ Subcommands map one-to-one onto the library layers:
 - verify-translate  exhaustive translate-property verification
 - verify-line       exhaustive line-property verification
 - oracle            character-sum consistency surveys for small q
-- reproduce-all     one-shot driver running every phase with expectations
+- reproduce-all     the first five as five subcommand runs, one row each
 
-Data subcommands emit rows with a fixed schema (CSV with leading
-`# summary:` comment lines, or a JSON object with `rows` and `summary`).
-Rows are tuples in ``ROW_FIELDS`` order; only JSON output turns them into
-objects.
+Every handler returns ``(rows, summary, failures)`` and writes nothing but
+``--progress`` notes; ``main`` emits the rows with a fixed schema (CSV
+with leading `# summary:` comment lines, or a JSON object with `rows` and
+`summary`) and prints the failure lines on stderr.  Rows are tuples in
+``ROW_FIELDS`` order; only JSON output turns them into objects.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails, 2 for usage errors.
 """
@@ -25,7 +26,6 @@ import json
 import os
 import sys
 from time import perf_counter
-from typing import Callable
 
 from .arith import ctx_for_prime_power
 from .charoracle import ORACLE_Q_CAP, survey_line_identities, survey_translate_sums
@@ -36,7 +36,7 @@ from .criteria import (
     scan_interval,
     settle_prime_count_range,
 )
-from .ffield import QuadExtField, build_field
+from .ffield import build_field
 from .verify import (
     LINE_EXCEPTIONS,
     TRANSLATE_EXCEPTIONS,
@@ -141,6 +141,16 @@ def _parse_oracle_q_list(text: str) -> list[int]:
     return values
 
 
+def _parse_at_least_3(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("value must be an integer")
+    if n < 3:
+        raise argparse.ArgumentTypeError("value must be at least 3")
+    return n
+
+
 def _parse_threads(text: str) -> int:
     try:
         n = int(text)
@@ -190,44 +200,34 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[list[tuple], dict, list[int]]:
     return rows, summary, exceptions
 
 
-def _scan_expectation_failures(lo: int, hi: int, summary: dict,
-                               exceptions: list[int]) -> list[str]:
-    problems = []
-    expected_exc = sorted(q for q in SCAN_EXCEPTIONS if lo <= q <= hi)
-    if exceptions != expected_exc:
-        missing = sorted(set(expected_exc) - set(exceptions))
-        extra = sorted(set(exceptions) - set(expected_exc))
-        problems.append(f"exception set mismatch (missing={missing}, extra={extra})")
-    if (lo, hi) == (FULL_SCAN_LO, FULL_SCAN_HI):
-        checks = (
-            ("total", FULL_SCAN_TOTAL),
-            ("basic_failures", FULL_SCAN_BASIC_FAILURES),
-            ("largest_basic_failure", FULL_SCAN_LARGEST_BASIC_FAILURE),
-            ("exceptions", FULL_SCAN_EXCEPTION_COUNT),
-        )
-        for key, expected in checks:
-            if summary[key] != expected:
-                problems.append(f"{key}={summary[key]}, expected {expected}")
-    return problems
-
-
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[list[tuple], dict, list[str]]:
     lo, hi = args.range
     rows, summary, exceptions = _scan_rows(lo, hi, args)
-    failures: list[str] = []
+    problems = []
     if args.expect_known:
-        failures = _scan_expectation_failures(lo, hi, summary, exceptions)
-    summary["expect_failures"] = len(failures)
-    _emit(args, rows, summary)
-    for problem in failures:
-        print(f"expectation failed: {problem}", file=sys.stderr)
-    return 1 if failures else 0
+        expected_exc = sorted(q for q in SCAN_EXCEPTIONS if lo <= q <= hi)
+        if exceptions != expected_exc:
+            missing = sorted(set(expected_exc) - set(exceptions))
+            extra = sorted(set(exceptions) - set(expected_exc))
+            problems.append(f"exception set mismatch (missing={missing}, extra={extra})")
+        if (lo, hi) == (FULL_SCAN_LO, FULL_SCAN_HI):
+            checks = (
+                ("total", FULL_SCAN_TOTAL),
+                ("basic_failures", FULL_SCAN_BASIC_FAILURES),
+                ("largest_basic_failure", FULL_SCAN_LARGEST_BASIC_FAILURE),
+                ("exceptions", FULL_SCAN_EXCEPTION_COUNT),
+            )
+            for key, expected in checks:
+                if summary[key] != expected:
+                    problems.append(f"{key}={summary[key]}, expected {expected}")
+    summary["expect_failures"] = len(problems)
+    return rows, summary, [f"expectation failed: {problem}" for problem in problems]
 
 
 # -- settle-prime-counts -----------------------------------------------------
 
 
-def _cmd_settle(args) -> int:
+def _cmd_settle(args) -> tuple[list[tuple], dict, list[str]]:
     rows = []
     t0 = perf_counter()
     cutoff = prime_count_cutoff()
@@ -239,9 +239,7 @@ def _cmd_settle(args) -> int:
         rows.append(_row("", "", "", "settle-prime-counts",
                          "settled" if settled else "unsettled",
                          f"t1={t1}|t2={t2}", (perf_counter() - t0) * 1000.0))
-    summary = {"cutoff": cutoff, "pairs": len(args.pairs)}
-    _emit(args, rows, summary)
-    return 0
+    return rows, {"cutoff": cutoff, "pairs": len(args.pairs)}, []
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -258,60 +256,49 @@ def _parse_pair(text: str) -> tuple[int, int]:
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_once(q: int, prop: str, mode: str
-                 ) -> tuple[QuadExtField, list[tuple[str, PropertyReport]]]:
-    fld = build_field(ctx_for_prime_power(q))
-    reports = []
-    if prop == "translate":
-        if mode in ("reference", "both"):
-            reports.append(("reference", verify_translate_reference(fld)))
-        if mode in ("fast", "both"):
-            reports.append(("fast", verify_translate_fast(fld)))
+def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
+    if args.prop == "translate":
+        flavors = (("reference", verify_translate_reference),
+                   ("fast", verify_translate_fast))
     else:
-        if mode in ("reference", "both"):
-            reports.append(("reference", verify_line_reference(fld)))
-        if mode in ("fast", "both"):
-            reports.append(("fast", verify_line_fast(fld)))
-    return fld, reports
-
-
-def _cmd_verify(args, prop: str, exceptions: frozenset[int]) -> int:
+        flavors = (("reference", verify_line_reference), ("fast", verify_line_fast))
     rows: list[tuple] = []
-    failures: list[str] = []
+    problems: list[str] = []
     holds_count = 0
     fails_count = 0
     for q in args.q_list:
-        fld, reports = _verify_once(q, prop, args.mode)
-        for flavor, report in reports:
-            rows.append(_row(q, fld.p, fld.k, f"verify-{prop}:{flavor}",
+        fld = build_field(ctx_for_prime_power(q))
+        outcomes = set()
+        for flavor, verifier in flavors:
+            if args.mode not in (flavor, "both"):
+                continue
+            report = verifier(fld)
+            outcomes.add(report.holds)
+            rows.append(_row(q, fld.p, fld.k, f"verify-{args.prop}:{flavor}",
                              "holds" if report.holds else "fails",
                              _fmt_witness(report), report.elapsed * 1000.0))
-        outcomes = {report.holds for _, report in reports}
         if len(outcomes) != 1:
-            failures.append(f"q={q}: reference and fast verifiers disagree")
+            problems.append(f"q={q}: reference and fast verifiers disagree")
             continue
         holds = outcomes.pop()
         holds_count += holds
         fails_count += not holds
-        if args.expect_known and holds != (q not in exceptions):
-            expected = "fail" if q in exceptions else "hold"
-            failures.append(f"q={q}: property was expected to {expected}")
-        _progress(args, f"verify-{prop}: q={q} "
+        if args.expect_known and holds != (q not in args.known):
+            expected = "fail" if q in args.known else "hold"
+            problems.append(f"q={q}: property was expected to {expected}")
+        _progress(args, f"verify-{args.prop}: q={q} "
                         f"{'holds' if holds else 'fails'}")
     summary = {"checked": len(args.q_list), "holds": holds_count,
-               "fails": fails_count, "expect_failures": len(failures)}
-    _emit(args, rows, summary)
-    for problem in failures:
-        print(f"expectation failed: {problem}", file=sys.stderr)
-    return 1 if failures else 0
+               "fails": fails_count, "expect_failures": len(problems)}
+    return rows, summary, [f"expectation failed: {problem}" for problem in problems]
 
 
 # -- oracle ------------------------------------------------------------------
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[list[tuple], dict, list[str]]:
     rows: list[tuple] = []
-    failures: list[str] = []
+    problems: list[str] = []
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
         p, k = fld.p, fld.k
@@ -320,75 +307,63 @@ def _cmd_oracle(args) -> int:
                          "ok" if sums.ok else "fail",
                          f"max_dev={sums.max_deviation:.6g}", 0.0))
         if not sums.ok:
-            failures.append(f"q={q}: translate sums deviate by "
+            problems.append(f"q={q}: translate sums deviate by "
                             f"{sums.max_deviation:.3g}")
         ident = survey_line_identities(fld, tol=args.tol_identity)
         rows.append(_row(q, p, k, "oracle:line-identity",
                          "ok" if ident.ok else "fail",
                          f"max_dev={ident.max_deviation:.6g}", 0.0))
         if not ident.ok:
-            failures.append(f"q={q}: line-count identity deviates by "
+            problems.append(f"q={q}: line-count identity deviates by "
                             f"{ident.max_deviation:.3g}")
         _progress(args, f"oracle: q={q} done")
-    summary = {"checked": len(args.q_list), "expect_failures": len(failures)}
-    _emit(args, rows, summary)
-    for problem in failures:
-        print(f"oracle check failed: {problem}", file=sys.stderr)
-    return 1 if failures else 0
+    summary = {"checked": len(args.q_list), "expect_failures": len(problems)}
+    return rows, summary, [f"oracle check failed: {problem}" for problem in problems]
 
 
 # -- reproduce-all -----------------------------------------------------------
 
+# (command, result, detail) of the default settle-prime-counts rows
+SETTLE_EXPECTED = (
+    ("prime-count-cutoff", "14", ""),
+    ("settle-prime-counts", "settled", "t1=11|t2=13"),
+    ("settle-prime-counts", "settled", "t1=10|t2=10"),
+    ("settle-prime-counts", "unsettled", "t1=2|t2=2"),
+)
 
-def _cmd_reproduce(args) -> int:
-    ok = True
 
-    def phase(name: str, good: bool, detail: str) -> None:
-        nonlocal ok
-        ok = ok and good
-        print(f"{name}: {'ok' if good else 'FAIL'} ({detail})", flush=True)
+def _exceptions_upto(q_max: int) -> str:
+    return ",".join(str(q) for q in sorted(SCAN_EXCEPTIONS) if q <= q_max)
 
-    lo, hi = FULL_SCAN_LO, args.scan_hi
-    rows, summary, exceptions = _scan_rows(lo, hi, args)
-    problems = _scan_expectation_failures(lo, hi, summary, exceptions)
-    phase("scan", not problems,
-          f"{summary['total']} prime powers, {summary['exceptions']} exceptions"
-          + ("" if not problems else "; " + "; ".join(problems)))
 
-    cutoff = prime_count_cutoff()
-    settle_ok = (cutoff == 14
-                 and settle_prime_count_range(11, 13)
-                 and settle_prime_count_range(10, 10)
-                 and not settle_prime_count_range(2, 2))
-    phase("settle-prime-counts", settle_ok, f"cutoff={cutoff}")
-
-    for prop, exceptions, q_max in (
-            ("translate", TRANSLATE_EXCEPTIONS, args.translate_max),
-            ("line", LINE_EXCEPTIONS, args.line_max)):
-        qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= q_max]
-        bad = []
-        for q in qs:
-            _, [(_, report)] = _verify_once(q, prop, "fast")
-            if report.holds != (q not in exceptions):
-                bad.append(q)
-            _progress(args, f"{prop}: q={q} {'holds' if report.holds else 'fails'}")
-        phase(f"verify-{prop}", not bad,
-              f"{len(qs)} candidates" + ("" if not bad else f"; wrong at {bad}"))
-
-    bad = []
-    for q in (5, 7, 9, 11, 13):
-        fld = build_field(ctx_for_prime_power(q))
-        if not survey_translate_sums(fld).ok:
-            bad.append(q)
-    for q in (7, 11, 13):
-        fld = build_field(ctx_for_prime_power(q))
-        if not survey_line_identities(fld).ok:
-            bad.append(q)
-    phase("oracle", not bad, "sums q=5..13, identities q=7,11,13"
-          + ("" if not bad else f"; wrong at {bad}"))
-
-    print(f"reproduce-all: {'PASS' if ok else 'FAIL'}", flush=True)
-    return 0 if ok else 1
+def _cmd_reproduce(args) -> tuple[list[tuple], dict, list[str]]:
+    phases = (
+        ["scan", "--range", f"{FULL_SCAN_LO}:{args.scan_hi}", "--expect-known"],
+        ["settle-prime-counts"],
+        ["verify-translate", "--q-list", _exceptions_upto(args.translate_max),
+         "--expect-known"],
+        ["verify-line", "--q-list", _exceptions_upto(args.line_max),
+         "--expect-known"],
+        ["oracle", "--q-list", "5,7,9,11,13"],
+    )
+    parser = _build_parser()
+    rows: list[tuple] = []
+    failures: list[str] = []
+    for argv in phases:
+        phase = parser.parse_args(argv + (["--progress"] if args.progress else []))
+        t0 = perf_counter()
+        phase_rows, summary, phase_failures = phase.handler(phase)
+        if phase.handler is _cmd_settle:
+            got = tuple(row[3:6] for row in phase_rows)
+            if got != SETTLE_EXPECTED:
+                phase_failures.append(f"expectation failed: settle rows {got}, "
+                                      f"expected {SETTLE_EXPECTED}")
+        failures += phase_failures
+        rows.append(_row("", "", "", f"reproduce-all:{phase.command}",
+                         "fail" if phase_failures else "ok",
+                         "|".join(f"{key}={summary[key]}" for key in sorted(summary)),
+                         (perf_counter() - t0) * 1000.0))
+    return rows, {"phases": len(phases), "expect_failures": len(failures)}, failures
 
 
 # -- parser ------------------------------------------------------------------
@@ -453,9 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("reproduce-all", parents=[common],
                            help="run every phase with known expectations")
-    p_all.add_argument("--scan-hi", type=int, default=FULL_SCAN_HI)
-    p_all.add_argument("--translate-max", type=int, default=3541)
-    p_all.add_argument("--line-max", type=int, default=3541)
+    p_all.add_argument("--scan-hi", type=_parse_at_least_3, default=FULL_SCAN_HI)
+    p_all.add_argument("--translate-max", type=_parse_at_least_3, default=3541)
+    p_all.add_argument("--line-max", type=_parse_at_least_3, default=3541)
     p_all.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -463,10 +438,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler: Callable = args.handler
-    if handler is _cmd_verify:
-        return handler(args, args.prop, args.known)
-    return handler(args)
+    rows, summary, failures = args.handler(args)
+    _emit(args, rows, summary)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

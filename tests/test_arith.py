@@ -267,3 +267,12 @@ def test_enumerate_below_the_cap_neither_factorizes_nor_tests_primes(monkeypatch
     monkeypatch.setattr(arith, "factorize", refuse)
     monkeypatch.setattr(arith, "is_prime", refuse)
     assert len(enumerate_odd_prime_powers(3, 50_000)) == 5_202
+
+
+def test_enumerate_builds_no_count_table(monkeypatch):
+    # only the scan reads prime counts, so enumeration never builds their table
+    def refuse(base, top):
+        raise AssertionError(f"count table built for {base}..{top}")
+
+    monkeypatch.setattr(arith, "_odd_prime_counts", refuse)
+    assert len(enumerate_odd_prime_powers(3, 50_000)) == 5_202

@@ -76,7 +76,11 @@ def test_usage_errors_exit_2():
                  ["verify-translate", "--q-list", "4,5"],
                  ["verify-line", "--q-list", "15"],
                  ["settle-prime-counts", "1:1"],
-                 ["oracle", "--q-list", "211"]):
+                 ["oracle", "--q-list", "211"],
+                 ["reproduce-all", "--scan-hi", "2"],
+                 ["reproduce-all", "--translate-max", "0", "--line-max", "0"],
+                 ["reproduce-all", "--line-max", "2"],
+                 ["reproduce-all", "--translate-max", "x"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -233,12 +237,42 @@ def test_oracle_rejects_large_q():
     assert err.value.code == 2
 
 
+REPRODUCE_PHASES = ["reproduce-all:scan", "reproduce-all:settle-prime-counts",
+                    "reproduce-all:verify-translate", "reproduce-all:verify-line",
+                    "reproduce-all:oracle"]
+SMALL_REPRODUCE = ["reproduce-all", "--scan-hi", "4000", "--translate-max", "50",
+                   "--line-max", "50", "--stable-output"]
+
+
 def test_reproduce_all_smoke(tmp_path, capsys):
+    # one row per phase, written through --output like every subcommand
     out = tmp_path / "rep.csv"
-    rc = main(["reproduce-all", "--scan-hi", "4000", "--translate-max", "50",
-               "--line-max", "50", "--stable-output", "--output", str(out)])
-    assert rc == 0
-    stdout = capsys.readouterr().out
-    assert "reproduce-all: PASS" in stdout
-    assert "scan: ok" in stdout
-    assert "verify-line: ok" in stdout
+    assert main(SMALL_REPRODUCE + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    summary, rows = _read_csv(out)
+    assert summary == {"phases": "5", "expect_failures": "0"}
+    assert [row["command"] for row in rows] == REPRODUCE_PHASES
+    assert all(row["result"] == "ok" for row in rows)
+    assert all(row["elapsed_ms"] == "0" for row in rows)
+    assert "|exceptions=101|" in rows[0]["detail"]
+    assert rows[4]["detail"] == "checked=5|expect_failures=0"
+
+    out_json = tmp_path / "rep.json"
+    assert main(SMALL_REPRODUCE + ["--format", "json", "--output", str(out_json)]) == 0
+    doc = json.loads(out_json.read_text())
+    assert [row["command"] for row in doc["rows"]] == REPRODUCE_PHASES
+    assert doc["summary"] == {"phases": 5, "expect_failures": 0}
+
+
+def test_reproduce_all_reports_the_failing_phase(tmp_path, capsys, monkeypatch):
+    # with the known line failures emptied, only the verify-line phase fails
+    monkeypatch.setattr("quadprim.cli.LINE_EXCEPTIONS", frozenset())
+    out = tmp_path / "rep.csv"
+    assert main(SMALL_REPRODUCE + ["--output", str(out)]) == 1
+    assert "expectation failed: q=3" in capsys.readouterr().err
+    summary, rows = _read_csv(out)
+    assert summary["expect_failures"] == "8"
+    results = {row["command"]: row["result"] for row in rows}
+    assert results.pop("reproduce-all:verify-line") == "fail"
+    assert set(results.values()) == {"ok"}
+    assert len(results) == 4
