@@ -205,22 +205,23 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     kk = ctx.rprime
     k1 = r1_of(ctx, kk)
     r = 0
-    eps = Fraction(1)
-    eps_prime = Fraction(1)
+    # epsilon and epsilon' are num/den and num_prime/den, with den the
+    # product of the moved primes; int division rounds correctly
+    num = num_prime = den = 1
     for p in primes_desc:
-        new_eps = eps - Fraction(1, p)
-        if new_eps <= 0:
+        if num * p - den <= 0:
             break
         sieve += (p,)
         kk //= p
-        eps = new_eps
+        num, num_prime = num * p - den, num_prime * p
         if qp1 % p == 0:
-            eps_prime -= Fraction(1, p)
+            num_prime -= den
             k1 //= p
             r += 1
+        den *= p
         yield SieveDecomposition(kk=kk, k1=k1, sieve_primes=sieve, s=len(sieve),
-                                 r=r, epsilon=float(eps),
-                                 epsilon_prime=float(eps_prime))
+                                 r=r, epsilon=num / den,
+                                 epsilon_prime=num_prime / den)
 
 
 def settle_prime_count_range(t1: int, t2: int) -> bool:

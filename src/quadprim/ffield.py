@@ -20,9 +20,10 @@ mod p of indices, and multiplying is addition of discrete logs base b.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
-from .arith import PrimePowerCtx
+from .arith import PrimePowerCtx, factorize
 
 __all__ = [
     "FieldElem",
@@ -98,29 +99,15 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Rabin's test for a monic polynomial of degree >= 2 over F_p."""
     n = len(f) - 1
-    x = [0, 1]
-    # distinct prime divisors of the degree
-    divs = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        divs.append(m)
-    for r in divs:
-        h = _ppowmod(x, p ** (n // r), f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(f, _ptrim(diff), p)) != 1:
-            return False
-    h = _ppowmod(x, p**n, f, p)
-    return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(h + [0, 0])]) == []
+
+    def x_power_minus_x(e: int) -> list[int]:  # x**(p**e) - x mod f
+        h = _ppowmod([0, 1], p**e, f, p) + [0, 0]
+        return _ptrim([(c - (i == 1)) % p for i, c in enumerate(h)])
+
+    if any(len(_pgcd(f, x_power_minus_x(n // r), p)) != 1
+           for r in factorize(n).primes()):
+        return False
+    return x_power_minus_x(n) == []
 
 
 def _pinverse(cols: list[FieldElem], p: int) -> tuple[tuple[int, ...], ...]:
@@ -182,12 +169,7 @@ class QuadExtField:
             raise AssertionError("no irreducible quadratic found")
         code = 0
         while True:
-            coeffs = []
-            v = code
-            for _ in range(deg):
-                coeffs.append(v % p)
-                v //= p
-            f = coeffs + [1]
+            f = list(self.element_from_index(code)) + [1]
             if _is_irreducible(f, p):
                 return tuple(f)
             code += 1
@@ -261,9 +243,6 @@ class QuadExtField:
                 for i, ri in enumerate(row):
                     conv[i] += c * ri
         return tuple(c % p for c in conv[:deg])
-
-    def scalar(self, c: int) -> FieldElem:
-        return (c % self.p,) + (0,) * (self.deg - 1)
 
     def _pow_raw(self, u: FieldElem, e: int) -> FieldElem:
         result = self.one
@@ -371,8 +350,8 @@ class QuadExtField:
         rows = self._fq_frame[1]
         s = y = 0
         for t in reversed(range(k)):
-            s = s * p + sum(r * c for r, c in zip(rows[t], u)) % p
-            y = y * p + sum(r * c for r, c in zip(rows[k + t], u)) % p
+            s = s * p + sum(map(mul, rows[t], u)) % p
+            y = y * p + sum(map(mul, rows[k + t], u)) % p
         return s, y
 
     def from_fq_coords(self, s: int, y: int) -> FieldElem:
@@ -392,13 +371,7 @@ class QuadExtField:
     @cached_property
     def fq_exp(self) -> tuple[int, ...]:
         """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1."""
-        b = self.pow(self.a, self.q + 1)
-        out = []
-        u = self.one
-        for _ in range(self.q - 1):
-            out.append(self.fq_coords(u)[0])
-            u = self.mul(u, b)
-        return tuple(out)
+        return tuple(self.fq_coords(u)[0] for u in self.base_field_elements()[1:])
 
     @cached_property
     def fq_log(self) -> tuple[int | None, ...]:
@@ -409,29 +382,31 @@ class QuadExtField:
         return tuple(log)
 
     @cached_property
-    def _fq_shift_plan(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        # plan[r] holds one step (low, up, down) per nonzero digit d of r, at
-        # place w = p**t: the bits whose digit t is below p - d (the set low)
-        # move up by d*w, the others wrap down by (p - d)*w.  Digits add
-        # without carries, so the steps are independent.
-        p, q, k = self.p, self.q, self.k
-        steps = []
+    def fq_layout(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+        """(place, copies, amount, canon) of fq_shift's periodic row layout:
+        place[s] = sum c_t * (2p)**t for s = sum c_t * p**t; a mask of places
+        times copies is its row (the copies never overlap); amount[r] is
+        sum (p - r_t) * (2p)**t; canon is the mask of the q places."""
+        p, k, place = self.p, self.k, [0]
         for t in range(k):
-            w = p**t
-            tiles = sum(1 << n for n in range(0, q, w * p))
-            steps.append([None] + [(((1 << (p - d) * w) - 1) * tiles,
-                                    d * w, (p - d) * w) for d in range(1, p)])
-        return tuple(
-            tuple(steps[t][r // p**t % p] for t in range(k) if r // p**t % p)
-            for r in range(q))
+            place = [v + c * (2 * p)**t for c in range(p) for v in place]
+        top = sum(p * (2 * p)**t for t in range(k))
+        copies = prod(1 + (1 << p * (2 * p)**t) for t in range(k))
+        return (tuple(place), copies, tuple(top - v for v in place),
+                sum(1 << v for v in place))
 
-    def fq_shift(self, mask: int, r: int) -> int:
-        """Translate a set of F_q digit indices, given as a bitmask, by the
-        index r: bit s moves to the digit index of the field sum s + r."""
-        for low, up, down in self._fq_shift_plan[r]:
-            part = mask & low
-            mask = part << up | (mask ^ part) >> down
-        return mask
+    def fq_shift(self, row: int, r: int) -> int:
+        """Translate a set of F_q digit indices by the index r: member s
+        moves to the digit index of the field sum s + r.
+
+        The set is a row in the periodic layout: member s = sum c_t * p**t
+        sits at bit place[s] and at every copy with some digits c_t raised
+        to c_t + p.  Digit t of s + r is c_t + r_t or c_t + r_t - p, so the
+        right shift by amount[r] moves exactly one copy of s onto the place
+        of s + r; the other copies land on no place, and canon drops them.
+        The result holds the places alone, with no copies."""
+        _, _, amount, canon = self.fq_layout
+        return row >> amount[r] & canon
 
 
 def build_field(ctx: PrimePowerCtx) -> QuadExtField:

@@ -21,7 +21,9 @@ Each property ships in two independent flavors that must agree:
   gamma are the affine lines of direction gamma that miss 0.  The
   2-primitive elements are stored as one bitmask per row; a slope is
   checked by ORing the rows, each translated along the direction, until
-  every line is met.
+  every line is met.  The q-power map sigma fixes F_q and the
+  2-primitive set, so it maps the lines of slope gamma onto those of
+  slope sigma(gamma): the line test checks one slope of each pair.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -137,18 +139,22 @@ def _cosets(fld: QuadExtField):
 
 
 def _two_primitive_rows(fld: QuadExtField) -> list[int]:
-    """rows[y] is the bitmask of the s with s + y*x 2-primitive."""
+    """rows[y] is the set of the s with s + y*x 2-primitive, as a row in
+    the periodic layout of fld.fq_shift."""
     q, n = fld.q, fld.q - 1
     exp, log = fld.fq_exp, fld.fq_log
-    exp2 = exp + exp
+    place, copies = fld.fq_layout[:2]
+    span = place[-1] + 1
+    places2 = tuple(place[s] for s in exp) * 2
+    starts2 = tuple(y * span for y in exp) * 2
     zeros = (0,) * n
-    grid = bytearray(q * q)  # grid[y*q + s]
+    grid = bytearray(q * span)  # grid[y*span + place[s]]
     for (s, y), flags in _cosets(fld):
-        ss = exp2[log[s]:log[s] + n] if s else zeros
-        ys = exp2[log[y]:log[y] + n] if y else zeros
+        ss = places2[log[s]:log[s] + n] if s else zeros
+        ys = starts2[log[y]:log[y] + n] if y else zeros
         for s_l, y_l in compress(zip(ss, ys), flags):
-            grid[y_l * q + s_l] = 1
-    return [_bitmask(grid[y * q:(y + 1) * q]) for y in range(q)]
+            grid[s_l + y_l] = 1
+    return [_bitmask(grid[i:i + span]) * copies for i in range(0, q * span, span)]
 
 
 # -- the reference cover loop ----------------------------------------------
@@ -243,43 +249,62 @@ def verify_line_reference(fld: QuadExtField) -> PropertyReport:
     return PropertyReport(q, "line", True, None, q - 1, perf_counter() - t0)
 
 
+def _slope(fld: QuadExtField, u: FieldElem) -> int:
+    """Direction of u = g_s + g_y*x: digit index of g_s/g_y, q at g_y = 0."""
+    gs, gy = fld.fq_coords(u)
+    if gy == 0:
+        return fld.q
+    log = fld.fq_log
+    return fld.fq_exp[(log[gs] - log[gy]) % (fld.q - 1)] if gs else 0
+
+
+def _line_slopes(fld: QuadExtField):
+    """Yield (gamma, direction) of the gamma set in order, minus directions
+    marked done.  Resuming means gamma passed: then its direction and that
+    of its Frobenius image are marked done."""
+    done: set[int] = set()
+    for gamma in build_gamma_set(fld).gammas:
+        rho = _slope(fld, gamma)
+        if rho not in done:
+            yield gamma, rho
+            done |= {rho, _slope(fld, fld.frobenius_q(gamma))}
+
+
 def verify_line_fast(fld: QuadExtField) -> PropertyReport:
-    """Row-bitmask cover test per gamma, in gamma-set order, earliest exit.
+    """Row-bitmask cover test per slope, in gamma-set order, earliest exit.
 
     The lines of slope gamma are the affine lines of direction
     gamma = (g_s, g_y) that miss 0.  For g_y != 0 line t is {s + c*y = t}
     with c = -g_s/g_y, so the lines met are the union over y of rows[y]
     translated by c*y; for g_y == 0 they are the nonempty rows y != 0.
-    The first gamma that leaves a line t != 0 unmet fails.
+    The first gamma that leaves a line t != 0 unmet fails.  A slope whose
+    Frobenius mate passed is skipped: sigma = frobenius_q fixes F_q and the
+    2-primitive set, so it maps the lines of gamma onto those of sigma(gamma).
     """
     t0 = perf_counter()
     q, n = fld.q, fld.q - 1
     rows = _two_primitive_rows(fld)
     exp, log = fld.fq_exp, fld.fq_log
-    exp2 = exp + exp
+    place, _, amount, canon = fld.fq_layout
+    # amounts[e + l] translates by b**(e + l); the tail translates by 0
+    amounts = tuple(amount[s] for s in exp) * 2 + (amount[0],) * n
     rows_by_log = [rows[y] for y in exp]
-    nonempty = sum(1 << y for y in range(1, q) if rows[y])
-    full = (1 << q) - 1
-    shift = fld.fq_shift
-    for gamma in build_gamma_set(fld).gammas:
-        gs, gy = fld.fq_coords(gamma)
-        if gy == 0:
+    nonempty = sum(1 << place[y] for y in range(1, q) if rows[y])
+    for gamma, rho in _line_slopes(fld):
+        if rho == q:
             met = nonempty
         else:
-            met = rows[0]
-            if gs:  # log of -g_s/g_y, with -1 = b**(n/2)
-                e = (log[gs] + n // 2 - log[gy]) % n
-                shifts = exp2[e:e + n]
-            else:
-                shifts = (0,) * n
-            for row, r in zip(rows_by_log, shifts):
-                met |= shift(row, r)
-                if met | 1 == full:
+            met = rows[0] & canon
+            # log of c = -rho, with -1 = b**(n/2)
+            e = (log[rho] + n // 2) % n if rho else 2 * n
+            for row, r in zip(rows_by_log, amounts[e:e + n]):
+                met |= row >> r & canon
+                if met | 1 == canon:
                     break
-        if met | 1 != full:
-            missing = [fld.from_fq_coords(0, t) if gy == 0
+        if met | 1 != canon:
+            missing = [fld.from_fq_coords(0, t) if rho == q
                        else fld.from_fq_coords(t, 0)
-                       for t in range(1, q) if not met >> t & 1]
+                       for t in range(1, q) if not met >> place[t] & 1]
             key = min(line_class_key(u, gamma, fld) for u in missing)
             return PropertyReport(q, "line", False, (gamma, key),
                                   (met >> 1).bit_count(), perf_counter() - t0)

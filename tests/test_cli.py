@@ -14,7 +14,7 @@ import pytest
 
 from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import _build_parser, _scan_rows, main
-from quadprim.criteria import classify_prime_power
+from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
 
 
@@ -119,6 +119,23 @@ def test_scan_output_bytes_are_pinned(tmp_path, argv, sha256):
     # digests of the stable scan output, row format and margins included
     out = tmp_path / "scan.out"
     assert main(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command, sha256", [
+    ("verify-translate",
+     "b3e3400d8c1e77102fd14f0a3b346e62b4c35f77722ed7d79ccbda986ad88c10"),
+    ("verify-line",
+     "c47e2f317ce739c0db0e0bf38236d919b7faa79dee9bd804aa705020124eafc0"),
+])
+def test_verify_output_bytes_are_pinned(tmp_path, command, sha256):
+    # digests of the fast verifiers' stable output on the 43 exceptions up
+    # to 169, ascending: verdicts, witnesses and classes_covered included
+    qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= 169]
+    assert len(qs) == 43
+    out = tmp_path / "verify.csv"
+    assert main([command, "--q-list", ",".join(map(str, qs)),
+                 "--stable-output", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

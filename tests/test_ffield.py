@@ -241,14 +241,23 @@ def test_fq_log_tables(coord_fields):
 
 
 def test_fq_shift_is_field_addition(coord_fields):
+    # the row of {s} holds bit place[s] and every copy with some digits
+    # c_t of s raised by p; the translate keeps the place of s + r alone
     for q, fld in coord_fields.items():
+        p, k = fld.p, fld.k
+        place, copies = fld.fq_layout[:2]
+        assert len(set(place)) == q
         for r in range(0, q, 7 if q == 125 else 1):
             ur = fld.from_fq_coords(r, 0)
             for s in range(q):
+                row = 1 << place[s]
+                for t in range(k):
+                    row |= row << p * (2 * p)**t
+                assert (1 << place[s]) * copies == row
                 total = fld.add(fld.from_fq_coords(s, 0), ur)
-                assert fld.fq_shift(1 << s, r) == 1 << fld.fq_coords(total)[0]
+                assert fld.fq_shift(row, r) == 1 << place[fld.fq_coords(total)[0]]
 
 
 def test_fq_tables_built_on_first_use():
     fld = build_field(ctx_for_prime_power(25))
-    assert not {"_fq_frame", "fq_exp", "fq_log", "_fq_shift_plan"} & set(vars(fld))
+    assert not {"_fq_frame", "fq_exp", "fq_log", "fq_layout"} & set(vars(fld))

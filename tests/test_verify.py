@@ -218,9 +218,10 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
 
     for name in ("fq_coords", "from_fq_coords", "fq_shift"):
         monkeypatch.setattr(QuadExtField, name, broken)
-    for name in ("fq_exp", "fq_log", "_fq_frame"):
+    for name in ("fq_exp", "fq_log", "_fq_frame", "fq_layout"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_two_primitive_rows", "_bitmask"):
+    for name in ("_cosets", "_two_primitive_rows", "_bitmask", "_slope",
+                 "_line_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))
@@ -229,6 +230,46 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
             assert (rep.holds, rep.witness, rep.classes_covered) == expected, q
         with pytest.raises(AssertionError):
             verify_line_fast(fld)
+
+
+def test_frobenius_pairs_slopes_with_equal_covers(fields):
+    # sigma = frobenius_q maps the lines of slope gamma onto those of
+    # sigma(gamma), i.e. of the gamma-set element gamma' with
+    # gamma'/sigma(gamma) in F_q; found here by field arithmetic alone
+    for q in (9, 13, 25, 27):
+        fld = fields[q]
+        gammas = build_gamma_set(fld).gammas
+        covered = {g: len(_reference_cover(fld, g)) for g in gammas}
+        swapped = 0
+        for g in gammas:
+            inv_sg = fld.inv(fld.frobenius_q(g))
+            mates = [h for h in gammas
+                     if fld.frobenius_q(v := fld.mul(h, inv_sg)) == v]
+            assert len(mates) == 1, (q, g)
+            assert covered[mates[0]] == covered[g], (q, g)
+            swapped += mates[0] != g
+        assert swapped == q - 1, q
+
+
+def test_fast_line_tests_one_slope_per_frobenius_pair(monkeypatch):
+    tested = []
+    line_slopes = verify._line_slopes
+
+    def recording(fld):
+        for gamma, rho in line_slopes(fld):
+            tested.append(gamma)
+            yield gamma, rho
+
+    monkeypatch.setattr(verify, "_line_slopes", recording)
+    for q in (27, 81, 125, 169):
+        fld = build_field(ctx_for_prime_power(q))
+        tested.clear()
+        assert verify_line_fast(fld).holds, q
+        assert len(tested) == (q + 3) // 2, q
+        # u**(q-1) names the class u * F_q*, i.e. the direction of u
+        directions = {fld.pow(u, q - 1) for g in tested
+                      for u in (g, fld.frobenius_q(g))}
+        assert len(directions) == q + 1, q
 
 
 def test_line_scaling_invariance(fields):
