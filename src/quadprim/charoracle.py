@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
-from .arith import euler_phi, factorize, mobius
+from .arith import euler_phi, factorize
 from .ffield import FieldElem, QuadExtField, translate_classes
 
 __all__ = [

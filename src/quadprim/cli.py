@@ -49,6 +49,10 @@ from .verify import (
 
 ROW_FIELDS = ("q", "p", "k", "command", "result", "detail", "elapsed_ms")
 
+# Largest q of --q-list: the fast verifiers' sieve takes (q**2 - 1)/2
+# bytes, under 34 MB at the cap; the largest scan exception is 3541.
+VERIFY_Q_CAP = 8192
+
 # Facts the scan over the full interval [3, 2**20] must reproduce.
 FULL_SCAN_LO = 3
 FULL_SCAN_HI = 1 << 20
@@ -123,6 +127,9 @@ def _parse_q_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError("q list is empty")
     for q in values:
+        if q > VERIFY_Q_CAP:
+            raise argparse.ArgumentTypeError(
+                f"q must be at most {VERIFY_Q_CAP}, got {q}")
         try:
             ctx_for_prime_power(q)
         except ValueError as exc:
@@ -139,6 +146,16 @@ def _parse_oracle_q_list(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(
                 f"oracle supports q <= {ORACLE_Q_CAP}, got {q}")
     return values
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("tolerance must be a number")
+    if not 0 <= tol < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
+    return tol
 
 
 def _parse_at_least_3(text: str) -> int:
@@ -297,25 +314,23 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[list[tuple], dict, list[str]]:
+    surveys = (("translate-sums", survey_translate_sums, args.tol_sums,
+                "translate sums deviate"),
+               ("line-identity", survey_line_identities, args.tol_identity,
+                "line-count identity deviates"))
     rows: list[tuple] = []
     problems: list[str] = []
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
-        p, k = fld.p, fld.k
-        sums = survey_translate_sums(fld, tol=args.tol_sums)
-        rows.append(_row(q, p, k, "oracle:translate-sums",
-                         "ok" if sums.ok else "fail",
-                         f"max_dev={sums.max_deviation:.6g}", 0.0))
-        if not sums.ok:
-            problems.append(f"q={q}: translate sums deviate by "
-                            f"{sums.max_deviation:.3g}")
-        ident = survey_line_identities(fld, tol=args.tol_identity)
-        rows.append(_row(q, p, k, "oracle:line-identity",
-                         "ok" if ident.ok else "fail",
-                         f"max_dev={ident.max_deviation:.6g}", 0.0))
-        if not ident.ok:
-            problems.append(f"q={q}: line-count identity deviates by "
-                            f"{ident.max_deviation:.3g}")
+        for name, survey, tol, deviates in surveys:
+            t0 = perf_counter()
+            res = survey(fld, tol=tol)
+            rows.append(_row(q, fld.p, fld.k, f"oracle:{name}",
+                             "ok" if res.ok else "fail",
+                             f"max_dev={res.max_deviation:.6g}",
+                             (perf_counter() - t0) * 1000.0))
+            if not res.ok:
+                problems.append(f"q={q}: {deviates} by {res.max_deviation:.3g}")
         _progress(args, f"oracle: q={q} done")
     summary = {"checked": len(args.q_list), "expect_failures": len(problems)}
     return rows, summary, [f"oracle check failed: {problem}" for problem in problems]
@@ -422,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--q-list", type=_parse_oracle_q_list, required=True,
                           help=f"comma-separated odd prime powers "
                                f"q <= {ORACLE_Q_CAP}")
-    p_oracle.add_argument("--tol-sums", type=float, default=1e-6)
-    p_oracle.add_argument("--tol-identity", type=float, default=1e-3)
+    p_oracle.add_argument("--tol-sums", type=_parse_tolerance, default=1e-6)
+    p_oracle.add_argument("--tol-identity", type=_parse_tolerance, default=1e-3)
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_all = sub.add_parser("reproduce-all", parents=[common],

@@ -29,7 +29,6 @@ __all__ = [
     "FieldElem",
     "QuadExtField",
     "build_field",
-    "translate_class_key",
     "line_class_key",
     "is_two_primitive_exponent",
     "translate_classes",
@@ -417,19 +416,6 @@ def build_field(ctx: PrimePowerCtx) -> QuadExtField:
 def is_two_primitive_exponent(j: int, ctx: PrimePowerCtx) -> bool:
     """True when a**j has order (q**2 - 1)/2, i.e. gcd(j, q**2 - 1) == 2."""
     return gcd(j, ctx.q * ctx.q - 1) == 2
-
-
-def translate_class_key(u: FieldElem, fld: QuadExtField) -> FieldElem:
-    """Class invariant u**q - u of the translate set of u.
-
-    Two elements outside F_q lie in the same set {theta + x : x in F_q}
-    exactly when their keys coincide.  Raises for u in F_q, whose
-    translate set is F_q itself and is never inspected.
-    """
-    uq = fld.frobenius_q(u)
-    if uq == u:
-        raise ValueError("element lies in the base field")
-    return fld.sub(uq, u)
 
 
 def translate_classes(fld: QuadExtField) -> dict[FieldElem, FieldElem]:

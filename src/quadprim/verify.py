@@ -18,12 +18,14 @@ Each property ships in two independent flavors that must agree:
   never touches the F_q-coordinates of the fast flavor;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
   There the translate sets are the rows y != 0, and the lines of slope
-  gamma are the affine lines of direction gamma that miss 0.  The
-  2-primitive elements are stored as one bitmask per row; a slope is
-  checked by ORing the rows, each translated along the direction, until
-  every line is met.  The q-power map sigma fixes F_q and the
-  2-primitive set, so it maps the lines of slope gamma onto those of
-  slope sigma(gamma): the line test checks one slope of each pair.
+  gamma are the affine lines of direction gamma that miss 0.  The line
+  test is the translate test at slope 1; for each other slope it ORs
+  the rows of 2-primitive elements, as bitmasks translated along the
+  direction, until every line is met.  A slope a**x is named by its
+  exponent class x mod q + 1.  The q-power map sigma fixes F_q and the
+  2-primitive set and sends class x to -x, so it maps the lines of slope
+  gamma onto those of slope sigma(gamma): one slope of each pair is
+  tested.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -65,11 +67,13 @@ class GammaSet:
 
     gammas holds, for ascending multiples j of q - 1 below (q**2 - 1)/2,
     the pair a**j and zeta * a**j, where zeta generates the 2-part of the
-    multiplicative group.  Every nonzero beta equals gamma * b or
-    -gamma * b for some gamma here and b in F_q*."""
+    multiplicative group.  exponents holds the x with gammas[i] == a**x;
+    their classes mod q + 1 are distinct, so every nonzero beta equals
+    gamma * b for exactly one gamma here and some b in F_q*."""
 
     q: int
     gammas: tuple[FieldElem, ...]
+    exponents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -95,14 +99,15 @@ def build_gamma_set(fld: QuadExtField) -> GammaSet:
     q = fld.q
     a_qm1 = fld.pow(fld.a, q - 1)
     gammas: list[FieldElem] = []
+    exponents: list[int] = []
     g = fld.one
-    for _ in range((q + 1) // 2):
-        gammas.append(g)
-        gammas.append(fld.mul(fld.zeta, g))
+    for j in range((q + 1) // 2):
+        gammas += (g, fld.mul(fld.zeta, g))  # zeta == a**odd_part
+        exponents += (j * (q - 1), j * (q - 1) + fld.ctx.odd_part)
         g = fld.mul(g, a_qm1)
-    if len(gammas) != q + 1 or any(x == fld.zero for x in gammas):
-        raise AssertionError("gamma set construction broke an invariant")
-    return GammaSet(q=q, gammas=tuple(gammas))
+    if len({x % (q + 1) for x in exponents}) != q + 1:
+        raise AssertionError("gamma set is no transversal of the directions")
+    return GammaSet(q=q, gammas=tuple(gammas), exponents=tuple(exponents))
 
 
 # -- the F_q-coordinate walk behind the fast verifiers ---------------------
@@ -249,62 +254,55 @@ def verify_line_reference(fld: QuadExtField) -> PropertyReport:
     return PropertyReport(q, "line", True, None, q - 1, perf_counter() - t0)
 
 
-def _slope(fld: QuadExtField, u: FieldElem) -> int:
-    """Direction of u = g_s + g_y*x: digit index of g_s/g_y, q at g_y = 0."""
-    gs, gy = fld.fq_coords(u)
-    if gy == 0:
-        return fld.q
-    log = fld.fq_log
-    return fld.fq_exp[(log[gs] - log[gy]) % (fld.q - 1)] if gs else 0
-
-
 def _line_slopes(fld: QuadExtField):
-    """Yield (gamma, direction) of the gamma set in order, minus directions
-    marked done.  Resuming means gamma passed: then its direction and that
-    of its Frobenius image are marked done."""
-    done: set[int] = set()
-    for gamma in build_gamma_set(fld).gammas:
-        rho = _slope(fld, gamma)
-        if rho not in done:
-            yield gamma, rho
-            done |= {rho, _slope(fld, fld.frobenius_q(gamma))}
+    """Yield (gamma, e) in gamma-set order, skipping exponent classes d
+    marked done; e is the log base b of -g_s/g_y, 2*(q - 1) at g_s = 0.
+    Resuming means gamma passed: then d and sigma's class -d are done."""
+    q, n = fld.q, fld.q - 1
+    log = fld.fq_log
+    gs = build_gamma_set(fld)
+    done = {0}  # slope 1, the translate test
+    for gamma, x in zip(gs.gammas, gs.exponents):
+        d = x % (q + 1)
+        if d not in done:
+            s, y = fld.fq_coords(gamma)  # y != 0 off class 0
+            # log of c = -s/y, with -1 = b**(n/2)
+            e = (log[s] - log[y] + n // 2) % n if s else 2 * n
+            yield gamma, e
+            done |= {d, -d % (q + 1)}
 
 
 def verify_line_fast(fld: QuadExtField) -> PropertyReport:
-    """Row-bitmask cover test per slope, in gamma-set order, earliest exit.
+    """Fast translate test at slope 1, then a row-bitmask cover test per
+    remaining slope, in gamma-set order, earliest exit.
 
     The lines of slope gamma are the affine lines of direction
-    gamma = (g_s, g_y) that miss 0.  For g_y != 0 line t is {s + c*y = t}
-    with c = -g_s/g_y, so the lines met are the union over y of rows[y]
-    translated by c*y; for g_y == 0 they are the nonempty rows y != 0.
-    The first gamma that leaves a line t != 0 unmet fails.  A slope whose
-    Frobenius mate passed is skipped: sigma = frobenius_q fixes F_q and the
-    2-primitive set, so it maps the lines of gamma onto those of sigma(gamma).
+    gamma = (g_s, g_y) that miss 0.  Off slope 1, g_y != 0 and line t is
+    {s + c*y = t} with c = -g_s/g_y, so the lines met are the union over y
+    of rows[y] translated by c*y.  The first gamma that leaves a line
+    t != 0 unmet fails.  A slope whose Frobenius mate passed is skipped.
     """
     t0 = perf_counter()
     q, n = fld.q, fld.q - 1
+    translate = verify_translate_fast(fld)
+    if not translate.holds:
+        return PropertyReport(q, "line", False, (fld.one, translate.witness),
+                              translate.classes_covered, perf_counter() - t0)
     rows = _two_primitive_rows(fld)
-    exp, log = fld.fq_exp, fld.fq_log
+    exp = fld.fq_exp
     place, _, amount, canon = fld.fq_layout
     # amounts[e + l] translates by b**(e + l); the tail translates by 0
     amounts = tuple(amount[s] for s in exp) * 2 + (amount[0],) * n
     rows_by_log = [rows[y] for y in exp]
-    nonempty = sum(1 << place[y] for y in range(1, q) if rows[y])
-    for gamma, rho in _line_slopes(fld):
-        if rho == q:
-            met = nonempty
-        else:
-            met = rows[0] & canon
-            # log of c = -rho, with -1 = b**(n/2)
-            e = (log[rho] + n // 2) % n if rho else 2 * n
-            for row, r in zip(rows_by_log, amounts[e:e + n]):
-                met |= row >> r & canon
-                if met | 1 == canon:
-                    break
+    for gamma, e in _line_slopes(fld):
+        met = rows[0] & canon
+        for row, r in zip(rows_by_log, amounts[e:e + n]):
+            met |= row >> r & canon
+            if met | 1 == canon:
+                break
         if met | 1 != canon:
-            missing = [fld.from_fq_coords(0, t) if rho == q
-                       else fld.from_fq_coords(t, 0)
-                       for t in range(1, q) if not met >> place[t] & 1]
+            missing = [fld.from_fq_coords(t, 0) for t in range(1, q)
+                       if not met >> place[t] & 1]
             key = min(line_class_key(u, gamma, fld) for u in missing)
             return PropertyReport(q, "line", False, (gamma, key),
                                   (met >> 1).bit_count(), perf_counter() - t0)

@@ -33,7 +33,6 @@ from quadprim.ffield import (
     build_field,
     is_two_primitive_exponent,
     line_class_key,
-    translate_class_key,
 )
 from quadprim.verify import (
     LINE_EXCEPTIONS,
@@ -227,7 +226,7 @@ def test_c6_structural_properties():
         for u in fld.elements():
             if fld.in_base_field(u):
                 continue
-            key = translate_class_key(u, fld)
+            key = line_class_key(u, fld.one, fld)
             sizes[key] = sizes.get(key, 0) + 1
         if len(sizes) != q - 1 or set(sizes.values()) != {q}:
             ok = False

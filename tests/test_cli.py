@@ -76,7 +76,11 @@ def test_usage_errors_exit_2():
                  ["verify-translate", "--q-list", "4,5"],
                  ["verify-line", "--q-list", "15"],
                  ["settle-prime-counts", "1:1"],
+                 ["verify-translate", "--q-list", "8209"],
                  ["oracle", "--q-list", "211"],
+                 ["oracle", "--q-list", "5", "--tol-sums", "nan"],
+                 ["oracle", "--q-list", "5", "--tol-sums", "-1"],
+                 ["oracle", "--q-list", "5", "--tol-identity", "inf"],
                  ["reproduce-all", "--scan-hi", "2"],
                  ["reproduce-all", "--translate-max", "0", "--line-max", "0"],
                  ["reproduce-all", "--line-max", "2"],
@@ -234,6 +238,13 @@ def test_oracle_passes_at_default_tolerance(tmp_path):
     _, rows = _read_csv(out)
     assert len(rows) == 4
     assert all(row["result"] == "ok" for row in rows)
+
+
+def test_oracle_rows_are_timed(tmp_path):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--q-list", "5", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert all(float(row["elapsed_ms"]) > 0 for row in rows)
 
 
 def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys):

@@ -9,7 +9,6 @@ from quadprim.ffield import (
     QuadExtField,
     build_field,
     line_class_key,
-    translate_class_key,
 )
 from quadprim.verify import (
     LINE_EXCEPTIONS,
@@ -45,6 +44,9 @@ def test_gamma_set_shape(fields):
         assert len(set(gs.gammas)) == q + 1
         assert fld.one in gs.gammas
         assert all(g != fld.zero for g in gs.gammas)
+        assert all(fld.pow(fld.a, x) == g
+                   for x, g in zip(gs.exponents, gs.gammas, strict=True))
+        assert len({x % (q + 1) for x in gs.exponents}) == q + 1
 
 
 def test_gamma_set_covers_all_slopes(fields):
@@ -106,7 +108,7 @@ def test_translate_property_exhaustive_cross_check(fields):
         for u in fld.elements():
             if fld.in_base_field(u):
                 continue
-            key = translate_class_key(u, fld)
+            key = line_class_key(u, fld.one, fld)
             good = fld.element_order(u) == m // 2
             classes[key] = classes.get(key, False) or good
         all_covered = all(classes.values())
@@ -149,7 +151,7 @@ def test_recheck_rejects_covered_classes(fields):
     fld = fields[43]
     u = fld.mul(fld.a, fld.a)  # order m/2 since gcd(2, m) == 2 here
     assert fld.element_order(u) == fld.m // 2
-    key = translate_class_key(u, fld)
+    key = line_class_key(u, fld.one, fld)
     assert not recheck_translate_witness(fld, key)
     assert not recheck_line_witness(fld, fld.one, key)
 
@@ -220,8 +222,7 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
         monkeypatch.setattr(QuadExtField, name, broken)
     for name in ("fq_exp", "fq_log", "_fq_frame", "fq_layout"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_two_primitive_rows", "_bitmask", "_slope",
-                 "_line_slopes"):
+    for name in ("_cosets", "_two_primitive_rows", "_bitmask", "_line_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))
@@ -252,15 +253,22 @@ def test_frobenius_pairs_slopes_with_equal_covers(fields):
 
 
 def test_fast_line_tests_one_slope_per_frobenius_pair(monkeypatch):
+    # slope 1 is tested by the translate walk, the others by _line_slopes
     tested = []
     line_slopes = verify._line_slopes
+    translate_fast = verify.verify_translate_fast
 
     def recording(fld):
-        for gamma, rho in line_slopes(fld):
+        for gamma, e in line_slopes(fld):
             tested.append(gamma)
-            yield gamma, rho
+            yield gamma, e
+
+    def recording_translate(fld):
+        tested.append(fld.one)
+        return translate_fast(fld)
 
     monkeypatch.setattr(verify, "_line_slopes", recording)
+    monkeypatch.setattr(verify, "verify_translate_fast", recording_translate)
     for q in (27, 81, 125, 169):
         fld = build_field(ctx_for_prime_power(q))
         tested.clear()
