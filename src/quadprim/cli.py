@@ -126,6 +126,8 @@ def _parse_q_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("q list must be comma-separated integers")
     if not values:
         raise argparse.ArgumentTypeError("q list is empty")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError("q list repeats a value")
     for q in values:
         if q > VERIFY_Q_CAP:
             raise argparse.ArgumentTypeError(

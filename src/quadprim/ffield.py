@@ -20,7 +20,6 @@ mod p of indices, and multiplying is addition of discrete logs base b.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, prod
 from operator import mul
 
 from .arith import PrimePowerCtx, factorize
@@ -30,7 +29,6 @@ __all__ = [
     "QuadExtField",
     "build_field",
     "line_class_key",
-    "is_two_primitive_exponent",
     "translate_classes",
 ]
 
@@ -369,8 +367,21 @@ class QuadExtField:
 
     @cached_property
     def fq_exp(self) -> tuple[int, ...]:
-        """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1."""
-        return tuple(self.fq_coords(u)[0] for u in self.base_field_elements()[1:])
+        """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1.
+
+        Digits are coordinates in the basis b**t, so a step multiplies by b
+        in F_p digits: shift them up and fold b**k back in by its digits."""
+        p, k = self.p, self.k
+        bk = self.fq_coords(self.pow(self.a, (self.q + 1) * k))[0]
+        top = [bk // p**t % p for t in range(k)]
+        weights = [p**t for t in range(k)]
+        digits = [1] + [0] * (k - 1)
+        exp = []
+        for _ in range(self.q - 1):
+            exp.append(sum(map(mul, digits, weights)))
+            carry = digits.pop()
+            digits = [(c + carry * t) % p for c, t in zip([0] + digits, top)]
+        return tuple(exp)
 
     @cached_property
     def fq_log(self) -> tuple[int | None, ...]:
@@ -381,41 +392,16 @@ class QuadExtField:
         return tuple(log)
 
     @cached_property
-    def fq_layout(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-        """(place, copies, amount, canon) of fq_shift's periodic row layout:
-        place[s] = sum c_t * (2p)**t for s = sum c_t * p**t; a mask of places
-        times copies is its row (the copies never overlap); amount[r] is
-        sum (p - r_t) * (2p)**t; canon is the mask of the q places."""
-        p, k, place = self.p, self.k, [0]
-        for t in range(k):
-            place = [v + c * (2 * p)**t for c in range(p) for v in place]
-        top = sum(p * (2 * p)**t for t in range(k))
-        copies = prod(1 + (1 << p * (2 * p)**t) for t in range(k))
-        return (tuple(place), copies, tuple(top - v for v in place),
-                sum(1 << v for v in place))
-
-    def fq_shift(self, row: int, r: int) -> int:
-        """Translate a set of F_q digit indices by the index r: member s
-        moves to the digit index of the field sum s + r.
-
-        The set is a row in the periodic layout: member s = sum c_t * p**t
-        sits at bit place[s] and at every copy with some digits c_t raised
-        to c_t + p.  Digit t of s + r is c_t + r_t or c_t + r_t - p, so the
-        right shift by amount[r] moves exactly one copy of s onto the place
-        of s + r; the other copies land on no place, and canon drops them.
-        The result holds the places alone, with no copies."""
-        _, _, amount, canon = self.fq_layout
-        return row >> amount[r] & canon
+    def fq_zech(self) -> tuple[int | None, ...]:
+        """fq_zech[i] is the log base b of 1 + b**i, the Zech logarithm;
+        None at b**i = -1.  Adding 1 raises digit 0 of a digit index mod p."""
+        p, log = self.p, self.fq_log
+        return tuple(log[s - s % p + (s + 1) % p] for s in self.fq_exp)
 
 
 def build_field(ctx: PrimePowerCtx) -> QuadExtField:
     """Construct the quadratic extension for an odd prime power context."""
     return QuadExtField(ctx)
-
-
-def is_two_primitive_exponent(j: int, ctx: PrimePowerCtx) -> bool:
-    """True when a**j has order (q**2 - 1)/2, i.e. gcd(j, q**2 - 1) == 2."""
-    return gcd(j, ctx.q * ctx.q - 1) == 2
 
 
 def translate_classes(fld: QuadExtField) -> dict[FieldElem, FieldElem]:

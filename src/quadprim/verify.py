@@ -17,15 +17,19 @@ Each property ships in two independent flavors that must agree:
   skipped.  The translate property is slope 1 of this loop, and the loop
   never touches the F_q-coordinates of the fast flavor;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
-  There the translate sets are the rows y != 0, and the lines of slope
-  gamma are the affine lines of direction gamma that miss 0.  The line
-  test is the translate test at slope 1; for each other slope it ORs
-  the rows of 2-primitive elements, as bitmasks translated along the
-  direction, until every line is met.  A slope a**x is named by its
-  exponent class x mod q + 1.  The q-power map sigma fixes F_q and the
-  2-primitive set and sends class x to -x, so it maps the lines of slope
-  gamma onto those of slope sigma(gamma): one slope of each pair is
-  tested.
+  There the lines of slope gamma are the affine lines of direction gamma
+  that miss 0, named by their value t != 0 under a linear form: y at
+  slope 1, whose lines are the translate sets, else s + c*y.  The
+  2-primitive elements lie in the cosets a**j * F_q*, and the element
+  b**l * (s, y) of a coset lies on the line t = b**l * r, where r is the
+  form's value at (s, y).  So each coset meets the lines of its flag mask
+  rotated by log r, with log r read off a Zech log table, and a slope is
+  tested by ORing the rotated masks until every line is met.  The line
+  test is this cover at slope 1, the translate test, and then at the
+  other slopes.  A slope a**x is named by its exponent class
+  x mod q + 1.  The q-power map sigma fixes F_q and the 2-primitive set
+  and sends class x to -x, so it maps the lines of slope gamma onto those
+  of slope sigma(gamma): one slope of each pair is tested.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -34,7 +38,7 @@ confirm by direct order computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import tee
 from math import gcd
 from time import perf_counter
 
@@ -125,41 +129,71 @@ def _cosets(fld: QuadExtField):
     """Walk the cosets a**j * F_q* that hold 2-primitive elements.
 
     As q + 1 is even, a**(j + l*(q+1)) has the parity of j, so only the
-    even j < q + 1 matter.  Yields the F_q-coordinates (s, y) of a**j and
-    flags of length q - 1, flags[l] == 1 when a**j * b**l is 2-primitive
-    (b = a**(q+1)); the element then has coordinates b**l * (s, y).  The
-    flags come from a sieve over the even exponents: gcd(2e, q**2 - 1) is
-    2 exactly when e is prime to (q**2 - 1)/2.
+    even j < q + 1 matter.  Flag l of a coset is 1 when a**j * b**l is
+    2-primitive (b = a**(q+1)); the element then has coordinates
+    b**l * (s, y), for the coordinates (s, y) of a**j.  The flags come
+    from a sieve over the even exponents: gcd(2e, q**2 - 1) is 2 exactly
+    when e is prime to (q**2 - 1)/2.  Yields (log s, log y, mask) per coset
+    with a flag set: logs base b, log s None at s = 0 (y != 0, as F_q*
+    holds no 2-primitive element), and the flags as a bitmask held twice,
+    at bits l and l + q - 1, so a rotation is one shift and one mask.
     """
+    n = fld.q - 1
+    log = fld.fq_log
     half = fld.m // 2
     h = (fld.q + 1) // 2
     sieve = bytearray(b"\x01") * half
     for r in fld.ctx.fact_q2m1.primes():
-        sieve[::r] = bytes(len(range(0, half, r)))
+        sieve[::r] = bytearray(len(range(0, half, r)))  # bytes would be copied
     a2 = fld.mul(fld.a, fld.a)
     u = fld.one
     for i in range(h):
-        yield fld.fq_coords(u), sieve[i::h]
+        mask = _bitmask(sieve[i::h])
+        if mask:
+            s, y = fld.fq_coords(u)
+            yield log[s], log[y], mask | mask << n
         u = fld.mul(u, a2)
 
 
-def _two_primitive_rows(fld: QuadExtField) -> list[int]:
-    """rows[y] is the set of the s with s + y*x 2-primitive, as a row in
-    the periodic layout of fld.fq_shift."""
-    q, n = fld.q, fld.q - 1
-    exp, log = fld.fq_exp, fld.fq_log
-    place, copies = fld.fq_layout[:2]
-    span = place[-1] + 1
-    places2 = tuple(place[s] for s in exp) * 2
-    starts2 = tuple(y * span for y in exp) * 2
-    zeros = (0,) * n
-    grid = bytearray(q * span)  # grid[y*span + place[s]]
-    for (s, y), flags in _cosets(fld):
-        ss = places2[log[s]:log[s] + n] if s else zeros
-        ys = starts2[log[y]:log[y] + n] if y else zeros
-        for s_l, y_l in compress(zip(ss, ys), flags):
-            grid[s_l + y_l] = 1
-    return [_bitmask(grid[i:i + span]) * copies for i in range(0, q * span, span)]
+def _lines_met(fld: QuadExtField, cosets, c: int | None) -> int:
+    """The lines of one slope that hold a 2-primitive element, as a mask
+    whose bit i is the line t = b**i.
+
+    The lines are s + c*y = t for the digit index c, or y = t for c None
+    (slope 1).  A coset meets the lines of its mask rotated by log r, for
+    r = s + c*y (r = y at slope 1), and none when r = 0: it then lies on
+    the line through 0.  The Zech table Z gives
+    log(s + c*y) = log s + Z[log c + log y - log s].  Stops once every
+    line is met.
+    """
+    n = fld.q - 1
+    zech = fld.fq_zech
+    lc = None if c is None else fld.fq_log[c]
+    full = (1 << n) - 1
+    met = 0
+    for ls, ly, mask in cosets:
+        if c is None:
+            rot = ly
+        elif lc is None:  # c = 0
+            rot = ls
+        elif ls is None:
+            rot = lc + ly
+        else:
+            z = zech[(lc + ly - ls) % n]
+            rot = None if z is None else ls + z
+        if rot is not None:
+            met |= mask >> n - rot % n & full
+            if met == full:
+                break
+    return met
+
+
+def _unmet_key(fld: QuadExtField, gamma: FieldElem, c: int | None, met: int) -> FieldElem:
+    """The least class key of the lines of slope gamma missing from met,
+    a mask of _lines_met: line t holds (0, t) at slope 1, else (t, 0)."""
+    points = [(0, t) if c is None else (t, 0)
+              for i, t in enumerate(fld.fq_exp) if not met >> i & 1]
+    return min(line_class_key(fld.from_fq_coords(*pt), gamma, fld) for pt in points)
 
 
 # -- the reference cover loop ----------------------------------------------
@@ -211,29 +245,17 @@ def verify_translate_reference(fld: QuadExtField) -> PropertyReport:
 
 
 def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
-    """Row cover test with earliest exit: direction (1, 0) of the line test.
+    """Coset cover test at slope 1, with earliest exit.
 
-    The translate sets are the rows y != 0 of F_q-coordinates.  Rows are
-    tracked by their log base b: a coset a**j * F_q* with y-coordinate
-    y != 0 meets row y * b**l exactly for its flagged l, so the walk ORs in
-    its flag mask rotated by log y and stops once every row is met.
+    The translate sets are the rows y != 0 of F_q-coordinates, the lines
+    of slope 1: a coset meets row y * b**l exactly for its flagged l.
     """
     t0 = perf_counter()
     q, n = fld.q, fld.q - 1
-    log = fld.fq_log
-    full = (1 << n) - 1
-    met = 0
-    for (_, y), flags in _cosets(fld):
-        if y:
-            e, mask = log[y], _bitmask(flags)
-            met |= (mask << e | mask >> (n - e)) & full
-            if met == full:
-                return PropertyReport(q, "translate", True, None, n,
-                                      perf_counter() - t0)
-    missing = [fld.from_fq_coords(0, fld.fq_exp[e]) for e in range(n)
-               if not met >> e & 1]
-    return PropertyReport(q, "translate", False,
-                          min(line_class_key(u, fld.one, fld) for u in missing),
+    met = _lines_met(fld, _cosets(fld), None)
+    if met == (1 << n) - 1:
+        return PropertyReport(q, "translate", True, None, n, perf_counter() - t0)
+    return PropertyReport(q, "translate", False, _unmet_key(fld, fld.one, None, met),
                           met.bit_count(), perf_counter() - t0)
 
 
@@ -255,57 +277,42 @@ def verify_line_reference(fld: QuadExtField) -> PropertyReport:
 
 
 def _line_slopes(fld: QuadExtField):
-    """Yield (gamma, e) in gamma-set order, skipping exponent classes d
-    marked done; e is the log base b of -g_s/g_y, 2*(q - 1) at g_s = 0.
-    Resuming means gamma passed: then d and sigma's class -d are done."""
+    """Yield (gamma, c) in gamma-set order, skipping exponent classes d
+    marked done; c is the digit index of -g_s/g_y for gamma = (g_s, g_y),
+    None for slope 1 (g_y = 0).  Resuming means gamma passed: then d and
+    sigma's class -d are done."""
     q, n = fld.q, fld.q - 1
-    log = fld.fq_log
+    exp, log = fld.fq_exp, fld.fq_log
     gs = build_gamma_set(fld)
-    done = {0}  # slope 1, the translate test
+    done = set()
     for gamma, x in zip(gs.gammas, gs.exponents):
         d = x % (q + 1)
         if d not in done:
-            s, y = fld.fq_coords(gamma)  # y != 0 off class 0
-            # log of c = -s/y, with -1 = b**(n/2)
-            e = (log[s] - log[y] + n // 2) % n if s else 2 * n
-            yield gamma, e
+            s, y = fld.fq_coords(gamma)
+            c = None
+            if y:  # c = -s/y, with -1 = b**(n/2)
+                c = exp[(log[s] - log[y] + n // 2) % n] if s else 0
+            yield gamma, c
             done |= {d, -d % (q + 1)}
 
 
 def verify_line_fast(fld: QuadExtField) -> PropertyReport:
-    """Fast translate test at slope 1, then a row-bitmask cover test per
-    remaining slope, in gamma-set order, earliest exit.
+    """Coset cover test per slope in gamma-set order, which starts with
+    slope 1, earliest exit.
 
-    The lines of slope gamma are the affine lines of direction
-    gamma = (g_s, g_y) that miss 0.  Off slope 1, g_y != 0 and line t is
-    {s + c*y = t} with c = -g_s/g_y, so the lines met are the union over y
-    of rows[y] translated by c*y.  The first gamma that leaves a line
-    t != 0 unmet fails.  A slope whose Frobenius mate passed is skipped.
+    The first gamma that leaves a line t != 0 unmet fails.  A slope whose
+    Frobenius mate passed is skipped.  The cosets are walked once, lazily:
+    each slope replays a copy of one tee iterator, so the walk goes as far
+    as the slope that reads the most cosets.
     """
     t0 = perf_counter()
     q, n = fld.q, fld.q - 1
-    translate = verify_translate_fast(fld)
-    if not translate.holds:
-        return PropertyReport(q, "line", False, (fld.one, translate.witness),
-                              translate.classes_covered, perf_counter() - t0)
-    rows = _two_primitive_rows(fld)
-    exp = fld.fq_exp
-    place, _, amount, canon = fld.fq_layout
-    # amounts[e + l] translates by b**(e + l); the tail translates by 0
-    amounts = tuple(amount[s] for s in exp) * 2 + (amount[0],) * n
-    rows_by_log = [rows[y] for y in exp]
-    for gamma, e in _line_slopes(fld):
-        met = rows[0] & canon
-        for row, r in zip(rows_by_log, amounts[e:e + n]):
-            met |= row >> r & canon
-            if met | 1 == canon:
-                break
-        if met | 1 != canon:
-            missing = [fld.from_fq_coords(t, 0) for t in range(1, q)
-                       if not met >> place[t] & 1]
-            key = min(line_class_key(u, gamma, fld) for u in missing)
-            return PropertyReport(q, "line", False, (gamma, key),
-                                  (met >> 1).bit_count(), perf_counter() - t0)
+    cosets = tee(_cosets(fld), 1)[0]
+    for gamma, c in _line_slopes(fld):
+        met = _lines_met(fld, cosets.__copy__(), c)
+        if met != (1 << n) - 1:
+            return PropertyReport(q, "line", False, (gamma, _unmet_key(fld, gamma, c, met)),
+                                  met.bit_count(), perf_counter() - t0)
     return PropertyReport(q, "line", True, None, n, perf_counter() - t0)
 
 

@@ -14,6 +14,7 @@ check that is exact on the reduced scope.
 import os
 import random
 from functools import lru_cache
+from math import gcd
 
 from quadprim.arith import ctx_for_prime_power, euler_phi, factorize
 from quadprim.charoracle import (
@@ -29,11 +30,7 @@ from quadprim.criteria import (
     scan_interval,
     settle_prime_count_range,
 )
-from quadprim.ffield import (
-    build_field,
-    is_two_primitive_exponent,
-    line_class_key,
-)
+from quadprim.ffield import build_field, line_class_key
 from quadprim.verify import (
     LINE_EXCEPTIONS,
     TRANSLATE_EXCEPTIONS,
@@ -92,7 +89,7 @@ def _two_primitive_by_walk(fld) -> list:
     out = []
     u = fld.mul(fld.a, fld.a)
     for j in range(2, fld.m, 2):
-        if is_two_primitive_exponent(j, fld.ctx):
+        if gcd(j, fld.m) == 2:  # a**j has order (q**2 - 1)/2
             out.append(u)
         u = fld.mul(u, fld.mul(fld.a, fld.a))
     return out

@@ -77,6 +77,7 @@ def test_usage_errors_exit_2():
                  ["verify-line", "--q-list", "15"],
                  ["settle-prime-counts", "1:1"],
                  ["verify-translate", "--q-list", "8209"],
+                 ["verify-translate", "--q-list", "3,3"],
                  ["oracle", "--q-list", "211"],
                  ["oracle", "--q-list", "5", "--tol-sums", "nan"],
                  ["oracle", "--q-list", "5", "--tol-sums", "-1"],

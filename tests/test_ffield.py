@@ -3,13 +3,14 @@ import math
 import pytest
 
 from quadprim.arith import ctx_for_prime_power, euler_phi, factorize
-from quadprim.ffield import (
-    build_field,
-    is_two_primitive_exponent,
-    line_class_key,
-)
+from quadprim.ffield import build_field, line_class_key
 
 SMALL_QS = (3, 5, 7, 9, 11, 13, 25, 27)
+
+
+def is_two_primitive_exponent(j, ctx):
+    """True when a**j has order (q**2 - 1)/2, i.e. gcd(j, q**2 - 1) == 2."""
+    return math.gcd(j, ctx.q * ctx.q - 1) == 2
 
 
 @pytest.fixture(scope="module")
@@ -238,24 +239,18 @@ def test_fq_log_tables(coord_fields):
                               exp[(log[y] + e) % (q - 1)])
 
 
-def test_fq_shift_is_field_addition(coord_fields):
-    # the row of {s} holds bit place[s] and every copy with some digits
-    # c_t of s raised by p; the translate keeps the place of s + r alone
+def test_fq_zech_table(coord_fields):
+    # zech[i] is the log of 1 + b**i, summed by field addition; None exactly
+    # where b**i = -1, i.e. at i = (q - 1)/2
     for q, fld in coord_fields.items():
-        p, k = fld.p, fld.k
-        place, copies = fld.fq_layout[:2]
-        assert len(set(place)) == q
-        for r in range(0, q, 7 if q == 125 else 1):
-            ur = fld.from_fq_coords(r, 0)
-            for s in range(q):
-                row = 1 << place[s]
-                for t in range(k):
-                    row |= row << p * (2 * p)**t
-                assert (1 << place[s]) * copies == row
-                total = fld.add(fld.from_fq_coords(s, 0), ur)
-                assert fld.fq_shift(row, r) == 1 << place[fld.fq_coords(total)[0]]
+        exp, log, zech = fld.fq_exp, fld.fq_log, fld.fq_zech
+        assert len(zech) == q - 1
+        for i in range(q - 1):
+            total = fld.add(fld.one, fld.from_fq_coords(exp[i], 0))
+            assert zech[i] == log[fld.fq_coords(total)[0]], (q, i)
+        assert [i for i, z in enumerate(zech) if z is None] == [(q - 1) // 2]
 
 
 def test_fq_tables_built_on_first_use():
     fld = build_field(ctx_for_prime_power(25))
-    assert not {"_fq_frame", "fq_exp", "fq_log", "fq_layout"} & set(vars(fld))
+    assert not {"_fq_frame", "fq_exp", "fq_log", "fq_zech"} & set(vars(fld))

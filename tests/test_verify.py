@@ -218,11 +218,11 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("reference verifier used the coordinate layer")
 
-    for name in ("fq_coords", "from_fq_coords", "fq_shift"):
+    for name in ("fq_coords", "from_fq_coords"):
         monkeypatch.setattr(QuadExtField, name, broken)
-    for name in ("fq_exp", "fq_log", "_fq_frame", "fq_layout"):
+    for name in ("fq_exp", "fq_log", "fq_zech", "_fq_frame"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_two_primitive_rows", "_bitmask", "_line_slopes"):
+    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_line_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))
@@ -253,31 +253,73 @@ def test_frobenius_pairs_slopes_with_equal_covers(fields):
 
 
 def test_fast_line_tests_one_slope_per_frobenius_pair(monkeypatch):
-    # slope 1 is tested by the translate walk, the others by _line_slopes
+    # _line_slopes yields every tested slope, slope 1 first
     tested = []
     line_slopes = verify._line_slopes
-    translate_fast = verify.verify_translate_fast
 
     def recording(fld):
-        for gamma, e in line_slopes(fld):
+        for gamma, c in line_slopes(fld):
             tested.append(gamma)
-            yield gamma, e
-
-    def recording_translate(fld):
-        tested.append(fld.one)
-        return translate_fast(fld)
+            yield gamma, c
 
     monkeypatch.setattr(verify, "_line_slopes", recording)
-    monkeypatch.setattr(verify, "verify_translate_fast", recording_translate)
     for q in (27, 81, 125, 169):
         fld = build_field(ctx_for_prime_power(q))
         tested.clear()
         assert verify_line_fast(fld).holds, q
+        assert tested[0] == fld.one, q
         assert len(tested) == (q + 3) // 2, q
         # u**(q-1) names the class u * F_q*, i.e. the direction of u
         directions = {fld.pow(u, q - 1) for g in tested
                       for u in (g, fld.frobenius_q(g))}
         assert len(directions) == q + 1, q
+
+
+def test_coset_cover_matches_a_brute_force_walk():
+    # every 2-primitive a**j, by exponent and field arithmetic: at slope
+    # gamma = (g_s, g_y) it lies on the line t = s + c*y, c = -g_s/g_y
+    # (t = y at g_y = 0), and t = 0 is the line through 0; _lines_met on
+    # one coset at a time must give the lines that coset's elements meet
+    for q in (9, 13, 25, 27, 49):
+        fld = build_field(ctx_for_prime_power(q))
+        m = fld.m
+        log = fld.fq_log
+        elem = lambda s: fld.from_fq_coords(s, 0)  # noqa: E731
+        by_coset = {}
+        u = fld.one
+        for j in range(1, m):
+            u = fld.mul(u, fld.a)
+            if gcd(j, m) == 2:
+                by_coset.setdefault(fld.pow(u, q - 1), []).append(fld.fq_coords(u))
+        cosets = {fld.pow(fld.from_fq_coords(0 if ls is None else fld.fq_exp[ls],
+                                             fld.fq_exp[ly]), q - 1): (ls, ly, mask)
+                  for ls, ly, mask in verify._cosets(fld)}
+        assert cosets.keys() == by_coset.keys(), q
+        for gamma in build_gamma_set(fld).gammas:
+            g_s, g_y = fld.fq_coords(gamma)
+            c = None
+            if g_y:
+                c = fld.fq_coords(fld.mul(fld.neg(elem(g_s)), fld.inv(elem(g_y))))[0]
+            invg = fld.inv(gamma)
+            keys = {}
+            lines = set()
+            for key, coords in by_coset.items():
+                met = set()
+                for s, y in coords:
+                    t = y if c is None else fld.fq_coords(
+                        fld.add(elem(s), fld.mul(elem(c), elem(y))))[0]
+                    v = fld.mul(fld.from_fq_coords(s, y), invg)
+                    line_key = fld.sub(fld.frobenius_q(v), v)
+                    assert (t == 0) == (line_key == fld.zero), (q, gamma)
+                    assert keys.setdefault(t, line_key) == line_key, (q, gamma)
+                    if t:
+                        met.add(log[t])
+                mask = verify._lines_met(fld, [cosets[key]], c)
+                assert mask == sum(1 << i for i in met), (q, gamma, key)
+                lines |= met
+            assert len(set(keys.values())) == len(keys), (q, gamma)
+            assert verify._lines_met(fld, cosets.values(), c) == \
+                sum(1 << i for i in lines), (q, gamma)
 
 
 def test_line_scaling_invariance(fields):
