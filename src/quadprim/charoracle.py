@@ -272,13 +272,12 @@ def _direct_line_count(theta: FieldElem, alpha: FieldElem, r: int,
                        fld: QuadExtField) -> int:
     m, one = fld.m, fld.one
     ells = factorize(r).primes()
-    half, quarter = m // 2, m // 4
+    quarter = m // 4  # 8 divides q**2 - 1, so v**2 == u**(m/2) below
     count = 0
     for x in fld.base_field_elements():
         u = fld.mul(alpha, fld.add(theta, x))
-        if fld.pow(u, half) != one:
-            continue
-        if fld.pow(u, quarter) == one:
+        v = fld.pow(u, quarter)
+        if v == one or fld.mul(v, v) != one:
             continue
         if all(fld.pow(u, m // ell) != one for ell in ells):
             count += 1

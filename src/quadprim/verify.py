@@ -9,13 +9,17 @@ alpha from a fixed transversal (the gamma set below) of q + 1 values.
 
 Each property ships in two independent flavors that must agree:
 
-- the reference verifiers share one loop: for a slope gamma it walks
-  exponents in ascending order and files each 2-primitive candidate
-  w = a**j / gamma under its translate class key w**q - w, computed with
-  the field's own Frobenius map.  Key 0 means w lies in F_q, i.e. a**j is
-  on the line through 0, which is not a line of the property, and is
-  skipped.  The translate property is slope 1 of this loop, and the loop
-  never touches the F_q-coordinates of the fast flavor;
+- the reference verifiers share one loop: for a slope gamma it reads the
+  2-primitive elements u = a**j in ascending j and files each candidate
+  w = u / gamma under its translate class key w**q - w.  Key 0 means w
+  lies in F_q, i.e. u is on the line through 0, which is not a line of
+  the property, and is skipped.  The elements come from one walk per
+  field, grown lazily and shared by all slopes: it keeps gcd(j, q**2 - 1)
+  == 2 as its own test, steps from one such j to the next by one
+  multiplication with a cached power a**gap, and stores each u with u**q
+  from the field's own Frobenius map.  With g = 1/gamma the key is then
+  u**q * g**q - u * g.  The translate property is slope 1 of this loop,
+  and the loop never touches the F_q-coordinates of the fast flavor;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
   There the lines of slope gamma are the affine lines of direction gamma
   that miss 0, named by their value t != 0 under a linear form: y at
@@ -199,27 +203,72 @@ def _unmet_key(fld: QuadExtField, gamma: FieldElem, c: int | None, met: int) -> 
 # -- the reference cover loop ----------------------------------------------
 
 
-def _reference_cover(fld: QuadExtField, gamma: FieldElem) -> set[FieldElem]:
+class _TwoPrimitiveWalk:
+    """The 2-primitive elements u = a**j, gcd(j, q**2 - 1) == 2, as pairs
+    (u, u**q) in ascending j, grown only as far as a reader goes.
+
+    pairs holds the walk so far.  Each step multiplies u by a**gap, for
+    the gap between consecutive such j, and each distinct gap's power is
+    computed once by fld.pow and kept in a small dict.
+    """
+
+    def __init__(self, fld: QuadExtField):
+        self.pairs: list[tuple[FieldElem, FieldElem]] = []
+        self._steps = self._walk(fld)
+
+    @staticmethod
+    def _walk(fld: QuadExtField):
+        m, mul, frob = fld.m, fld.mul, fld.frobenius_q
+        gap_powers: dict[int, FieldElem] = {}
+        u, last = fld.one, 0
+        for j in range(2, m, 2):  # m is even, so gcd(j, m) is odd for odd j
+            if gcd(j, m) != 2:
+                continue
+            gap = j - last
+            step = gap_powers.get(gap)
+            if step is None:
+                step = gap_powers[gap] = fld.pow(fld.a, gap)
+            u, last = mul(u, step), j
+            yield u, frob(u)
+
+    def __iter__(self):
+        pairs = self.pairs
+        i = 0
+        while True:
+            if i == len(pairs):
+                pair = next(self._steps, None)
+                if pair is None:
+                    return
+                pairs.append(pair)
+            yield pairs[i]
+            i += 1
+
+
+def _reference_cover(fld: QuadExtField, gamma: FieldElem,
+                     walk: _TwoPrimitiveWalk | None = None) -> set[FieldElem]:
     """Keys of the lines of slope gamma confirmed to hold a 2-primitive element.
 
-    Walks the exponents j with gcd(j, q**2 - 1) == 2 in ascending order and
-    files each candidate w = a**j / gamma under its translate class key
-    w**q - w.  The map u -> u**q - u is F_q-linear with kernel F_q, so two
-    candidates share a key exactly when their difference lies in F_q*, and
-    key 0 marks a**j on the line through 0, which is skipped.  The walk
-    stops at q - 1 keys, all there are.
+    Reads the 2-primitive u = a**j of the walk (a fresh one when None) in
+    ascending j and files each candidate w = u / gamma under its translate
+    class key w**q - w = u**q * g**q - u * g, with g = 1/gamma and g**q
+    computed once per slope; at slope 1 the key is u**q - u.  The map
+    w -> w**q - w is F_q-linear with kernel F_q, so two candidates share a
+    key exactly when their difference lies in F_q*, and key 0 marks u on
+    the line through 0, which is skipped.  The loop stops at q - 1 keys,
+    all there are, so a shared walk grows only as far as the deepest slope
+    reads.
     """
-    q, m, zero = fld.q, fld.m, fld.zero
-    mul, sub, frob = fld.mul, fld.sub, fld.frobenius_q
-    a, invg = fld.a, fld.inv(gamma)
+    q, zero, mul, sub = fld.q, fld.zero, fld.mul, fld.sub
+    if walk is None:
+        walk = _TwoPrimitiveWalk(fld)
+    if gamma == fld.one:
+        keys = (sub(uq, u) for u, uq in walk)
+    else:
+        g = fld.inv(gamma)
+        gq = fld.frobenius_q(g)
+        keys = (sub(mul(uq, gq), mul(u, g)) for u, uq in walk)
     covered: set[FieldElem] = set()
-    u = fld.one
-    for j in range(1, m - 1):
-        u = mul(u, a)
-        if gcd(j, m) != 2:
-            continue
-        w = mul(u, invg)
-        key = sub(frob(w), w)
+    for key in keys:
         if key != zero:
             covered.add(key)
             if len(covered) == q - 1:
@@ -263,12 +312,14 @@ def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
 
 
 def verify_line_reference(fld: QuadExtField) -> PropertyReport:
-    """The reference cover loop over all slopes of the gamma set, in order;
-    the first slope that leaves a line unconfirmed fails."""
+    """The reference cover loop over all slopes of the gamma set, in order,
+    all reading one shared walk; the first slope that leaves a line
+    unconfirmed fails."""
     t0 = perf_counter()
     q = fld.q
+    walk = _TwoPrimitiveWalk(fld)
     for gamma in build_gamma_set(fld).gammas:
-        covered = _reference_cover(fld, gamma)
+        covered = _reference_cover(fld, gamma, walk)
         if len(covered) < q - 1:
             witness = (gamma, min(translate_classes(fld).keys() - covered))
             return PropertyReport(q, "line", False, witness, len(covered),

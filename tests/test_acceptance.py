@@ -2,13 +2,13 @@
 
 One test per headline claim, each printing a single [acceptance] line
 (visible with -s, or in captured output on failure) before asserting.
-The full run takes about a minute and a quarter on one core; its
-largest parts are the reference verifiers that cross-check the fast ones
-(the line reference up to q = 169 in test_c6, about 40 s, and the
-translate reference on all 101 exceptions in test_c3, about 9 s).  Set
-QUADPRIM_SKIP_SLOW=1 to cap line verification at q <= 1021, the line
-cross-check at q <= 81 and to shrink the interval scan, keeping every
-check that is exact on the reduced scope.
+The full run takes under a minute on one core; its largest parts are
+the reference verifiers that cross-check the fast ones (the line
+reference up to q = 311 in test_c6, about 28 s, and the translate
+reference on all 101 exceptions in test_c3, about 3 s).  Set QUADPRIM_SKIP_SLOW=1 to cap
+line verification at q <= 1021, the line cross-check at q <= 169 and to
+shrink the interval scan, keeping every check that is exact on the
+reduced scope.
 """
 
 import os
@@ -47,7 +47,7 @@ SKIP_SLOW = os.environ.get("QUADPRIM_SKIP_SLOW") == "1"
 
 SCAN_HI = (1 << 17) if SKIP_SLOW else (1 << 20)
 LINE_MAX = 1021 if SKIP_SLOW else 3541
-LINE_AGREE_MAX = 81 if SKIP_SLOW else 169
+LINE_AGREE_MAX = 169 if SKIP_SLOW else 311
 
 FULL_SCAN_TOTAL = 82_247
 FULL_SCAN_BASIC_FAILURES = 2_425

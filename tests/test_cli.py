@@ -144,6 +144,23 @@ def test_verify_output_bytes_are_pinned(tmp_path, command, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("command, q_max, count, sha256", [
+    ("verify-translate", 113, 33,
+     "97389737719ec1fd69a3a5ba08f55e0f98680fad8806fd023a51360d1145151b"),
+    ("verify-line", 49, 18,
+     "3efdf954ba071023eff1d95f2c81e0c195b631f0204bada2e85557b68bf8c52a"),
+])
+def test_reference_verify_output_bytes_are_pinned(tmp_path, command, q_max, count, sha256):
+    # digests of the reference verifiers' stable output on the exceptions
+    # up to q_max, ascending: verdicts, witnesses and classes_covered included
+    qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= q_max]
+    assert len(qs) == count
+    out = tmp_path / "verify.csv"
+    assert main([command, "--q-list", ",".join(map(str, qs)), "--mode", "reference",
+                 "--stable-output", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_verify_translate_both_modes(tmp_path):
     out = tmp_path / "vt.csv"
     rc = main(["verify-translate", "--q-list", "3,5", "--mode", "both",

@@ -204,6 +204,40 @@ def test_reference_cover_matches_the_pairwise_walk(fields):
             assert _reference_cover(fld, gamma) == keys, (q, gamma)
 
 
+def test_reference_walk_is_shared_across_slopes(fields, monkeypatch):
+    # the walk lists (a**j, a**(j*q)) over the j with gcd(j, m) == 2 in
+    # ascending order, asking fld.pow once per distinct gap between them;
+    # a cover on a walk grown by other slopes must not depend on that
+    for q in (9, 13, 25, 27):
+        fld = fields[q]
+        m = fld.m
+        exps = [j for j in range(1, m) if gcd(j, m) == 2]
+        expected = [(fld.pow(fld.a, j), fld.pow(fld.a, j * q)) for j in exps]
+        gaps = {j - i for i, j in zip([0] + exps, exps)}
+        pow_calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(fld, "pow", lambda u, e: pow_calls.append(e) or
+                       QuadExtField.pow(fld, u, e))
+            walk = verify._TwoPrimitiveWalk(fld)
+            assert list(walk) == expected == walk.pairs, q
+        assert sorted(pow_calls) == sorted(gaps), q
+
+        gammas = build_gamma_set(fld).gammas
+        walk = verify._TwoPrimitiveWalk(fld)
+        growing = {gamma: _reference_cover(fld, gamma, walk) for gamma in gammas[::-1]}
+        for gamma in gammas:
+            keys = set()
+            for u, _ in expected:
+                key = line_class_key(u, gamma, fld)
+                if key is not None:
+                    keys.add(key)
+                    if len(keys) == q - 1:
+                        break
+            fresh = _reference_cover(fld, gamma)
+            assert _reference_cover(fld, gamma, walk) == fresh == keys, (q, gamma)
+            assert growing[gamma] == fresh, (q, gamma)
+
+
 # (holds, witness, classes_covered) of the reference verifiers, pinned
 REFERENCE_REPORTS = {
     9: ((True, None, 8), (False, ((0, 1, 2, 0), (0, 1, 0, 1)), 4)),
