@@ -15,7 +15,7 @@ with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.
 Exit status is 0 on success, 1 when an expectation or agreement check
-fails, 2 for usage errors.
+fails, 2 for usage errors and an ``--output`` that cannot be opened.
 """
 
 from __future__ import annotations
@@ -80,25 +80,20 @@ def _row(q, p, k, command: str, result: str, detail: str,
     return (q, p, k, command, result, detail, round(elapsed_ms, 3))
 
 
-def _emit(args, rows: list[tuple], summary: dict) -> None:
+def _emit(args, out, rows: list[tuple], summary: dict) -> None:
     if args.stable_output:
         # elapsed_ms is the last cell
         rows = [row[:-1] + (0,) for row in rows]
-    out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
-    try:
-        if args.format == "json":
-            json.dump({"rows": [dict(zip(ROW_FIELDS, row)) for row in rows],
-                       "summary": summary}, out, indent=2, default=str)
-            out.write("\n")
-        else:
-            for key in sorted(summary):
-                out.write(f"# summary: {key}={summary[key]}\n")
-            writer = csv.writer(out)
-            writer.writerow(ROW_FIELDS)
-            writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.format == "json":
+        json.dump({"rows": [dict(zip(ROW_FIELDS, row)) for row in rows],
+                   "summary": summary}, out, indent=2, default=str)
+        out.write("\n")
+    else:
+        for key in sorted(summary):
+            out.write(f"# summary: {key}={summary[key]}\n")
+        writer = csv.writer(out)
+        writer.writerow(ROW_FIELDS)
+        writer.writerows(rows)
 
 
 def _progress(args, message: str) -> None:
@@ -291,11 +286,12 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
         for flavor, verifier in flavors:
             if args.mode not in (flavor, "both"):
                 continue
+            t0 = perf_counter()
             report = verifier(fld)
             outcomes.add(report.holds)
             rows.append(_row(q, fld.p, fld.k, f"verify-{args.prop}:{flavor}",
                              "holds" if report.holds else "fails",
-                             _fmt_witness(report), report.elapsed * 1000.0))
+                             _fmt_witness(report), (perf_counter() - t0) * 1000.0))
         if len(outcomes) != 1:
             problems.append(f"q={q}: reference and fast verifiers disagree")
             continue
@@ -455,8 +451,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    rows, summary, failures = args.handler(args)
-    _emit(args, rows, summary)
+    # opened before the handler runs, so a bad path costs no work
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
+    except OSError as exc:
+        print(f"quadprim: error: cannot write --output {args.output}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        rows, summary, failures = args.handler(args)
+        _emit(args, out, rows, summary)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     for line in failures:
         print(line, file=sys.stderr)
     return 1 if failures else 0

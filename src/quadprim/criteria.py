@@ -224,6 +224,20 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
                                  epsilon_prime=num_prime / den)
 
 
+def _max_prime_count(limit) -> int:
+    """The largest c >= 1 with p_1 * ... * p_c <= limit (so 1 for any
+    limit < 6), compared exactly for an int or Fraction limit: no integer
+    up to limit has more than c distinct prime factors."""
+    primes = first_primes(64)
+    c, primorial = 1, primes[0] * primes[1]
+    while primorial <= limit:
+        c += 1
+        if c == len(primes):
+            primes = first_primes(2 * c)
+        primorial *= primes[c]
+    return c
+
+
 def settle_prime_count_range(t1: int, t2: int) -> bool:
     """Decide whether every q whose m = q**2 - 1 has between t1 and t2
     distinct prime factors satisfies the sieved condition.
@@ -243,16 +257,7 @@ def settle_prime_count_range(t1: int, t2: int) -> bool:
         s += 1
         eps1 -= Fraction(1, ps[t1 - s])
     q1 = (2 * 2 ** (t2 - s) * (Fraction(s - 1) / eps1 + 2)) ** 2
-    limit = q1 * q1 - 1
-    c = 1
-    primes = first_primes(64)
-    primorial = primes[0] * primes[1]
-    while Fraction(primorial) <= limit:
-        c += 1
-        if c + 1 > len(primes):
-            primes = first_primes(2 * len(primes))
-        primorial *= primes[c]
-    return c <= t1
+    return _max_prime_count(q1 * q1 - 1) <= t1
 
 
 # Bound on the square-free divisor constant for a = 8; its true maximum
@@ -290,16 +295,7 @@ def prime_count_cutoff() -> int:
     if not _divisor_bound_holds(_DIVISOR_BOUND):
         raise RuntimeError("divisor bound constant check failed")
     q0 = (2 * _DIVISOR_BOUND) ** 4
-    limit = q0 * q0 - 1
-    primes = first_primes(64)
-    c_max = 1
-    primorial = primes[0]
-    while True:
-        nxt = primorial * primes[c_max]
-        if Fraction(nxt) > limit:
-            break
-        primorial = nxt
-        c_max += 1
+    c_max = _max_prime_count(q0 * q0 - 1)
     if c_max < cutoff:
         raise RuntimeError("prime count ceiling below the cutoff")
     for t in range(cutoff, c_max + 1):

@@ -14,11 +14,12 @@ Each property ships in two independent flavors that must agree:
   w = u / gamma under its translate class key w**q - w.  Key 0 means w
   lies in F_q, i.e. u is on the line through 0, which is not a line of
   the property, and is skipped.  The elements come from one walk per
-  field, grown lazily and shared by all slopes: it keeps gcd(j, q**2 - 1)
-  == 2 as its own test, steps from one such j to the next by one
-  multiplication with a cached power a**gap, and stores each u with u**q
-  from the field's own Frobenius map.  With g = 1/gamma the key is then
-  u**q * g**q - u * g.  The translate property is slope 1 of this loop,
+  field, taken lazily and shared by all slopes through tee copies, as the
+  fast flavor shares its cosets: it keeps gcd(j, q**2 - 1) == 2 as its
+  own test, steps from one such j to the next by one multiplication with
+  a cached power a**gap, and pairs each u with u**q from the field's own
+  Frobenius map.  With g = 1/gamma the key is then u**q * g**q - u * g.
+  The translate property is slope 1 of this loop,
   and the loop never touches the F_q-coordinates of the fast flavor;
 - the fast verifiers work in F_q-coordinates, F_{q**2} = F_q + F_q*x.
   There the lines of slope gamma are the affine lines of direction gamma
@@ -44,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import tee
 from math import gcd
-from time import perf_counter
 
 from .ffield import FieldElem, QuadExtField, line_class_key, translate_classes
 
@@ -92,7 +92,8 @@ class PropertyReport:
     containing no 2-primitive element: a translate class key, or a
     (gamma, class key) pair for lines.  classes_covered counts distinct
     classes confirmed for the property (for a failing line run: for the
-    first failing gamma).  elapsed is wall time in seconds.
+    first failing gamma).  A report is a plain value: two runs on the same
+    field give equal reports.  The caller times the run.
     """
 
     q: int
@@ -100,7 +101,6 @@ class PropertyReport:
     holds: bool
     witness: object | None
     classes_covered: int
-    elapsed: float
 
 
 def build_gamma_set(fld: QuadExtField) -> GammaSet:
@@ -203,64 +203,42 @@ def _unmet_key(fld: QuadExtField, gamma: FieldElem, c: int | None, met: int) -> 
 # -- the reference cover loop ----------------------------------------------
 
 
-class _TwoPrimitiveWalk:
-    """The 2-primitive elements u = a**j, gcd(j, q**2 - 1) == 2, as pairs
-    (u, u**q) in ascending j, grown only as far as a reader goes.
+def _two_primitive_walk(fld: QuadExtField):
+    """Yield the 2-primitive elements u = a**j, gcd(j, q**2 - 1) == 2, as
+    pairs (u, u**q) in ascending j.
 
-    pairs holds the walk so far.  Each step multiplies u by a**gap, for
-    the gap between consecutive such j, and each distinct gap's power is
-    computed once by fld.pow and kept in a small dict.
+    Each step multiplies u by a**gap, for the gap between consecutive such
+    j, and each distinct gap's power is computed once by fld.pow and kept
+    in a small dict.
     """
-
-    def __init__(self, fld: QuadExtField):
-        self.pairs: list[tuple[FieldElem, FieldElem]] = []
-        self._steps = self._walk(fld)
-
-    @staticmethod
-    def _walk(fld: QuadExtField):
-        m, mul, frob = fld.m, fld.mul, fld.frobenius_q
-        gap_powers: dict[int, FieldElem] = {}
-        u, last = fld.one, 0
-        for j in range(2, m, 2):  # m is even, so gcd(j, m) is odd for odd j
-            if gcd(j, m) != 2:
-                continue
-            gap = j - last
-            step = gap_powers.get(gap)
-            if step is None:
-                step = gap_powers[gap] = fld.pow(fld.a, gap)
-            u, last = mul(u, step), j
-            yield u, frob(u)
-
-    def __iter__(self):
-        pairs = self.pairs
-        i = 0
-        while True:
-            if i == len(pairs):
-                pair = next(self._steps, None)
-                if pair is None:
-                    return
-                pairs.append(pair)
-            yield pairs[i]
-            i += 1
+    m, mul, frob = fld.m, fld.mul, fld.frobenius_q
+    gap_powers: dict[int, FieldElem] = {}
+    u, last = fld.one, 0
+    for j in range(2, m, 2):  # m is even, so gcd(j, m) is odd for odd j
+        if gcd(j, m) != 2:
+            continue
+        gap = j - last
+        step = gap_powers.get(gap)
+        if step is None:
+            step = gap_powers[gap] = fld.pow(fld.a, gap)
+        u, last = mul(u, step), j
+        yield u, frob(u)
 
 
-def _reference_cover(fld: QuadExtField, gamma: FieldElem,
-                     walk: _TwoPrimitiveWalk | None = None) -> set[FieldElem]:
+def _reference_cover(fld: QuadExtField, gamma: FieldElem, walk) -> set[FieldElem]:
     """Keys of the lines of slope gamma confirmed to hold a 2-primitive element.
 
-    Reads the 2-primitive u = a**j of the walk (a fresh one when None) in
-    ascending j and files each candidate w = u / gamma under its translate
+    Reads the pairs (u, u**q) of walk, _two_primitive_walk(fld) or a tee
+    copy of it, and files each candidate w = u / gamma under its translate
     class key w**q - w = u**q * g**q - u * g, with g = 1/gamma and g**q
     computed once per slope; at slope 1 the key is u**q - u.  The map
     w -> w**q - w is F_q-linear with kernel F_q, so two candidates share a
     key exactly when their difference lies in F_q*, and key 0 marks u on
     the line through 0, which is skipped.  The loop stops at q - 1 keys,
-    all there are, so a shared walk grows only as far as the deepest slope
-    reads.
+    all there are, so a walk shared by tee copies grows only as far as the
+    deepest slope reads.
     """
     q, zero, mul, sub = fld.q, fld.zero, fld.mul, fld.sub
-    if walk is None:
-        walk = _TwoPrimitiveWalk(fld)
     if gamma == fld.one:
         keys = (sub(uq, u) for u, uq in walk)
     else:
@@ -282,15 +260,12 @@ def _reference_cover(fld: QuadExtField, gamma: FieldElem,
 def verify_translate_reference(fld: QuadExtField) -> PropertyReport:
     """The reference cover loop at slope 1: the translate sets are the
     lines of slope 1."""
-    t0 = perf_counter()
     q = fld.q
-    covered = _reference_cover(fld, fld.one)
+    covered = _reference_cover(fld, fld.one, _two_primitive_walk(fld))
     if len(covered) == q - 1:
-        return PropertyReport(q, "translate", True, None, q - 1,
-                              perf_counter() - t0)
+        return PropertyReport(q, "translate", True, None, q - 1)
     witness = min(translate_classes(fld).keys() - covered)
-    return PropertyReport(q, "translate", False, witness, len(covered),
-                          perf_counter() - t0)
+    return PropertyReport(q, "translate", False, witness, len(covered))
 
 
 def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
@@ -299,32 +274,30 @@ def verify_translate_fast(fld: QuadExtField) -> PropertyReport:
     The translate sets are the rows y != 0 of F_q-coordinates, the lines
     of slope 1: a coset meets row y * b**l exactly for its flagged l.
     """
-    t0 = perf_counter()
     q, n = fld.q, fld.q - 1
     met = _lines_met(fld, _cosets(fld), None)
     if met == (1 << n) - 1:
-        return PropertyReport(q, "translate", True, None, n, perf_counter() - t0)
+        return PropertyReport(q, "translate", True, None, n)
     return PropertyReport(q, "translate", False, _unmet_key(fld, fld.one, None, met),
-                          met.bit_count(), perf_counter() - t0)
+                          met.bit_count())
 
 
 # -- line property ---------------------------------------------------------
 
 
 def verify_line_reference(fld: QuadExtField) -> PropertyReport:
-    """The reference cover loop over all slopes of the gamma set, in order,
-    all reading one shared walk; the first slope that leaves a line
-    unconfirmed fails."""
-    t0 = perf_counter()
+    """The reference cover loop over all slopes of the gamma set, in order;
+    the first slope that leaves a line unconfirmed fails.  The walk is
+    taken once, lazily: each slope replays a copy of one tee iterator, as
+    in verify_line_fast."""
     q = fld.q
-    walk = _TwoPrimitiveWalk(fld)
+    walk = tee(_two_primitive_walk(fld), 1)[0]
     for gamma in build_gamma_set(fld).gammas:
-        covered = _reference_cover(fld, gamma, walk)
+        covered = _reference_cover(fld, gamma, walk.__copy__())
         if len(covered) < q - 1:
             witness = (gamma, min(translate_classes(fld).keys() - covered))
-            return PropertyReport(q, "line", False, witness, len(covered),
-                                  perf_counter() - t0)
-    return PropertyReport(q, "line", True, None, q - 1, perf_counter() - t0)
+            return PropertyReport(q, "line", False, witness, len(covered))
+    return PropertyReport(q, "line", True, None, q - 1)
 
 
 def _line_slopes(fld: QuadExtField):
@@ -356,15 +329,14 @@ def verify_line_fast(fld: QuadExtField) -> PropertyReport:
     each slope replays a copy of one tee iterator, so the walk goes as far
     as the slope that reads the most cosets.
     """
-    t0 = perf_counter()
     q, n = fld.q, fld.q - 1
     cosets = tee(_cosets(fld), 1)[0]
     for gamma, c in _line_slopes(fld):
         met = _lines_met(fld, cosets.__copy__(), c)
         if met != (1 << n) - 1:
             return PropertyReport(q, "line", False, (gamma, _unmet_key(fld, gamma, c, met)),
-                                  met.bit_count(), perf_counter() - t0)
-    return PropertyReport(q, "line", True, None, n, perf_counter() - t0)
+                                  met.bit_count())
+    return PropertyReport(q, "line", True, None, n)
 
 
 # -- dumb witness re-checkers ----------------------------------------------

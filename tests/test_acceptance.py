@@ -2,10 +2,10 @@
 
 One test per headline claim, each printing a single [acceptance] line
 (visible with -s, or in captured output on failure) before asserting.
-The full run takes under a minute on one core; its largest parts are
+The full run takes about a minute on one core; its largest parts are
 the reference verifiers that cross-check the fast ones (the line
-reference up to q = 311 in test_c6, about 28 s, and the translate
-reference on all 101 exceptions in test_c3, about 3 s).  Set QUADPRIM_SKIP_SLOW=1 to cap
+reference up to q = 311 in test_c6, about 30 s, and the translate
+reference on all 101 exceptions in test_c3, about 4 s).  Set QUADPRIM_SKIP_SLOW=1 to cap
 line verification at q <= 1021, the line cross-check at q <= 169 and to
 shrink the interval scan, keeping every check that is exact on the
 reduced scope.
@@ -58,10 +58,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}{tail}", flush=True)
     assert ok, f"{name}{tail}"
-
-
-def _outcome(rep) -> tuple:
-    return rep.holds, rep.witness, rep.classes_covered
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +138,7 @@ def test_c3_translate_verification():
     for q in sorted(SCAN_EXCEPTIONS):
         ref = verify_translate_reference(_field(q))
         fast = reports[q]
-        if _outcome(ref) != _outcome(fast):
+        if ref != fast:
             mismatches.append(q)
     ok = ok and not mismatches
     _report("translate-verification", ok,
@@ -235,7 +231,7 @@ def test_c6_structural_properties():
             continue
         ref = verify_line_reference(_field(q))
         fast = _line_reports()[q]
-        if _outcome(ref) != _outcome(fast):
+        if ref != fast:
             ok = False
             notes.append(f"line agreement q={q}")
 

@@ -265,6 +265,32 @@ def test_oracle_rows_are_timed(tmp_path):
     assert all(float(row["elapsed_ms"]) > 0 for row in rows)
 
 
+def test_verify_rows_are_timed(tmp_path):
+    # the verifiers keep no clocks: the CLI times each call
+    for prop in ("translate", "line"):
+        out = tmp_path / f"{prop}.csv"
+        assert main([f"verify-{prop}", "--q-list", "5,9", "--mode", "both",
+                     "--output", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 4
+        assert all(float(row["elapsed_ms"]) > 0 for row in rows)
+
+
+def test_unwritable_output_exits_2_before_the_handler(tmp_path, capsys, monkeypatch):
+    def unreachable(args):
+        raise AssertionError("handler ran despite an unwritable --output")
+
+    monkeypatch.setattr("quadprim.cli._cmd_verify", unreachable)
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["verify-line", "--q-list", "3", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("quadprim: error:"), lines
+        assert str(path) in lines[0]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys):
     out = tmp_path / "oracle.csv"
     rc = main(["oracle", "--q-list", "5", "--tol-sums", "1e-20",

@@ -12,6 +12,7 @@ from quadprim.arith import (
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
     _divisor_bound_holds,
+    _max_prime_count,
     CriterionVerdict,
     SieveDecomposition,
     Stage,
@@ -148,6 +149,16 @@ def test_settle_prime_count_range():
     assert not settle_prime_count_range(2, 2)
     for t in range(14, 23):
         assert settle_prime_count_range(t, t)
+
+
+def test_max_prime_count_is_the_primorial_count():
+    # the largest c >= 1 with p_1 ... p_c <= limit; 6, 30 and 210 are the
+    # primorials, so each boundary pair separates <= from <
+    pairs = {1: 1, 5: 1, 6: 2, 29: 2, 30: 3, 209: 3, 210: 4, Fraction(419, 2): 3}
+    assert {limit: _max_prime_count(limit) for limit in pairs} == pairs
+    # the one count behind both callers: settling holds exactly from 10 on
+    assert [t for t in range(2, 41) if settle_prime_count_range(t, t)] == \
+        list(range(10, 41))
 
 
 def test_settle_rejects_bad_input():
