@@ -7,28 +7,32 @@ data every later stage needs.  Everything here is exact integer
 arithmetic; the only real-valued result is ``w_bound_constant``.
 
 Enumeration takes its primes from a segmented sieve and never re-tests
-them.  ``_odd_prime_powers`` owns the prime powers of an interval and two
-sources for the even numbers n = q - 1 and q + 1, both read from tables
-indexed up to (hi + 1) / 2, which bounds the odd part and the half n / 2
-of every such n:
+them.  ``_odd_prime_powers`` owns the prime powers of an interval, which
+it yields lazily in ascending order, and two sources for the even
+numbers n = q - 1 and q + 1, both read from tables indexed up to
+(hi + 1) / 2, which bounds the odd part and the half n / 2 of every
+such n:
 
 - a factor source, from a smallest-prime-factor table of the odd
   numbers up to there;
 - a count source for the number of distinct odd primes of n, from a
   count table: one byte per n / 2, raised by one slice increment per
-  odd prime, built on the source's first call, so a caller that never
-  asks for counts never pays for it.
+  odd prime, built on its first use, so a caller that never asks for
+  counts never pays for it.  The scan reads the table itself.
 
 Both tables stop at ``_FACTOR_TABLE_CAP``, so their memory stays
 bounded; beyond it both sources go through ``factorize``.
 ``enumerate_odd_prime_powers`` reads the factor source; the scan in
 ``criteria`` reads the counts for every q and factor lists only for the
-q whose basic inequality fails.
+q whose basic inequality fails.  Besides the two tables,
+``_odd_prime_powers`` holds only the higher prime powers, about
+sqrt(hi) of them, never a list of the interval's primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, log
 from typing import Callable, Iterator, Sequence
@@ -429,42 +433,81 @@ def _odd_prime_counts(base: int, top: int) -> bytearray:
     return out
 
 
+def _merge_powers(primes: Iterator[int], powers: list[tuple[int, int, int]]
+                  ) -> Iterator[tuple[int, int, int]]:
+    """(v, v, 1) for the ascending primes v, with the sorted triples of
+    ``powers`` merged in.  ``heapq.merge`` does the same at nearly twice
+    the cost over [3, 2**20]: it compares triples and re-heaps after
+    every item, where this compares each prime with one int, the next
+    power."""
+    rest = iter(powers)
+    nxt = next(rest, None)
+    for v in primes:
+        while nxt is not None and nxt[0] < v:
+            yield nxt
+            nxt = next(rest, None)
+        yield v, v, 1
+    if nxt is not None:
+        yield nxt
+        yield from rest
+
+
+class _OddPrimeCounts:
+    """Count source for the even n = q - 1 and q + 1 of an interval.
+
+    Calling it with such an n gives the number of distinct odd primes of n,
+    ``len(factorize(n).factors) - 1``.  ``table`` is the count table of the
+    n / 2 from ``base`` up to ``top`` (byte i for n / 2 = base + i), built
+    on its first use; beyond ``top`` the call goes through ``factorize``.
+    """
+
+    def __init__(self, base: int, top: int) -> None:
+        self.base, self.top = base, top
+
+    @cached_property
+    def table(self) -> bytearray:
+        return _odd_prime_counts(self.base, self.top)
+
+    def __call__(self, n: int) -> int:
+        # n is even and n / 2 >= base
+        if n >> 1 <= self.top:
+            return self.table[(n >> 1) - self.base]
+        return len(factorize(n).factors) - 1
+
+
 def _odd_prime_powers(lo: int, hi: int) -> tuple[
-        list[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]],
-        Callable[[int], int]]:
+        Iterator[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]],
+        _OddPrimeCounts]:
     """The odd prime powers in [lo, hi] and two sources for q +- 1.
 
-    Returns the triples (q, p, k) with q = p**k, ascending in q, a factor
-    source mapping n = q - 1 or q + 1 to ``factorize(n).factors`` and a
-    count source mapping such n to its number of distinct odd primes,
-    ``len(factorize(n).factors) - 1``.  The primes come from a sieve,
-    which proves them, so they are not tested again.  The odd part and
-    the half n / 2 of every such n are at most (hi + 1) / 2.  The factor
-    source reads one smallest-prime-factor table of the odd numbers up to
-    there, and the count source one count table of the n / 2 from
-    (lo - 1) / 2 up to there, built on its first call; both tables are
-    capped at ``_FACTOR_TABLE_CAP``, and both sources call ``factorize``
-    beyond it.
+    Returns the triples (q, p, k) with q = p**k, ascending in q and taken
+    lazily, a factor source mapping n = q - 1 or q + 1 to
+    ``factorize(n).factors`` and a count source (``_OddPrimeCounts``).
+    The primes come from a segmented sieve, which proves them, so they
+    are not tested again; the few higher powers are sorted up front and
+    merged in (``_merge_powers``).  The odd part and the half n / 2 of
+    every such n are at most (hi + 1) / 2.  The factor source reads one
+    smallest-prime-factor table of the odd numbers up to there, and the
+    count source one count table of the n / 2 from (lo - 1) / 2 up to
+    there, built on its first use; both tables are capped at
+    ``_FACTOR_TABLE_CAP``, and both sources call ``factorize`` beyond it.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
-    entries: list[tuple[int, int, int]] = [(v, v, 1) for v in _odd_primes_in_range(lo, hi)]
-    for p in primes_upto(isqrt(hi)):
-        if p == 2:
-            continue
+    powers = []
+    for p in primes_upto(isqrt(hi))[1:]:
         value, k = p * p, 2
         while value <= hi:
             if value >= lo:
-                entries.append((value, p, k))
+                powers.append((value, p, k))
             value *= p
             k += 1
-    entries.sort()
+    powers.sort()
+    entries = _merge_powers(_odd_primes_in_range(lo, hi), powers)
     top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
     if (lo + 1) >> 1 > top:
         top = 0  # every q of the call is beyond the cap: no tables
     table, primes = _odd_factor_table(top)
-    base = (lo - 1) >> 1
-    count_table = None
 
     def factors(n: int) -> Sequence[tuple[int, int]]:
         # n is even, so its odd part is at most n / 2
@@ -472,16 +515,7 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
             return _table_factors(n, table, primes)
         return factorize(n).factors
 
-    def count(n: int) -> int:
-        # n is even and n / 2 >= base
-        nonlocal count_table
-        if n >> 1 <= top:
-            if count_table is None:  # built on the first use
-                count_table = _odd_prime_counts(base, top)
-            return count_table[(n >> 1) - base]
-        return len(factorize(n).factors) - 1
-
-    return entries, factors, count
+    return entries, factors, _OddPrimeCounts((lo - 1) >> 1, top)
 
 
 def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:

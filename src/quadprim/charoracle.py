@@ -302,14 +302,23 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
     # discrete logs of the q line elements, computed once
     logs = [tbl[fld.index_of(fld.mul(alpha, fld.add(theta, x)))]
             for x in fld.base_field_elements()]
-    quartet = ((0, 1.0), (m // 2, 1.0), (m // 4, -1.0), (3 * m // 4, -1.0))
+    # chi_t times the quartet's characters chi_s, s = m/2, m/4, 3m/4, at
+    # a**e is roots[(t*e + s*e) % m]; the offsets s*e are fixed per log
+    offsets = [(e, m // 2 * e % m, m // 4 * e % m, 3 * m // 4 * e % m) for e in logs]
     total = 0j
     for d, mu in _squarefree_divisors(r):
         coeff = mu / euler_phi(factorize(d))
         for chi in characters_of_order(d, fld):
-            for s, sign in quartet:
-                t = (chi.t + s) % m
-                total += coeff * sign * sum(roots[(t * e) % m] for e in logs)
+            t = chi.t
+            s0 = s1 = s2 = s3 = 0
+            for e, o1, o2, o3 in offsets:
+                te = t * e
+                s0 += roots[te % m]
+                s1 += roots[(te + o1) % m]
+                s2 += roots[(te + o2) % m]
+                s3 += roots[(te + o3) % m]
+            for sign, s in zip((1.0, 1.0, -1.0, -1.0), (s0, s1, s2, s3)):
+                total += coeff * sign * s
     theta_r = euler_phi(factorize(r)) / r
     return LineTargetCount(fld.q, r, direct, (theta_r / 4.0) * total)
 

@@ -13,7 +13,9 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 ``--progress`` notes; ``main`` emits the rows with a fixed schema (CSV
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
-``ROW_FIELDS`` order; only JSON output turns them into objects.
+``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
+hands its rows over as a generator, so CSV output formats and writes one
+row at a time.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails, 2 for usage errors and an ``--output`` that cannot be opened.
 """
@@ -26,8 +28,9 @@ import json
 import os
 import sys
 from time import perf_counter
+from typing import Iterable, Iterator
 
-from .arith import ctx_for_prime_power
+from .arith import _FACTOR_TABLE_CAP, ctx_for_prime_power
 from .charoracle import ORACLE_Q_CAP, survey_line_identities, survey_translate_sums
 from .criteria import (
     SCAN_EXCEPTIONS,
@@ -49,9 +52,14 @@ from .verify import (
 
 ROW_FIELDS = ("q", "p", "k", "command", "result", "detail", "elapsed_ms")
 
-# Largest q of --q-list: the fast verifiers' sieve takes (q**2 - 1)/2
-# bytes, under 34 MB at the cap; the largest scan exception is 3541.
+# Largest q of --q-list, above the largest scan exception, 3541: the
+# reference verifiers read up to (q**2 - 1)/2 elements per slope.
 VERIFY_Q_CAP = 8192
+
+# Largest HI of --range and --scan-hi: the scan's count table covers
+# q + 1 up to twice its cap, and beyond it every q costs two factorize
+# calls; the full interval ends at 2**20.
+SCAN_Q_CAP = 2 * _FACTOR_TABLE_CAP - 1
 
 # Facts the scan over the full interval [3, 2**20] must reproduce.
 FULL_SCAN_LO = 3
@@ -80,10 +88,10 @@ def _row(q, p, k, command: str, result: str, detail: str,
     return (q, p, k, command, result, detail, round(elapsed_ms, 3))
 
 
-def _emit(args, out, rows: list[tuple], summary: dict) -> None:
+def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
     if args.stable_output:
         # elapsed_ms is the last cell
-        rows = [row[:-1] + (0,) for row in rows]
+        rows = (row[:-1] + (0,) for row in rows)
     if args.format == "json":
         json.dump({"rows": [dict(zip(ROW_FIELDS, row)) for row in rows],
                    "summary": summary}, out, indent=2, default=str)
@@ -109,6 +117,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("range must look like LO:HI")
     if not 3 <= lo <= hi:
         raise argparse.ArgumentTypeError("range must satisfy 3 <= LO <= HI")
+    if hi > SCAN_Q_CAP:
+        raise argparse.ArgumentTypeError(f"HI must be at most {SCAN_Q_CAP}, got {hi}")
     return lo, hi
 
 
@@ -165,6 +175,13 @@ def _parse_at_least_3(text: str) -> int:
     return n
 
 
+def _parse_scan_hi(text: str) -> int:
+    n = _parse_at_least_3(text)
+    if n > SCAN_Q_CAP:
+        raise argparse.ArgumentTypeError(f"value must be at most {SCAN_Q_CAP}")
+    return n
+
+
 def _parse_threads(text: str) -> int:
     try:
         n = int(text)
@@ -178,43 +195,45 @@ def _parse_threads(text: str) -> int:
 # -- scan -------------------------------------------------------------------
 
 
-def _scan_rows(lo: int, hi: int, args) -> tuple[list[tuple], dict, list[int]]:
+def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]]:
+    """Rows, summary and exception list of one scan call.
+
+    The rows are a generator over the verdicts, so each is formatted only
+    as it is written.  Every row carries an equal share of the scan call's
+    time.
+    """
+    t0 = perf_counter()
+    # One call for the whole interval: scan_interval builds its count
+    # table once per call, so splitting the interval repeats that work.
+    verdicts = scan_interval(lo, hi)
+    elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(len(verdicts), 1), 3)
+    _progress(args, f"scan: finished q <= {hi} ({len(verdicts)} prime powers)")
     # Stage members hash and read .value in Python code, so the basic
     # passes, 97% of the full interval, take a branch that does neither.
     basic, basic_value = Stage.BASIC_PASS, Stage.BASIC_PASS.value
-    rows: list[tuple] = []
+    failures = [v for v in verdicts if v.stage is not basic]  # ascending in q
     counts = {stage: 0 for stage in Stage if stage is not basic}
-    largest_basic_failure = 0
-    exceptions: list[int] = []
-    # One call for the whole interval: scan_interval builds its count
-    # table once per call, so splitting the interval repeats that work.
-    for q, stage, _, margin, p, k in scan_interval(lo, hi):
-        if stage is basic:
-            value = basic_value
-        else:
-            counts[stage] += 1
-            value = stage.value
-            largest_basic_failure = q  # the verdicts ascend in q
-            if stage is Stage.EXCEPTION:
-                exceptions.append(q)
-        rows.append((q, p, k, "scan", value, f"{margin:.6g}", 0.0))
-    _progress(args, f"scan: finished q <= {hi} ({len(rows)} prime powers)")
-    total = len(rows)
-    basic_failures = sum(counts.values())
+    for v in failures:
+        counts[v.stage] += 1
+    exceptions = [v.q for v in failures if v.stage is Stage.EXCEPTION]
+    rows = ((q, p, k, "scan", basic_value if stage is basic else stage.value,
+             f"{margin:.6g}", elapsed_ms)
+            for q, stage, _, margin, p, k in verdicts)
+    total = len(verdicts)
     summary = {
         "total": total,
-        "basic_pass": total - basic_failures,
-        "basic_failures": basic_failures,
+        "basic_pass": total - len(failures),
+        "basic_failures": len(failures),
         "sieve_pass": counts[Stage.SIEVE_PASS],
         "exceptions": counts[Stage.EXCEPTION],
         "eliminated_by_prime_count": counts[Stage.ELIMINATED_BY_PRIME_COUNT],
-        "largest_basic_failure": largest_basic_failure,
+        "largest_basic_failure": failures[-1].q if failures else 0,
         "largest_exception": max(exceptions) if exceptions else 0,
     }
     return rows, summary, exceptions
 
 
-def _cmd_scan(args) -> tuple[list[tuple], dict, list[str]]:
+def _cmd_scan(args) -> tuple[Iterable[tuple], dict, list[str]]:
     lo, hi = args.range
     rows, summary, exceptions = _scan_rows(lo, hi, args)
     problems = []
@@ -406,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="staged criteria over a q interval")
     p_scan.add_argument("--range", type=_parse_range,
                         default=(FULL_SCAN_LO, FULL_SCAN_HI),
-                        help="interval LO:HI (default 3:1048576)")
+                        help=f"interval LO:HI with HI <= {SCAN_Q_CAP} "
+                             f"(default 3:1048576)")
     p_scan.add_argument("--expect-known", action="store_true",
                         help="fail unless the known scan facts are reproduced")
     p_scan.set_defaults(handler=_cmd_scan)
@@ -441,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("reproduce-all", parents=[common],
                            help="run every phase with known expectations")
-    p_all.add_argument("--scan-hi", type=_parse_at_least_3, default=FULL_SCAN_HI)
+    p_all.add_argument("--scan-hi", type=_parse_scan_hi, default=FULL_SCAN_HI)
     p_all.add_argument("--translate-max", type=_parse_at_least_3, default=3541)
     p_all.add_argument("--line-max", type=_parse_at_least_3, default=3541)
     p_all.set_defaults(handler=_cmd_reproduce)

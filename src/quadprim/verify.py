@@ -135,27 +135,36 @@ def _cosets(fld: QuadExtField):
     As q + 1 is even, a**(j + l*(q+1)) has the parity of j, so only the
     even j < q + 1 matter.  Flag l of a coset is 1 when a**j * b**l is
     2-primitive (b = a**(q+1)); the element then has coordinates
-    b**l * (s, y), for the coordinates (s, y) of a**j.  The flags come
-    from a sieve over the even exponents: gcd(2e, q**2 - 1) is 2 exactly
-    when e is prime to (q**2 - 1)/2.  Yields (log s, log y, mask) per coset
-    with a flag set: logs base b, log s None at s = 0 (y != 0, as F_q*
-    holds no 2-primitive element), and the flags as a bitmask held twice,
-    at bits l and l + q - 1, so a rotation is one shift and one mask.
+    b**l * (s, y), for the coordinates (s, y) of a**j.  With j = 2i and
+    h = (q + 1)/2 the element is a**(2e) for e = i + l*h, and
+    gcd(2e, q**2 - 1) is 2 exactly when no prime r of (q**2 - 1)/2
+    divides e.  So each coset's q - 1 flags are sieved as the walk reaches
+    it: a prime r of h rules out the whole coset when it divides i, and
+    any other r the l = -i/h (mod r).  Yields (log s, log y, mask) per
+    coset with a flag set: logs base b, log s None at s = 0 (y != 0, as
+    F_q* holds no 2-primitive element), and the flags as a bitmask held
+    twice, at bits l and l + q - 1, so a rotation is one shift and one
+    mask.
     """
     n = fld.q - 1
     log = fld.fq_log
-    half = fld.m // 2
     h = (fld.q + 1) // 2
-    sieve = bytearray(b"\x01") * half
-    for r in fld.ctx.fact_q2m1.primes():
-        sieve[::r] = bytearray(len(range(0, half, r)))  # bytes would be copied
+    primes = fld.ctx.fact_q2m1.primes()
+    of_h = [r for r in primes if h % r == 0]
+    # (r, -1/h mod r) for the other primes: coset i drops l = i * that
+    others = [(r, -pow(h, -1, r) % r) for r in primes if h % r]
     a2 = fld.mul(fld.a, fld.a)
     u = fld.one
     for i in range(h):
-        mask = _bitmask(sieve[i::h])
-        if mask:
-            s, y = fld.fq_coords(u)
-            yield log[s], log[y], mask | mask << n
+        if all(i % r for r in of_h):
+            flags = bytearray(b"\x01") * n
+            for r, step in others:
+                start = i * step % r
+                flags[start::r] = bytes(len(range(start, n, r)))
+            mask = _bitmask(flags)
+            if mask:
+                s, y = fld.fq_coords(u)
+                yield log[s], log[y], mask | mask << n
         u = fld.mul(u, a2)
 
 

@@ -9,11 +9,12 @@ import csv
 import hashlib
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from quadprim.arith import ctx_for_prime_power
-from quadprim.cli import _build_parser, _scan_rows, main
+from quadprim.arith import _FACTOR_TABLE_CAP, ctx_for_prime_power
+from quadprim.cli import SCAN_Q_CAP, _build_parser, _scan_rows, main
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
 
@@ -73,6 +74,8 @@ def test_scan_json_format(tmp_path):
 def test_usage_errors_exit_2():
     for argv in (["scan", "--range", "50:3"],
                  ["scan", "--range", "abc"],
+                 ["scan", "--range", f"3:{SCAN_Q_CAP + 1}"],
+                 ["scan", "--range", "3:99999999999999"],
                  ["verify-translate", "--q-list", "4,5"],
                  ["verify-line", "--q-list", "15"],
                  ["settle-prime-counts", "1:1"],
@@ -83,6 +86,7 @@ def test_usage_errors_exit_2():
                  ["oracle", "--q-list", "5", "--tol-sums", "-1"],
                  ["oracle", "--q-list", "5", "--tol-identity", "inf"],
                  ["reproduce-all", "--scan-hi", "2"],
+                 ["reproduce-all", "--scan-hi", str(SCAN_Q_CAP + 1)],
                  ["reproduce-all", "--translate-max", "0", "--line-max", "0"],
                  ["reproduce-all", "--line-max", "2"],
                  ["reproduce-all", "--translate-max", "x"]):
@@ -108,10 +112,47 @@ def test_scan_runs_without_a_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     parser = _build_parser()
-    two = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "2"]))
-    one = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "1"]))
-    assert two == one
-    assert len(one[0]) == one[1]["total"] > 6_000
+    rows_two, *rest_two = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "2"]))
+    rows_one, *rest_one = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "1"]))
+    # the rows are a generator; elapsed_ms, their last cell, times each call
+    rows_one = [row[:-1] for row in rows_one]
+    assert [row[:-1] for row in rows_two] == rows_one
+    assert rest_two == rest_one
+    assert len(rows_one) == rest_one[0]["total"] > 6_000
+
+
+def test_scan_cap_is_the_count_table_coverage():
+    # the count table holds the halves n / 2 up to _FACTOR_TABLE_CAP, so
+    # n = q + 1 of the largest q it covers is twice that; the cap is a
+    # valid HI
+    assert SCAN_Q_CAP + 1 == 2 * _FACTOR_TABLE_CAP and SCAN_Q_CAP == 5_255_279
+    args = _build_parser().parse_args(["scan", "--range", f"{SCAN_Q_CAP}:{SCAN_Q_CAP}"])
+    assert args.range == (SCAN_Q_CAP, SCAN_Q_CAP)
+
+
+def test_scan_streams_its_rows(tmp_path):
+    # neither the prime powers nor the formatted rows are held as lists:
+    # on a quarter of the full interval the traced peak stays near the
+    # verdict list's 4.7-5.0 MB, where the two lists add 3 MB more
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--range", "3:262144", "--stable-output",
+                     "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_500_000, peak
+
+
+def test_scan_rows_are_timed(tmp_path):
+    # each row carries an equal share of the scan call's time
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--range", "3:5000", "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 699
+    assert len({row["elapsed_ms"] for row in rows}) == 1
+    assert float(rows[0]["elapsed_ms"]) > 0
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -119,6 +160,8 @@ def test_scan_runs_without_a_pool(monkeypatch):
      "4352aa01209c8522fa2d16b332cdb51eecab6bd765073c4450e55037dc23d91f"),
     (["scan", "--range", "3:5000", "--format", "json", "--stable-output"],
      "8de0078f6364250fbaaaccd58acf925593e444c43411cdd70a066bf257e5acc7"),
+    (["scan", "--expect-known", "--stable-output"],
+     "f8dab7cff925e305a4646567aed48f634617c6546cd33edb2e0328f6a46dec6a"),
 ])
 def test_scan_output_bytes_are_pinned(tmp_path, argv, sha256):
     # digests of the stable scan output, row format and margins included
@@ -256,6 +299,16 @@ def test_oracle_passes_at_default_tolerance(tmp_path):
     _, rows = _read_csv(out)
     assert len(rows) == 4
     assert all(row["result"] == "ok" for row in rows)
+
+
+def test_oracle_output_bytes_are_pinned(tmp_path):
+    # digest of the stable oracle output on the benchmark's fields: both
+    # surveys' deviations, to the printed digits
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--q-list", "5,7,9,11,13,17,19,23", "--stable-output",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "41b2ae207bec12df97c61910eeeb8b6bf6572bd5656a00b0a22723ee5f577b0d"
 
 
 def test_oracle_rows_are_timed(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,11 @@ from quadprim.arith import (
 )
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
+    _basic_passes,
+    _basic_threshold,
     _divisor_bound_holds,
     _max_prime_count,
+    _positive,
     CriterionVerdict,
     SieveDecomposition,
     Stage,
@@ -44,6 +48,71 @@ def test_basic_condition_small_values():
     ctx = ctx_for_prime_power(4561)
     ok, margin = basic_condition(ctx, ctx.rprime, r1_of(ctx, ctx.rprime))
     assert ok and margin > 0
+
+
+def _sign_decimal(A, B, q):
+    # sign of A + B * sqrt(q) at 60 digits: exact for a square q, and no
+    # A, B, q below compares within 1e-40 of zero otherwise
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value = Decimal(A) + Decimal(B) * Decimal(q).sqrt()
+    assert value == 0 or abs(value) > Decimal("1e-40")
+    return value > 0
+
+
+def test_positive_is_the_sign_of_a_plus_b_sqrt_q():
+    for q in range(0, 40):
+        for A in range(-13, 14):
+            for B in range(-7, 8):
+                assert _positive(A, B, q) == _sign_decimal(A, B, q), (A, B, q)
+
+
+def _scan_classes():
+    # the classes (e, a, b) of the q in [3, 2**20]: e as in the basic
+    # inequality, a and b the odd prime counts of q - 1 and q + 1
+    entries, _, count = arith._odd_prime_powers(3, 1 << 20)
+    return {(2 if q % 4 == 1 else 1, count(q - 1), count(q + 1)) for q, _, _ in entries}
+
+
+def test_basic_thresholds_are_exact_for_every_scan_class():
+    classes = _scan_classes()
+    assert len(classes) == 59
+    for e, a, b in classes:
+        w_r, w_r1 = 1 << (a + b), 1 << b
+        t = _basic_threshold(e, w_r, w_r1)
+        assert t >= 1
+        around = (t - 1, t, t + 1)
+        assert [_basic_passes(q, e, w_r, w_r1) for q in around] == \
+            [False, True, True], (e, a, b)
+        assert [_sign_decimal(e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r), q)
+                for q in around] == [False, True, True], (e, a, b)
+
+
+def test_sieve_condition_is_exact():
+    # the integer form of the sieved inequality has the sign of its
+    # rational form, (q + 1) - rhs with epsilon and epsilon' as Fractions,
+    # for every decomposition of the basic failures up to 60,000
+    seen = 0
+    for ctx in _basic_failure_contexts(3, 60_000):
+        q = ctx.q
+        e = 2 if q % 4 == 1 else 1
+        for dec in greedy_decompose(ctx):
+            eps = Fraction(1) - sum(Fraction(1, p) for p in dec.sieve_primes)
+            eps1 = Fraction(1) - sum(Fraction(1, p) for p in dec.sieve_primes
+                                     if (q + 1) % p == 0)
+            w_k, w_k1 = (1 << sum(1 for p, _ in ctx.fact_q2m1.factors if n % p == 0)
+                         for n in (dec.kk, dec.k1))
+            f_k = (dec.s - 1) / eps + 2
+            f_k1 = (dec.r - 1 + eps1) / eps + 1
+            # q + 1 > 4 * (w_k * f_k * sqrt(q) - w_k1 * f_k1 * (sqrt(q) - 1) / e),
+            # times the common denominator of its rational coefficients
+            c0 = q + 1 - 4 * w_k1 * f_k1 / e
+            c1 = 4 * w_k1 * f_k1 / e - 4 * w_k * f_k
+            den = math.lcm(c0.denominator, c1.denominator)
+            holds = _sign_decimal(int(c0 * den), int(c1 * den), q)
+            assert sieve_condition(ctx, dec)[0] == holds, (q, dec)
+            seen += 1
+    assert seen > 1_000
 
 
 def test_r1_of():
