@@ -17,8 +17,8 @@ such n:
   numbers up to there;
 - a count source for the number of distinct odd primes of n, from a
   count table: one byte per n / 2, raised by one slice increment per
-  odd prime, built on its first use, so a caller that never asks for
-  counts never pays for it.  The scan reads the table itself.
+  odd prime, built on the source's first call, so a caller that never
+  asks for counts never pays for it.
 
 Both tables stop at ``_FACTOR_TABLE_CAP``, so their memory stays
 bounded; beyond it both sources go through ``factorize``.
@@ -32,7 +32,7 @@ sqrt(hi) of them, never a list of the interval's primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from heapq import merge
 from itertools import compress
 from math import gcd, isqrt, log
 from typing import Callable, Iterator, Sequence
@@ -433,64 +433,23 @@ def _odd_prime_counts(base: int, top: int) -> bytearray:
     return out
 
 
-def _merge_powers(primes: Iterator[int], powers: list[tuple[int, int, int]]
-                  ) -> Iterator[tuple[int, int, int]]:
-    """(v, v, 1) for the ascending primes v, with the sorted triples of
-    ``powers`` merged in.  ``heapq.merge`` does the same at nearly twice
-    the cost over [3, 2**20]: it compares triples and re-heaps after
-    every item, where this compares each prime with one int, the next
-    power."""
-    rest = iter(powers)
-    nxt = next(rest, None)
-    for v in primes:
-        while nxt is not None and nxt[0] < v:
-            yield nxt
-            nxt = next(rest, None)
-        yield v, v, 1
-    if nxt is not None:
-        yield nxt
-        yield from rest
-
-
-class _OddPrimeCounts:
-    """Count source for the even n = q - 1 and q + 1 of an interval.
-
-    Calling it with such an n gives the number of distinct odd primes of n,
-    ``len(factorize(n).factors) - 1``.  ``table`` is the count table of the
-    n / 2 from ``base`` up to ``top`` (byte i for n / 2 = base + i), built
-    on its first use; beyond ``top`` the call goes through ``factorize``.
-    """
-
-    def __init__(self, base: int, top: int) -> None:
-        self.base, self.top = base, top
-
-    @cached_property
-    def table(self) -> bytearray:
-        return _odd_prime_counts(self.base, self.top)
-
-    def __call__(self, n: int) -> int:
-        # n is even and n / 2 >= base
-        if n >> 1 <= self.top:
-            return self.table[(n >> 1) - self.base]
-        return len(factorize(n).factors) - 1
-
-
 def _odd_prime_powers(lo: int, hi: int) -> tuple[
         Iterator[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]],
-        _OddPrimeCounts]:
+        Callable[[int], int]]:
     """The odd prime powers in [lo, hi] and two sources for q +- 1.
 
     Returns the triples (q, p, k) with q = p**k, ascending in q and taken
     lazily, a factor source mapping n = q - 1 or q + 1 to
-    ``factorize(n).factors`` and a count source (``_OddPrimeCounts``).
+    ``factorize(n).factors`` and a count source mapping such n to its
+    number of distinct odd primes, ``len(factorize(n).factors) - 1``.
     The primes come from a segmented sieve, which proves them, so they
     are not tested again; the few higher powers are sorted up front and
-    merged in (``_merge_powers``).  The odd part and the half n / 2 of
-    every such n are at most (hi + 1) / 2.  The factor source reads one
-    smallest-prime-factor table of the odd numbers up to there, and the
-    count source one count table of the n / 2 from (lo - 1) / 2 up to
-    there, built on its first use; both tables are capped at
-    ``_FACTOR_TABLE_CAP``, and both sources call ``factorize`` beyond it.
+    merged in.  The odd part and the half n / 2 of every such n are at
+    most (hi + 1) / 2.  The factor source reads one smallest-prime-factor
+    table of the odd numbers up to there, and the count source one count
+    table of the n / 2 from (lo - 1) / 2 up to there, built on its first
+    call; both tables are capped at ``_FACTOR_TABLE_CAP``, and both
+    sources call ``factorize`` beyond it.
     """
     if not 3 <= lo <= hi:
         raise ValueError("range must satisfy 3 <= lo <= hi")
@@ -503,11 +462,13 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
             value *= p
             k += 1
     powers.sort()
-    entries = _merge_powers(_odd_primes_in_range(lo, hi), powers)
+    entries = merge(((v, v, 1) for v in _odd_primes_in_range(lo, hi)), powers)
     top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
     if (lo + 1) >> 1 > top:
         top = 0  # every q of the call is beyond the cap: no tables
     table, primes = _odd_factor_table(top)
+    base = (lo - 1) >> 1
+    count_table = None
 
     def factors(n: int) -> Sequence[tuple[int, int]]:
         # n is even, so its odd part is at most n / 2
@@ -515,7 +476,16 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
             return _table_factors(n, table, primes)
         return factorize(n).factors
 
-    return entries, factors, _OddPrimeCounts((lo - 1) >> 1, top)
+    def count(n: int) -> int:
+        # n is even and n / 2 >= base
+        nonlocal count_table
+        if n >> 1 <= top:
+            if count_table is None:  # built on the first use
+                count_table = _odd_prime_counts(base, top)
+            return count_table[(n >> 1) - base]
+        return len(factorize(n).factors) - 1
+
+    return entries, factors, count
 
 
 def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:

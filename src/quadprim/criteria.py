@@ -28,9 +28,7 @@ No float decides a verdict.  Both inequalities, multiplied through by
 their positive denominators, take the form A + B * sqrt(q) > 0 with
 integers A and B, and ``_positive`` decides that sign exactly from the
 signs of A and B and, when they differ, by comparing A**2 with B**2 * q.
-For the basic stage of the scan this reduces to one comparison per q
-with a threshold computed once per class (``_basic_threshold``).  The
-margin (q + 1) - rhs of a verdict is a double: it reports how far q
+The margin (q + 1) - rhs of a verdict is a double: it reports how far q
 clears or misses the inequality and decides nothing.
 """
 
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, prod, sqrt
+from math import inf, sqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
@@ -94,8 +92,11 @@ class SieveDecomposition:
     sieve_primes  the moved primes, in the order they were moved
     k1            part of kk dividing q + 1
     r             number of sieve primes dividing q + 1
-    epsilon       1 - sum(1/p_i) over all sieve primes (positive)
-    epsilon_prime 1 - sum(1/p_i) over sieve primes dividing q + 1
+    den           product of the sieve primes
+    num           den * epsilon, epsilon = 1 - sum(1/p_i) over all sieve
+                  primes (positive)
+    num_prime     den * epsilon', epsilon' = 1 - sum(1/p_i) over sieve
+                  primes dividing q + 1
     """
 
     kk: int
@@ -103,8 +104,17 @@ class SieveDecomposition:
     sieve_primes: tuple[int, ...]
     s: int
     r: int
-    epsilon: float
-    epsilon_prime: float
+    num: int
+    num_prime: int
+    den: int
+
+    @property
+    def epsilon(self) -> float:
+        return self.num / self.den
+
+    @property
+    def epsilon_prime(self) -> float:
+        return self.num_prime / self.den
 
 
 class CriterionVerdict(NamedTuple):
@@ -156,87 +166,54 @@ def r1_of(ctx: PrimePowerCtx, R: int) -> int:
 def basic_condition(ctx: PrimePowerCtx, R: int, R1: int) -> tuple[bool, float]:
     """Evaluate the basic inequality for a square-free divisor R of R'.
 
-    Returns (holds, margin): holds is decided exactly
-    (``_basic_passes``), margin = (q+1) - rhs in floating point.
-    Shrinking R can only help, so the strongest sufficient statement uses
-    R = R'.
+    Returns (holds, margin) with margin = (q+1) - rhs.  Shrinking R can
+    only help, so the strongest sufficient statement uses R = R'.
     """
     q = ctx.q
     if q % 2 == 0:
         raise ValueError("q must be odd")
     if R < 1 or ctx.rprime % R:
         raise ValueError("R must divide the odd radical of q**2 - 1")
-    w_r = 1 << _count_prime_divisors(ctx, R)
-    w_r1 = 1 << _count_prime_divisors(ctx, R1)
-    e = 2 if q % 4 == 1 else 1
-    return _basic_passes(q, e, w_r, w_r1), _basic_margin(q, w_r, w_r1)
+    return _basic_holds(q, 1 << _count_prime_divisors(ctx, R),
+                        1 << _count_prime_divisors(ctx, R1))
 
 
-def _basic_passes(q: int, e: int, w_r: int, w_r1: int) -> bool:
-    # The basic inequality given e, W(R) = w_r and W(R1) = w_r1, times e:
-    # A + B * sqrt(q) > 0.
-    return _positive(e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r), q)
-
-
-def _basic_margin(q: int, w_r: int, w_r1: int) -> float:
-    # (q + 1) - rhs of the basic inequality for odd q, for the detail cell
+def _basic_holds(q: int, w_r: int, w_r1: int) -> tuple[bool, float]:
+    # The basic inequality for odd q, given W(R) = w_r and W(R1) = w_r1.
+    # Times e it is A + B * sqrt(q) > 0, decided exactly; the margin is
+    # the floating-point (q + 1) - rhs.
     sq = sqrt(q)
     if q % 4 == 1:
+        e = 2
         rhs = 4.0 * (w_r * sq - w_r1 * (sq - 1.0) / 2.0)
     else:
+        e = 1
         rhs = 4.0 * (w_r * sq - w_r1 * (sq - 1.0))
-    return float(q + 1) - rhs
-
-
-def _basic_threshold(e: int, w_r: int, w_r1: int) -> int:
-    """Least q >= 0 with ``_basic_passes(q, e, w_r, w_r1)``.
-
-    Times e, the basic inequality is A + B * sqrt(q) > 0 with
-    A = e * (q + 1) - 4 * w_r1 and B = 4 * (w_r1 - e * w_r): a quadratic
-    in sqrt(q) with positive leading coefficient e and constant term
-    e - 4 * w_r1 < 0 (as e <= 2 and w_r1 >= 1), so it fails at q = 0 and
-    holds exactly from its one positive root on.  The least q is found by
-    bisection over the exact sign test.
-    """
-    low, high = 0, 1  # fails at low; double high until it passes
-    while not _basic_passes(high, e, w_r, w_r1):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if _basic_passes(mid, e, w_r, w_r1):
-            high = mid
-        else:
-            low = mid
-    return high
+    return (_positive(e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r), q),
+            float(q + 1) - rhs)
 
 
 def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, float]:
     """Evaluate the sieved inequality for one decomposition of R'.
 
-    With epsilon = num / den and epsilon' = num' / den over the product
-    den of the sieve primes, the inequality times e * num is
+    With epsilon = num / den and epsilon' = num' / den as the
+    decomposition carries them, the inequality times e * num is
     A + B * sqrt(q) > 0 for the integers
     A = e * num * (q + 1) - 4 * W(k1) * Y and
     B = 4 * W(k1) * Y - 4 * e * W(kk) * X, where
     X = (s - 1) * den + 2 * num and Y = (r - 1) * den + num' + num; it is
-    decided exactly.  W(kk) = 2**(a + b - s) and W(k1) = 2**(b - r), with
-    a + b the odd primes of q**2 - 1 and b those of q + 1.  The margin is
-    the floating-point (q + 1) - rhs.
+    decided exactly.  The margin is the floating-point (q + 1) - rhs.
     """
     q = ctx.q
-    qp1 = q + 1
-    den = prod(dec.sieve_primes)
-    num = den - sum(den // p for p in dec.sieve_primes)
-    num_prime = den - sum(den // p for p in dec.sieve_primes if qp1 % p == 0)
+    num, den = dec.num, dec.den
     if num <= 0:
         raise ValueError("decomposition must have positive epsilon")
-    b = sum(1 for p, _ in ctx.fact_q2m1.factors if p != 2 and qp1 % p == 0)
-    w_k = 1 << (ctx.t_q - 1 - dec.s)  # t_q - 1 = a + b, the odd primes
-    w_k1 = 1 << (b - dec.r)
+    w_k = 1 << _count_prime_divisors(ctx, dec.kk)
+    w_k1 = 1 << _count_prime_divisors(ctx, dec.k1)
     e = 2 if q % 4 == 1 else 1
     x = (dec.s - 1) * den + 2 * num
-    y = (dec.r - 1) * den + num_prime + num
-    holds = _positive(e * num * qp1 - 4 * w_k1 * y,
+    y = (dec.r - 1) * den + dec.num_prime + num
+    holds = _positive(e * num * (q + 1) - 4 * w_k1 * y,
                       4 * w_k1 * y - 4 * e * w_k * x, q)
     sq = sqrt(q)
     factor_k = (dec.s - 1) / dec.epsilon + 2.0
@@ -260,14 +237,14 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     primes_desc = [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
     if not primes_desc:
         yield SieveDecomposition(kk=1, k1=1, sieve_primes=(), s=0, r=0,
-                                 epsilon=1.0, epsilon_prime=1.0)
+                                 num=1, num_prime=1, den=1)
         return
     sieve: tuple[int, ...] = ()
     kk = ctx.rprime
     k1 = r1_of(ctx, kk)
     r = 0
     # epsilon and epsilon' are num/den and num_prime/den, with den the
-    # product of the moved primes; int division rounds correctly
+    # product of the moved primes
     num = num_prime = den = 1
     for p in primes_desc:
         if num * p - den <= 0:
@@ -281,8 +258,7 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
             r += 1
         den *= p
         yield SieveDecomposition(kk=kk, k1=k1, sieve_primes=sieve, s=len(sieve),
-                                 r=r, epsilon=num / den,
-                                 epsilon_prime=num_prime / den)
+                                 r=r, num=num, num_prime=num_prime, den=den)
 
 
 def _max_prime_count(limit) -> int:
@@ -389,38 +365,23 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
     the basic stage is decided from the odd prime counts a of q - 1 and b
-    of q + 1 alone, read from the count table that ``_odd_prime_powers``
-    builds once for the whole interval: q passes exactly when
-    q >= T(e, a, b), the ``_basic_threshold`` of its class (e as in the
-    inequality, W(R') = 2**(a + b), W(R1) = 2**b), computed once per
-    class that occurs.  Only the q the basic stage does not pass get
-    their two factor lists and a ``PrimePowerCtx``.  The prime powers are
-    read as a stream, so the verdicts are the one list the scan holds.
+    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read from the
+    count table that ``_odd_prime_powers`` builds once for the whole
+    interval.  Only the q the basic stage does not pass get their two
+    factor lists and a ``PrimePowerCtx``.  The prime powers are read as a
+    stream, so the verdicts are the one list the scan holds.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
     """
     entries, factors, count = _odd_prime_powers(lo, hi)
-    table, base = count.table, count.base
-    # q - 1 and q + 1 are bytes i and i + 1 of the table, i = (q - 1)/2 - base
-    last = len(table) - 2
     cutoff = prime_count_cutoff()
-    thresholds: dict[tuple[int, int, int], int] = {}
     verdicts = []
     for q, p, k in entries:
-        i = (q >> 1) - base
-        if i <= last:
-            a, b = table[i], table[i + 1]
-        else:
-            a, b = count(q - 1), count(q + 1)
+        a, b = count(q - 1), count(q + 1)
         if a + b + 1 < cutoff:
-            e = 2 if q % 4 == 1 else 1
-            w_r, w_r1 = 1 << (a + b), 1 << b
-            t = thresholds.get((e, a, b))
-            if t is None:
-                t = thresholds[e, a, b] = _basic_threshold(e, w_r, w_r1)
-            if q >= t:
-                verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None,
-                                                 _basic_margin(q, w_r, w_r1), p, k))
+            ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
+            if ok:
+                verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
                 continue
         verdicts.append(classify_prime_power(
             _ctx(p, k, q, factors(q - 1), factors(q + 1))))

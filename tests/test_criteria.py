@@ -12,8 +12,6 @@ from quadprim.arith import (
 )
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
-    _basic_passes,
-    _basic_threshold,
     _divisor_bound_holds,
     _max_prime_count,
     _positive,
@@ -65,27 +63,6 @@ def test_positive_is_the_sign_of_a_plus_b_sqrt_q():
         for A in range(-13, 14):
             for B in range(-7, 8):
                 assert _positive(A, B, q) == _sign_decimal(A, B, q), (A, B, q)
-
-
-def _scan_classes():
-    # the classes (e, a, b) of the q in [3, 2**20]: e as in the basic
-    # inequality, a and b the odd prime counts of q - 1 and q + 1
-    entries, _, count = arith._odd_prime_powers(3, 1 << 20)
-    return {(2 if q % 4 == 1 else 1, count(q - 1), count(q + 1)) for q, _, _ in entries}
-
-
-def test_basic_thresholds_are_exact_for_every_scan_class():
-    classes = _scan_classes()
-    assert len(classes) == 59
-    for e, a, b in classes:
-        w_r, w_r1 = 1 << (a + b), 1 << b
-        t = _basic_threshold(e, w_r, w_r1)
-        assert t >= 1
-        around = (t - 1, t, t + 1)
-        assert [_basic_passes(q, e, w_r, w_r1) for q in around] == \
-            [False, True, True], (e, a, b)
-        assert [_sign_decimal(e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r), q)
-                for q in around] == [False, True, True], (e, a, b)
 
 
 def test_sieve_condition_is_exact():
