@@ -6,27 +6,13 @@ bound, and enumeration of odd prime powers together with the derived
 data every later stage needs.  Everything here is exact integer
 arithmetic; the only real-valued result is ``w_bound_constant``.
 
-Enumeration takes its primes from a segmented sieve and never re-tests
-them.  ``_odd_prime_powers`` owns the prime powers of an interval, which
-it yields lazily in ascending order, and two sources for the even
-numbers n = q - 1 and q + 1, both read from tables indexed up to
-(hi + 1) / 2, which bounds the odd part and the half n / 2 of every
-such n:
-
-- a factor source, from a smallest-prime-factor table of the odd
-  numbers up to there;
-- a count source for the number of distinct odd primes of n, from a
-  count table: one byte per n / 2, raised by one slice increment per
-  odd prime, built on the source's first call, so a caller that never
-  asks for counts never pays for it.
-
-Both tables stop at ``_FACTOR_TABLE_CAP``, so their memory stays
-bounded; beyond it both sources go through ``factorize``.
-``enumerate_odd_prime_powers`` reads the factor source; the scan in
-``criteria`` reads the counts for every q and factor lists only for the
-q whose basic inequality fails.  Besides the two tables,
-``_odd_prime_powers`` holds only the higher prime powers, about
-sqrt(hi) of them, never a list of the interval's primes.
+``_odd_prime_powers`` streams the odd prime powers of an interval up to
+``SCAN_Q_CAP``, taking the primes from a segmented sieve without
+re-testing them, and returns two sources for the even numbers
+n = q - 1 and q + 1: their factor lists, read from a smallest-prime-factor
+table of the odd numbers, and their counts of distinct odd primes, read
+from a count table of the halves n / 2.  Both tables end at
+``_FACTOR_TABLE_CAP``, which bounds their memory and sets the cap.
 """
 
 from __future__ import annotations
@@ -39,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "TRIAL_DIVISION_BOUND",
+    "SCAN_Q_CAP",
     "Factorization",
     "PrimePowerCtx",
     "is_prime",
@@ -51,7 +38,6 @@ __all__ = [
     "product_factorization",
     "prime_power_ctx",
     "ctx_for_prime_power",
-    "enumerate_odd_prime_powers",
     "primes_upto",
     "first_primes",
 ]
@@ -70,6 +56,12 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # below 1621; there are 255 of them, and they hold the smallest factor of
 # every odd composite below 1621**2.
 _FACTOR_TABLE_CAP = 1621**2 - 1
+
+# Largest q of ``_odd_prime_powers``: n = q + 1 of every q up to here has
+# its half in both tables.  q**2 - 1 <= SCAN_Q_CAP**2 - 1 has at most 12
+# distinct primes, below the prime-count cutoff of 14 in ``criteria``, so
+# no q the scan meets is settled by its prime count.
+SCAN_Q_CAP = 2 * _FACTOR_TABLE_CAP - 1
 
 # Byte map adding one to a count.  No count exceeds 6, since the product
 # of the first seven odd primes, 4849845, already exceeds the cap.
@@ -445,14 +437,12 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
     The primes come from a segmented sieve, which proves them, so they
     are not tested again; the few higher powers are sorted up front and
     merged in.  The odd part and the half n / 2 of every such n are at
-    most (hi + 1) / 2.  The factor source reads one smallest-prime-factor
-    table of the odd numbers up to there, and the count source one count
-    table of the n / 2 from (lo - 1) / 2 up to there, built on its first
-    call; both tables are capped at ``_FACTOR_TABLE_CAP``, and both
-    sources call ``factorize`` beyond it.
+    most (hi + 1) / 2, so the factor source reads the smallest-prime-factor
+    table of the odd numbers up to there, and the count source the count
+    table of the n / 2 from (lo - 1) / 2 up to there.
     """
-    if not 3 <= lo <= hi:
-        raise ValueError("range must satisfy 3 <= lo <= hi")
+    if not 3 <= lo <= hi <= SCAN_Q_CAP:
+        raise ValueError(f"range must satisfy 3 <= lo <= hi <= {SCAN_Q_CAP}")
     powers = []
     for p in primes_upto(isqrt(hi))[1:]:
         value, k = p * p, 2
@@ -463,37 +453,15 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
             k += 1
     powers.sort()
     entries = merge(((v, v, 1) for v in _odd_primes_in_range(lo, hi)), powers)
-    top = min((hi + 1) >> 1, _FACTOR_TABLE_CAP)
-    if (lo + 1) >> 1 > top:
-        top = 0  # every q of the call is beyond the cap: no tables
+    top = (hi + 1) >> 1
     table, primes = _odd_factor_table(top)
     base = (lo - 1) >> 1
-    count_table = None
+    count_table = _odd_prime_counts(base, top)
 
     def factors(n: int) -> Sequence[tuple[int, int]]:
-        # n is even, so its odd part is at most n / 2
-        if n >> 1 <= top:
-            return _table_factors(n, table, primes)
-        return factorize(n).factors
+        return _table_factors(n, table, primes)
 
     def count(n: int) -> int:
-        # n is even and n / 2 >= base
-        nonlocal count_table
-        if n >> 1 <= top:
-            if count_table is None:  # built on the first use
-                count_table = _odd_prime_counts(base, top)
-            return count_table[(n >> 1) - base]
-        return len(factorize(n).factors) - 1
+        return count_table[(n >> 1) - base]
 
     return entries, factors, count
-
-
-def enumerate_odd_prime_powers(lo: int, hi: int) -> list[PrimePowerCtx]:
-    """Contexts for every odd prime power in [lo, hi], ascending in q.
-
-    Below ``_FACTOR_TABLE_CAP`` neither ``is_prime`` nor ``factorize``
-    runs (see ``_odd_prime_powers``).  The result equals
-    ``[prime_power_ctx(p, k) ...]`` over the same prime powers.
-    """
-    entries, factors, _ = _odd_prime_powers(lo, hi)
-    return [_ctx(p, k, q, factors(q - 1), factors(q + 1)) for q, p, k in entries]

@@ -14,10 +14,11 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
-hands its rows over as a generator, so CSV output formats and writes one
-row at a time.
+hands its rows over as a generator, so both formats write one row at a
+time.
 Exit status is 0 on success, 1 when an expectation or agreement check
-fails, 2 for usage errors and an ``--output`` that cannot be opened.
+fails or the reader closes the output pipe early, 2 for usage errors and
+an ``--output`` that cannot be opened.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .arith import _FACTOR_TABLE_CAP, ctx_for_prime_power
+from .arith import SCAN_Q_CAP, ctx_for_prime_power
 from .charoracle import ORACLE_Q_CAP, survey_line_identities, survey_translate_sums
 from .criteria import (
     SCAN_EXCEPTIONS,
@@ -56,10 +57,10 @@ ROW_FIELDS = ("q", "p", "k", "command", "result", "detail", "elapsed_ms")
 # reference verifiers read up to (q**2 - 1)/2 elements per slope.
 VERIFY_Q_CAP = 8192
 
-# Largest HI of --range and --scan-hi: the scan's count table covers
-# q + 1 up to twice its cap, and beyond it every q costs two factorize
-# calls; the full interval ends at 2**20.
-SCAN_Q_CAP = 2 * _FACTOR_TABLE_CAP - 1
+# Largest T1 and T2 of settle-prime-counts: the primorial of the first 27
+# primes already exceeds 2**128, and the cost grows about a hundredfold
+# for each tenfold T2.
+SETTLE_T_CAP = 64
 
 # Facts the scan over the full interval [3, 2**20] must reproduce.
 FULL_SCAN_LO = 3
@@ -93,9 +94,16 @@ def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
         # elapsed_ms is the last cell
         rows = (row[:-1] + (0,) for row in rows)
     if args.format == "json":
-        json.dump({"rows": [dict(zip(ROW_FIELDS, row)) for row in rows],
-                   "summary": summary}, out, indent=2, default=str)
-        out.write("\n")
+        # the bytes of json.dump(..., indent=2), written one row at a time
+        out.write('{\n  "rows": [')
+        sep = "\n    "
+        for row in rows:
+            out.write(sep + json.dumps(dict(zip(ROW_FIELDS, row)), indent=2,
+                                       default=str).replace("\n", "\n    "))
+            sep = ",\n    "
+        out.write("]" if sep == "\n    " else "\n  ]")  # "[]" without rows
+        out.write(',\n  "summary": ' + json.dumps(summary, indent=2, default=str)
+                  .replace("\n", "\n  ") + "\n}\n")
     else:
         for key in sorted(summary):
             out.write(f"# summary: {key}={summary[key]}\n")
@@ -281,8 +289,9 @@ def _parse_pair(text: str) -> tuple[int, int]:
         t1, t2 = int(t1_s), int(t2_s)
     except ValueError:
         raise argparse.ArgumentTypeError("pair must look like T1:T2")
-    if not 2 <= t1 <= t2:
-        raise argparse.ArgumentTypeError("pair must satisfy 2 <= T1 <= T2")
+    if not 2 <= t1 <= t2 <= SETTLE_T_CAP:
+        raise argparse.ArgumentTypeError(
+            f"pair must satisfy 2 <= T1 <= T2 <= {SETTLE_T_CAP}")
     return t1, t2
 
 
@@ -435,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="exact-rational prime-count settling")
     p_settle.add_argument("pairs", nargs="*", type=_parse_pair,
                           default=[(11, 13), (10, 10), (2, 2)],
-                          help="T1:T2 pairs (default: 11:13 10:10 2:2)")
+                          help=f"T1:T2 pairs with T2 <= {SETTLE_T_CAP} "
+                               f"(default: 11:13 10:10 2:2)")
     p_settle.set_defaults(handler=_cmd_settle)
 
     for prop, exceptions in (("translate", TRANSLATE_EXCEPTIONS),
@@ -481,6 +491,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rows, summary, failures = args.handler(args)
         _emit(args, out, rows, summary)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  As the signal module's docs advise,
+        # the rest goes to devnull, so no later flush raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     finally:
         if out is not sys.stdout:
             out.close()

@@ -28,8 +28,9 @@ No float decides a verdict.  Both inequalities, multiplied through by
 their positive denominators, take the form A + B * sqrt(q) > 0 with
 integers A and B, and ``_positive`` decides that sign exactly from the
 signs of A and B and, when they differ, by comparing A**2 with B**2 * q.
-The margin (q + 1) - rhs of a verdict is a double: it reports how far q
-clears or misses the inequality and decides nothing.
+The margin of a verdict is the double (A + B * sqrt(q)) divided by that
+denominator, that is (q + 1) - rhs: it reports how far q clears or misses
+the inequality and decides nothing.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class SieveDecomposition:
                   primes (positive)
     num_prime     den * epsilon', epsilon' = 1 - sum(1/p_i) over sieve
                   primes dividing q + 1
+
+    epsilon and epsilon' are the fractions num / den and num_prime / den.
     """
 
     kk: int
@@ -107,14 +110,6 @@ class SieveDecomposition:
     num: int
     num_prime: int
     den: int
-
-    @property
-    def epsilon(self) -> float:
-        return self.num / self.den
-
-    @property
-    def epsilon_prime(self) -> float:
-        return self.num_prime / self.den
 
 
 class CriterionVerdict(NamedTuple):
@@ -181,16 +176,10 @@ def basic_condition(ctx: PrimePowerCtx, R: int, R1: int) -> tuple[bool, float]:
 def _basic_holds(q: int, w_r: int, w_r1: int) -> tuple[bool, float]:
     # The basic inequality for odd q, given W(R) = w_r and W(R1) = w_r1.
     # Times e it is A + B * sqrt(q) > 0, decided exactly; the margin is
-    # the floating-point (q + 1) - rhs.
-    sq = sqrt(q)
-    if q % 4 == 1:
-        e = 2
-        rhs = 4.0 * (w_r * sq - w_r1 * (sq - 1.0) / 2.0)
-    else:
-        e = 1
-        rhs = 4.0 * (w_r * sq - w_r1 * (sq - 1.0))
-    return (_positive(e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r), q),
-            float(q + 1) - rhs)
+    # that sum over e.
+    e = 2 if q % 4 == 1 else 1
+    A, B = e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r)
+    return _positive(A, B, q), (A + B * sqrt(q)) / e
 
 
 def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, float]:
@@ -202,7 +191,7 @@ def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, 
     A = e * num * (q + 1) - 4 * W(k1) * Y and
     B = 4 * W(k1) * Y - 4 * e * W(kk) * X, where
     X = (s - 1) * den + 2 * num and Y = (r - 1) * den + num' + num; it is
-    decided exactly.  The margin is the floating-point (q + 1) - rhs.
+    decided exactly.  The margin is that sum over e * num.
     """
     q = ctx.q
     num, den = dec.num, dec.den
@@ -213,14 +202,9 @@ def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, 
     e = 2 if q % 4 == 1 else 1
     x = (dec.s - 1) * den + 2 * num
     y = (dec.r - 1) * den + dec.num_prime + num
-    holds = _positive(e * num * (q + 1) - 4 * w_k1 * y,
-                      4 * w_k1 * y - 4 * e * w_k * x, q)
-    sq = sqrt(q)
-    factor_k = (dec.s - 1) / dec.epsilon + 2.0
-    factor_k1 = (dec.r - 1 + dec.epsilon_prime) / dec.epsilon + 1.0
-    half = (sq - 1.0) / 2.0 if q % 4 == 1 else (sq - 1.0)
-    rhs = 4.0 * (w_k * factor_k * sq - w_k1 * factor_k1 * half)
-    return holds, float(q + 1) - rhs
+    A = e * num * (q + 1) - 4 * w_k1 * y
+    B = 4 * w_k1 * y - 4 * e * w_k * x
+    return _positive(A, B, q), (A + B * sqrt(q)) / (e * num)
 
 
 def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
@@ -370,19 +354,19 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
     interval.  Only the q the basic stage does not pass get their two
     factor lists and a ``PrimePowerCtx``.  The prime powers are read as a
     stream, so the verdicts are the one list the scan holds.
+    Raises ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``; no q up to
+    that cap is settled by its prime count, so the basic stage comes first.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
     """
     entries, factors, count = _odd_prime_powers(lo, hi)
-    cutoff = prime_count_cutoff()
     verdicts = []
     for q, p, k in entries:
         a, b = count(q - 1), count(q + 1)
-        if a + b + 1 < cutoff:
-            ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
-            if ok:
-                verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
-                continue
-        verdicts.append(classify_prime_power(
-            _ctx(p, k, q, factors(q - 1), factors(q + 1))))
+        ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
+        if ok:
+            verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
+        else:
+            verdicts.append(classify_prime_power(
+                _ctx(p, k, q, factors(q - 1), factors(q + 1))))
     return verdicts

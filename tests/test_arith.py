@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from quadprim import arith
 from quadprim.arith import (
     _FACTOR_TABLE_CAP,
+    SCAN_Q_CAP,
     Factorization,
+    _ctx,
     _odd_factor_table,
     _odd_prime_counts,
     _odd_prime_powers,
     _table_factors,
     ctx_for_prime_power,
-    enumerate_odd_prime_powers,
     euler_phi,
     factorize,
     first_primes,
@@ -180,22 +180,21 @@ def test_first_primes():
 
 
 def test_enumerate_odd_prime_powers_small():
-    got = [ctx.q for ctx in enumerate_odd_prime_powers(3, 30)]
-    assert got == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
-    for ctx in enumerate_odd_prime_powers(3, 30):
-        assert ctx.q == ctx.p**ctx.k
+    entries = list(_odd_prime_powers(3, 30)[0])
+    assert [q for q, _, _ in entries] == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    for q, p, k in entries:
+        assert q == p**k
 
 
 def test_enumerate_odd_prime_powers_window():
-    got = [(ctx.q, ctx.p, ctx.k) for ctx in enumerate_odd_prime_powers(121, 128)]
+    got = list(_odd_prime_powers(121, 128)[0])
     assert got == [(121, 11, 2), (125, 5, 3), (127, 127, 1)]
 
 
 def test_enumerate_rejects_bad_range():
-    with pytest.raises(ValueError):
-        enumerate_odd_prime_powers(2, 10)
-    with pytest.raises(ValueError):
-        enumerate_odd_prime_powers(10, 5)
+    for lo, hi in ((2, 10), (10, 5), (3, SCAN_Q_CAP + 1)):
+        with pytest.raises(ValueError):
+            _odd_prime_powers(lo, hi)
 
 
 def test_factor_table_matches_factorize():
@@ -222,19 +221,14 @@ def test_count_table_matches_factorize():
 
 @pytest.mark.parametrize("lo, hi", [
     ((1 << 20) - 1_999, 1 << 20),
-    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+    (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_count_source_matches_factorize(lo, hi):
     # the source covers the even n with (lo - 1) / 2 <= n / 2 <= (hi + 1) / 2;
-    # in the second window n / 2 straddles the cap, so the table and
-    # factorize both run
+    # the second window ends where the tables do
     _, _, count = _odd_prime_powers(lo, hi)
-    window = range(2 * ((lo - 1) >> 1), hi + 2, 2)
-    for n in window:
+    for n in range(2 * ((lo - 1) >> 1), hi + 2, 2):
         assert count(n) == len(factorize(n).factors) - 1, n
-    if lo > _FACTOR_TABLE_CAP:
-        assert any(n >> 1 <= _FACTOR_TABLE_CAP for n in window)
-        assert any(n >> 1 > _FACTOR_TABLE_CAP for n in window)
 
 
 def test_factor_table_cap_fits_a_byte():
@@ -247,32 +241,14 @@ def test_factor_table_cap_fits_a_byte():
 @pytest.mark.parametrize("lo, hi", [
     (3, 30_000),
     ((1 << 20) - 30_000, 1 << 20),
-    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+    (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_enumerate_matches_prime_power_ctx(lo, hi):
-    got = enumerate_odd_prime_powers(lo, hi)
-    assert got == [prime_power_ctx(ctx.p, ctx.k) for ctx in got]
-    assert [ctx.q for ctx in got] == [
+    # the contexts built from the two table sources equal those built by
+    # factorize, over exactly the prime powers factorize finds
+    entries, factors, _ = _odd_prime_powers(lo, hi)
+    entries = list(entries)
+    assert [q for q, _, _ in entries] == [
         q for q in range(lo | 1, hi + 1, 2) if len(factorize(q).factors) == 1]
-    if lo > _FACTOR_TABLE_CAP:
-        # the odd parts of q + 1 straddle the cap, so both factor sources run
-        assert any((ctx.q + 1) >> 1 <= _FACTOR_TABLE_CAP for ctx in got)
-        assert any((ctx.q + 1) >> 1 > _FACTOR_TABLE_CAP for ctx in got)
-
-
-def test_enumerate_below_the_cap_neither_factorizes_nor_tests_primes(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"called for {n}")
-
-    monkeypatch.setattr(arith, "factorize", refuse)
-    monkeypatch.setattr(arith, "is_prime", refuse)
-    assert len(enumerate_odd_prime_powers(3, 50_000)) == 5_202
-
-
-def test_enumerate_builds_no_count_table(monkeypatch):
-    # only the scan reads prime counts, so enumeration never builds their table
-    def refuse(base, top):
-        raise AssertionError(f"count table built for {base}..{top}")
-
-    monkeypatch.setattr(arith, "_odd_prime_counts", refuse)
-    assert len(enumerate_odd_prime_powers(3, 50_000)) == 5_202
+    assert [_ctx(p, k, q, factors(q - 1), factors(q + 1)) for q, p, k in entries] \
+        == [prime_power_ctx(p, k) for _, p, k in entries]

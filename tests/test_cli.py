@@ -1,7 +1,8 @@
 """Command-line interface tests.
 
 Everything runs in process through quadprim.cli.main so exit codes and
-output files can be checked without spawning subprocesses.
+output files can be checked without spawning subprocesses; only the
+broken-pipe test starts one, since it needs a real pipe.
 """
 
 import concurrent.futures
@@ -9,10 +10,14 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import quadprim
+from quadprim import arith
 from quadprim.arith import _FACTOR_TABLE_CAP, ctx_for_prime_power
 from quadprim.cli import SCAN_Q_CAP, _build_parser, _scan_rows, main
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
@@ -79,6 +84,8 @@ def test_usage_errors_exit_2():
                  ["verify-translate", "--q-list", "4,5"],
                  ["verify-line", "--q-list", "15"],
                  ["settle-prime-counts", "1:1"],
+                 ["settle-prime-counts", "2:65"],
+                 ["settle-prime-counts", "65:65"],
                  ["verify-translate", "--q-list", "8209"],
                  ["verify-translate", "--q-list", "3,3"],
                  ["oracle", "--q-list", "211"],
@@ -122,9 +129,10 @@ def test_scan_runs_without_a_pool(monkeypatch):
 
 
 def test_scan_cap_is_the_count_table_coverage():
-    # the count table holds the halves n / 2 up to _FACTOR_TABLE_CAP, so
-    # n = q + 1 of the largest q it covers is twice that; the cap is a
-    # valid HI
+    # the CLI takes its cap from arith, whose tables hold the halves n / 2
+    # up to _FACTOR_TABLE_CAP, so n = q + 1 of the largest q they cover is
+    # twice that; the cap is a valid HI
+    assert SCAN_Q_CAP is arith.SCAN_Q_CAP
     assert SCAN_Q_CAP + 1 == 2 * _FACTOR_TABLE_CAP and SCAN_Q_CAP == 5_255_279
     args = _build_parser().parse_args(["scan", "--range", f"{SCAN_Q_CAP}:{SCAN_Q_CAP}"])
     assert args.range == (SCAN_Q_CAP, SCAN_Q_CAP)
@@ -143,6 +151,46 @@ def test_scan_streams_its_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6_500_000, peak
+
+
+def test_scan_json_streams_its_rows(tmp_path):
+    # JSON output writes one row object at a time, so its peak stays near
+    # the CSV one; a document built whole peaks several times higher
+    out = tmp_path / "scan.json"
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--range", "3:262144", "--format", "json",
+                     "--stable-output", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_500_000, peak
+
+
+def test_streamed_json_is_json_dump(tmp_path):
+    # the streamed bytes equal json.dump(..., indent=2), with and without rows
+    for lo, hi in ((3, 2000), (4, 4), (3, 3)):
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--range", f"{lo}:{hi}", "--format", "json",
+                     "--stable-output", "--output", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the reader takes one line and closes the pipe; the rest of the
+    # output, far more than a pipe buffer holds, has nowhere to go
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(quadprim.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadprim.cli", "scan", "--range", "3:200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# summary:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err, err
 
 
 def test_scan_rows_are_timed(tmp_path):

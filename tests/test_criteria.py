@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quadprim import arith, criteria
-from quadprim.arith import (
-    _FACTOR_TABLE_CAP,
-    ctx_for_prime_power,
-    enumerate_odd_prime_powers,
-)
+from quadprim.arith import SCAN_Q_CAP, ctx_for_prime_power, factorize
 from quadprim.criteria import (
     SCAN_EXCEPTIONS,
     _divisor_bound_holds,
@@ -111,8 +107,9 @@ def test_greedy_decomposition_q41():
     last = decs[2]
     assert last.kk == 1 and last.k1 == 1
     assert last.r == 2
-    assert last.epsilon == pytest.approx(1 - 1 / 7 - 1 / 5 - 1 / 3)
-    assert last.epsilon_prime == pytest.approx(1 - 1 / 7 - 1 / 3)
+    # epsilon = num / den and epsilon' = num_prime / den
+    assert last.num / last.den == pytest.approx(1 - 1 / 7 - 1 / 5 - 1 / 3)
+    assert last.num_prime / last.den == pytest.approx(1 - 1 / 7 - 1 / 3)
 
 
 def test_greedy_decomposition_invariants():
@@ -123,7 +120,7 @@ def test_greedy_decomposition_invariants():
             for p in dec.sieve_primes:
                 prod *= p
             assert prod == ctx.rprime
-            assert dec.epsilon > 0
+            assert dec.num / dec.den > 0
             assert dec.r <= dec.s
             assert dec.k1 >= 1 and dec.kk % dec.k1 == 0
             assert (ctx.q + 1) % dec.k1 == 0
@@ -131,8 +128,15 @@ def test_greedy_decomposition_invariants():
             assert moved == sorted(moved, reverse=True)
 
 
+def _contexts(lo, hi):
+    # every odd prime power in [lo, hi] by factorize, apart from the scan's
+    # tables
+    return [ctx_for_prime_power(q) for q in range(lo | 1, hi + 1, 2)
+            if len(factorize(q).factors) == 1]
+
+
 def _basic_failure_contexts(lo, hi):
-    return [ctx for ctx in enumerate_odd_prime_powers(lo, hi)
+    return [ctx for ctx in _contexts(lo, hi)
             if classify_prime_power(ctx).stage is not Stage.BASIC_PASS]
 
 
@@ -218,6 +222,12 @@ def test_prime_count_cutoff():
     assert prime_count_cutoff() == 14
 
 
+def test_no_scanned_q_is_settled_by_its_prime_count():
+    # q**2 - 1 of every q the scan accepts has at most 12 distinct primes,
+    # so the scan needs no prime-count stage of its own
+    assert _max_prime_count(SCAN_Q_CAP**2 - 1) == 12 < prime_count_cutoff()
+
+
 def test_classify_known_stages():
     assert classify_prime_power(ctx_for_prime_power(3)).stage is Stage.EXCEPTION
     assert classify_prime_power(ctx_for_prime_power(41)).stage is Stage.EXCEPTION
@@ -257,13 +267,18 @@ def test_divisor_bound_check_is_exact():
 @pytest.mark.parametrize("lo, hi", [
     (3, 60_000),
     ((1 << 20) - 30_000, 1 << 20),
-    (2 * _FACTOR_TABLE_CAP - 300, 2 * _FACTOR_TABLE_CAP + 300),
+    (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_scan_equals_classifying_every_context(lo, hi):
     # the counts-first basic stage gives the verdicts, margins included,
-    # of the full context path; the last window runs both factor sources
-    assert scan_interval(lo, hi) == [
-        classify_prime_power(ctx) for ctx in enumerate_odd_prime_powers(lo, hi)]
+    # of classifying every context built by factorize; the last window
+    # ends where the scan's tables do
+    assert scan_interval(lo, hi) == [classify_prime_power(ctx) for ctx in _contexts(lo, hi)]
+
+
+def test_scan_runs_at_the_cap():
+    # SCAN_Q_CAP = 67 * 78437 is no prime power
+    assert scan_interval(SCAN_Q_CAP, SCAN_Q_CAP) == []
 
 
 def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
@@ -318,6 +333,8 @@ def test_scan_rejects_bad_range():
         scan_interval(1, 100)
     with pytest.raises(ValueError):
         scan_interval(50, 3)
+    with pytest.raises(ValueError):
+        scan_interval(3, SCAN_Q_CAP + 1)
 
 
 def test_verdicts_are_frozen():
