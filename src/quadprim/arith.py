@@ -1,10 +1,11 @@
 """Exact integer number theory for the verification pipeline.
 
-Factorization (deterministic Miller-Rabin, trial division, Pollard-Brent
-rho), the classical multiplicative functions, the square-free divisor
-bound, and enumeration of odd prime powers together with the derived
-data every later stage needs.  Everything here is exact integer
-arithmetic; the only real-valued result is ``w_bound_constant``.
+Primality (deterministic Miller-Rabin), factorization by trial division
+alone (exact for every positive integer; ``factorize`` states the
+largest input the pipeline gives it), the multiplicative functions the
+later stages use, and enumeration of odd prime powers together with the
+derived data every later stage needs.  Everything here is exact integer
+arithmetic.
 
 ``_odd_prime_powers`` streams the odd prime powers of an interval up to
 ``SCAN_Q_CAP``, taking the primes from a segmented sieve without
@@ -20,20 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge
 from itertools import compress
-from math import gcd, isqrt, log
+from math import isqrt, log
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
-    "TRIAL_DIVISION_BOUND",
     "SCAN_Q_CAP",
     "Factorization",
     "PrimePowerCtx",
     "is_prime",
     "factorize",
-    "mobius",
     "euler_phi",
-    "num_squarefree_divisors",
-    "w_bound_constant",
     "squarefree_odd_radical",
     "product_factorization",
     "prime_power_ctx",
@@ -41,8 +38,6 @@ __all__ = [
     "primes_upto",
     "first_primes",
 ]
-
-TRIAL_DIVISION_BOUND = 10**6
 
 # Witness set making Miller-Rabin deterministic for every n < 3.3 * 10**24,
 # which covers all 64-bit inputs.
@@ -112,63 +107,15 @@ class Factorization:
         return 0
 
 
-def _pollard_brent(n: int) -> int:
-    """Return a nontrivial factor of odd composite n (Brent's cycle variant).
-
-    The polynomial constant is swept deterministically so repeated runs
-    split identically.
-    """
-    c = 1
-    while True:
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r <<= 1
-        if g != n:
-            return g
-        # Batch gcd overshot; replay one step at a time.
-        g = 1
-        y = ys
-        while g == 1:
-            y = (y * y + c) % n
-            g = gcd(abs(x - y), n)
-        if g != n:
-            return g
-        c += 1
-
-
-def _split(m: int, acc: dict[int, int]) -> None:
-    # m has no prime factor below the trial division bound
-    stack = [m]
-    while stack:
-        v = stack.pop()
-        if is_prime(v):
-            acc[v] = acc.get(v, 0) + 1
-            continue
-        d = _pollard_brent(v)
-        stack.append(d)
-        stack.append(v // d)
-
-
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into prime powers.
 
-    Trial division runs over a mod-30 wheel up to ``TRIAL_DIVISION_BOUND``
-    (or sqrt(n) if smaller); whatever survives is split by Miller-Rabin
-    plus Pollard-Brent rho.  Exact for every input below 2**64 and for
-    larger inputs whose prime factors pass the witness set.
+    Trial division over a mod-30 wheel while d*d <= m, m being what is
+    left of n; a leftover m > 1 has no factor up to its square root, so
+    it is prime.  Exact for every positive integer.  The command line's
+    largest input is q + 1 for a verified q <= 8192, and a context
+    anywhere in the scan range needs at most SCAN_Q_CAP + 1 = 5255280,
+    whose trial divisors stay below 2293.
     """
     if n < 1:
         raise ValueError("factorize requires a positive integer")
@@ -183,9 +130,7 @@ def factorize(n: int) -> Factorization:
             acc[p] = e
     d = 7
     wi = 0
-    while d <= TRIAL_DIVISION_BOUND:
-        if d * d > m:
-            break
+    while d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -195,22 +140,8 @@ def factorize(n: int) -> Factorization:
         d += _WHEEL[wi]
         wi = (wi + 1) & 7
     if m > 1:
-        if d * d > m:
-            acc[m] = acc.get(m, 0) + 1
-        else:
-            _split(m, acc)
+        acc[m] = 1
     return Factorization(n, tuple(sorted(acc.items())))
-
-
-def mobius(d: int, fact: Factorization | None = None) -> int:
-    """Moebius function of d; ``fact`` may supply a known factorization."""
-    if fact is None:
-        fact = factorize(d)
-    elif fact.value != d:
-        raise ValueError("factorization does not match d")
-    if any(mult > 1 for _, mult in fact.factors):
-        return 0
-    return -1 if len(fact.factors) % 2 else 1
 
 
 def euler_phi(fact: Factorization) -> int:
@@ -219,27 +150,6 @@ def euler_phi(fact: Factorization) -> int:
     for p, mult in fact.factors:
         result *= p ** (mult - 1) * (p - 1)
     return result
-
-
-def num_squarefree_divisors(fact: Factorization) -> int:
-    """Number of square-free divisors: 2 to the number of distinct primes."""
-    return 1 << len(fact.factors)
-
-
-def w_bound_constant(fact: Factorization, a: int) -> float:
-    """Constant c with num_squarefree_divisors(R) <= c * R**(1/a).
-
-    c = 2**j / (p_1 ... p_j)**(1/a) over the distinct primes of R that do
-    not exceed 2**a; primes above 2**a can only shrink the quotient.
-    """
-    if a < 1:
-        raise ValueError("a must be a positive integer")
-    bound = 1 << a
-    small = [p for p, _ in fact.factors if p <= bound]
-    prod = 1
-    for p in small:
-        prod *= p
-    return float(2 ** len(small)) / float(prod) ** (1.0 / a)
 
 
 def squarefree_odd_radical(fact: Factorization) -> int:

@@ -30,6 +30,8 @@ from .ffield import FieldElem, QuadExtField, translate_classes
 
 __all__ = [
     "ORACLE_Q_CAP",
+    "TRANSLATE_SUM_TOL",
+    "LINE_IDENTITY_TOL",
     "CharIndex",
     "LineTargetCount",
     "SieveCheck",
@@ -53,6 +55,12 @@ __all__ = [
 ]
 
 ORACLE_Q_CAP = 200
+
+# Largest deviation each survey passes with: a translate sum from its
+# exact value, and a line count's character expansion from its direct
+# count.
+TRANSLATE_SUM_TOL = 1e-6
+LINE_IDENTITY_TOL = 1e-3
 
 _dlog_cache: "WeakKeyDictionary[QuadExtField, list[int]]" = WeakKeyDictionary()
 _roots_cache: "WeakKeyDictionary[QuadExtField, list[complex]]" = WeakKeyDictionary()
@@ -387,7 +395,7 @@ class TranslateSumSurvey:
     ok: bool
 
 
-def survey_translate_sums(fld: QuadExtField, tol: float = 1e-6) -> TranslateSumSurvey:
+def survey_translate_sums(fld: QuadExtField) -> TranslateSumSurvey:
     """Check every nontrivial character against every translate class.
 
     Characters trivial on F_q* (index divisible by q - 1) must sum to
@@ -408,7 +416,7 @@ def survey_translate_sums(fld: QuadExtField, tol: float = 1e-6) -> TranslateSumS
             dev = abs(b + 1.0) if coset_character else abs(abs(b) - sqrt_q)
             if dev > worst:
                 worst = dev
-    return TranslateSumSurvey(q, m - 1, len(reps), worst, worst <= tol)
+    return TranslateSumSurvey(q, m - 1, len(reps), worst, worst <= TRANSLATE_SUM_TOL)
 
 
 @dataclass(frozen=True)
@@ -421,8 +429,8 @@ class LineIdentitySurvey:
 
 
 def survey_line_identities(fld: QuadExtField, r: int | None = None,
-                           alphas: tuple[FieldElem, ...] | None = None,
-                           tol: float = 1e-3) -> LineIdentitySurvey:
+                           alphas: tuple[FieldElem, ...] | None = None
+                           ) -> LineIdentitySurvey:
     """Compare direct and character-expansion line counts over every
     translate class for each given alpha (default: 1 and the primitive
     element).  r defaults to the odd radical of the group order."""
@@ -440,4 +448,4 @@ def survey_line_identities(fld: QuadExtField, r: int | None = None,
             if dev > worst:
                 worst = dev
             pairs += 1
-    return LineIdentitySurvey(fld.q, r, pairs, worst, worst <= tol)
+    return LineIdentitySurvey(fld.q, r, pairs, worst, worst <= LINE_IDENTITY_TOL)

@@ -163,30 +163,13 @@ def _parse_oracle_q_list(text: str) -> list[int]:
     return values
 
 
-def _parse_tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("tolerance must be a number")
-    if not 0 <= tol < float("inf"):  # also rejects nan
-        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
-    return tol
-
-
-def _parse_at_least_3(text: str) -> int:
+def _parse_scan_hi(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("value must be an integer")
-    if n < 3:
-        raise argparse.ArgumentTypeError("value must be at least 3")
-    return n
-
-
-def _parse_scan_hi(text: str) -> int:
-    n = _parse_at_least_3(text)
-    if n > SCAN_Q_CAP:
-        raise argparse.ArgumentTypeError(f"value must be at most {SCAN_Q_CAP}")
+    if not 3 <= n <= SCAN_Q_CAP:
+        raise argparse.ArgumentTypeError(f"value must satisfy 3 <= value <= {SCAN_Q_CAP}")
     return n
 
 
@@ -340,17 +323,15 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[list[tuple], dict, list[str]]:
-    surveys = (("translate-sums", survey_translate_sums, args.tol_sums,
-                "translate sums deviate"),
-               ("line-identity", survey_line_identities, args.tol_identity,
-                "line-count identity deviates"))
+    surveys = (("translate-sums", survey_translate_sums, "translate sums deviate"),
+               ("line-identity", survey_line_identities, "line-count identity deviates"))
     rows: list[tuple] = []
     problems: list[str] = []
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
-        for name, survey, tol, deviates in surveys:
+        for name, survey, deviates in surveys:
             t0 = perf_counter()
-            res = survey(fld, tol=tol)
+            res = survey(fld)
             rows.append(_row(q, fld.p, fld.k, f"oracle:{name}",
                              "ok" if res.ok else "fail",
                              f"max_dev={res.max_deviation:.6g}",
@@ -373,18 +354,12 @@ SETTLE_EXPECTED = (
 )
 
 
-def _exceptions_upto(q_max: int) -> str:
-    return ",".join(str(q) for q in sorted(SCAN_EXCEPTIONS) if q <= q_max)
-
-
 def _cmd_reproduce(args) -> tuple[list[tuple], dict, list[str]]:
     phases = (
         ["scan", "--range", f"{FULL_SCAN_LO}:{args.scan_hi}", "--expect-known"],
         ["settle-prime-counts"],
-        ["verify-translate", "--q-list", _exceptions_upto(args.translate_max),
-         "--expect-known"],
-        ["verify-line", "--q-list", _exceptions_upto(args.line_max),
-         "--expect-known"],
+        ["verify-translate", "--q-list", "exceptions", "--expect-known"],
+        ["verify-line", "--q-list", "exceptions", "--expect-known"],
         ["oracle", "--q-list", "5,7,9,11,13"],
     )
     parser = _build_parser()
@@ -465,15 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--q-list", type=_parse_oracle_q_list, required=True,
                           help=f"comma-separated odd prime powers "
                                f"q <= {ORACLE_Q_CAP}")
-    p_oracle.add_argument("--tol-sums", type=_parse_tolerance, default=1e-6)
-    p_oracle.add_argument("--tol-identity", type=_parse_tolerance, default=1e-3)
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_all = sub.add_parser("reproduce-all", parents=[common],
                            help="run every phase with known expectations")
     p_all.add_argument("--scan-hi", type=_parse_scan_hi, default=FULL_SCAN_HI)
-    p_all.add_argument("--translate-max", type=_parse_at_least_3, default=3541)
-    p_all.add_argument("--line-max", type=_parse_at_least_3, default=3541)
     p_all.set_defaults(handler=_cmd_reproduce)
 
     return parser

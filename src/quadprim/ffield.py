@@ -215,10 +215,6 @@ class QuadExtField:
         p = self.p
         return tuple((a - b) % p for a, b in zip(u, v))
 
-    def neg(self, u: FieldElem) -> FieldElem:
-        p = self.p
-        return tuple((-a) % p for a in u)
-
     def mul(self, u: FieldElem, v: FieldElem) -> FieldElem:
         p = self.p
         if self.deg == 2:

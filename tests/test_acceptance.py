@@ -160,13 +160,13 @@ def test_c5_character_sum_oracle():
     ok = True
     worst_sum = 0.0
     for q in (5, 7, 9, 11, 13):
-        survey = survey_translate_sums(_field(q), tol=1e-6)
+        survey = survey_translate_sums(_field(q))
         ok = ok and survey.ok
         worst_sum = max(worst_sum, survey.max_deviation)
 
     worst_ident = 0.0
     for q in (7, 11, 13):
-        survey = survey_line_identities(_field(q), tol=1e-3)
+        survey = survey_line_identities(_field(q))
         ok = ok and survey.ok
         worst_ident = max(worst_ident, survey.max_deviation)
 

@@ -16,13 +16,10 @@ from quadprim.arith import (
     factorize,
     first_primes,
     is_prime,
-    mobius,
-    num_squarefree_divisors,
     prime_power_ctx,
     primes_upto,
     product_factorization,
     squarefree_odd_radical,
-    w_bound_constant,
 )
 
 
@@ -62,7 +59,8 @@ def test_factorize_reassembles_and_sorts():
 
 
 def test_factorize_semiprimes_beyond_trial_division():
-    # forces the rho path: both factors above the trial division bound
+    # products of two primes near or above 10**6, far beyond the pipeline's
+    # inputs: trial division runs up to the smaller factor
     ps = [1_000_003, 1_000_033, 1_000_037, 15_485_863]
     for i, a in enumerate(ps):
         for b in ps[i:]:
@@ -79,15 +77,6 @@ def test_factorize_edge_cases():
         factorize(-6)
 
 
-def test_mobius_sums_to_zero():
-    # sum of mu(d) over divisors of n is 0 for n > 1
-    for n in range(2, 500):
-        assert sum(mobius(d) for d in brute_divisors(n)) == 0
-    assert mobius(1) == 1
-    assert mobius(12) == 0
-    assert mobius(30) == -1
-
-
 def test_euler_phi_divisor_sum():
     # sum of phi(d) over divisors of n is n (phi(1) = 1 special-cased)
     for n in range(2, 300):
@@ -101,37 +90,6 @@ def test_euler_phi_examples():
     assert euler_phi(factorize(97)) == 96
     # the largest scan exception: phi((3541**2 - 1) / 2)
     assert euler_phi(factorize((3541**2 - 1) // 2)) == 1224960
-
-
-def test_num_squarefree_divisors():
-    assert num_squarefree_divisors(factorize(10200)) == 16
-    assert num_squarefree_divisors(factorize(8)) == 2
-    for n in (2, 6, 30, 210, 2310):
-        fact = factorize(n)
-        brute = sum(1 for d in brute_divisors(n) if mobius(d) != 0)
-        assert num_squarefree_divisors(fact) == brute
-
-
-def test_w_bound_constant_example():
-    # for n = 30, a = 2 only the primes 2 and 3 are <= 2**a
-    c = w_bound_constant(factorize(30), 2)
-    assert c == pytest.approx(4 / 6**0.5, rel=1e-12)
-
-
-def test_w_bound_constant_bounds_divisor_count():
-    # 2**(number of distinct primes) <= c * n**(1/a) for any n, a
-    rng = random.Random(7)
-    pool = primes_upto(3000)
-    for _ in range(200):
-        primes = sorted(rng.sample(pool, rng.randrange(1, 7)))
-        factors = tuple((p, rng.randrange(1, 4)) for p in primes)
-        n = 1
-        for p, e in factors:
-            n *= p**e
-        fact = Factorization(n, factors)
-        for a in (2, 4, 8):
-            bound = w_bound_constant(fact, a) * n ** (1.0 / a)
-            assert num_squarefree_divisors(fact) <= bound * (1 + 1e-12)
 
 
 def test_squarefree_odd_radical():

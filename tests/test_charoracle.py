@@ -89,7 +89,7 @@ def test_translate_sum_values(fields):
     # nontrivial characters give modulus sqrt(q)
     for q in (5, 7, 9, 11, 13):
         fld = fields[q]
-        survey = survey_translate_sums(fld, tol=1e-6)
+        survey = survey_translate_sums(fld)
         assert survey.ok, (q, survey.max_deviation)
         assert survey.characters == fld.m - 1
         assert survey.translates == q - 1
@@ -216,7 +216,7 @@ def test_line_target_count_all_positive_q43(fields):
 
 def test_line_count_survey(fields):
     for q in (7, 11, 13):
-        survey = survey_line_identities(fields[q], tol=1e-3)
+        survey = survey_line_identities(fields[q])
         assert survey.ok, (q, survey.max_deviation)
 
 

@@ -89,13 +89,17 @@ def test_usage_errors_exit_2():
                  ["verify-translate", "--q-list", "8209"],
                  ["verify-translate", "--q-list", "3,3"],
                  ["oracle", "--q-list", "211"],
-                 ["oracle", "--q-list", "5", "--tol-sums", "nan"],
-                 ["oracle", "--q-list", "5", "--tol-sums", "-1"],
-                 ["oracle", "--q-list", "5", "--tol-identity", "inf"],
                  ["reproduce-all", "--scan-hi", "2"],
                  ["reproduce-all", "--scan-hi", str(SCAN_Q_CAP + 1)],
+                 # unknown options, refused whatever their value
+                 ["oracle", "--q-list", "5", "--tol-sums", "nan"],
+                 ["oracle", "--q-list", "5", "--tol-sums", "-1"],
+                 ["oracle", "--q-list", "5", "--tol-sums", "1"],
+                 ["oracle", "--q-list", "5", "--tol-identity", "inf"],
                  ["reproduce-all", "--translate-max", "0", "--line-max", "0"],
                  ["reproduce-all", "--line-max", "2"],
+                 ["reproduce-all", "--line-max", "50"],
+                 ["reproduce-all", "--translate-max", "50"],
                  ["reproduce-all", "--translate-max", "x"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -392,10 +396,10 @@ def test_unwritable_output_exits_2_before_the_handler(tmp_path, capsys, monkeypa
     assert not (tmp_path / "missing").exists()
 
 
-def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys):
+def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("quadprim.charoracle.TRANSLATE_SUM_TOL", 1e-20)
     out = tmp_path / "oracle.csv"
-    rc = main(["oracle", "--q-list", "5", "--tol-sums", "1e-20",
-               "--stable-output", "--output", str(out)])
+    rc = main(["oracle", "--q-list", "5", "--stable-output", "--output", str(out)])
     assert rc == 1
     assert "oracle check failed" in capsys.readouterr().err
     _, rows = _read_csv(out)
@@ -413,8 +417,7 @@ def test_oracle_rejects_large_q():
 REPRODUCE_PHASES = ["reproduce-all:scan", "reproduce-all:settle-prime-counts",
                     "reproduce-all:verify-translate", "reproduce-all:verify-line",
                     "reproduce-all:oracle"]
-SMALL_REPRODUCE = ["reproduce-all", "--scan-hi", "4000", "--translate-max", "50",
-                   "--line-max", "50", "--stable-output"]
+SMALL_REPRODUCE = ["reproduce-all", "--scan-hi", "4000", "--stable-output"]
 
 
 def test_reproduce_all_smoke(tmp_path, capsys):
@@ -428,6 +431,9 @@ def test_reproduce_all_smoke(tmp_path, capsys):
     assert all(row["result"] == "ok" for row in rows)
     assert all(row["elapsed_ms"] == "0" for row in rows)
     assert "|exceptions=101|" in rows[0]["detail"]
+    # the verify phases check every scan exception
+    assert rows[2]["detail"] == "checked=101|expect_failures=0|fails=6|holds=95"
+    assert rows[3]["detail"] == "checked=101|expect_failures=0|fails=8|holds=93"
     assert rows[4]["detail"] == "checked=5|expect_failures=0"
 
     out_json = tmp_path / "rep.json"

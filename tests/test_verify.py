@@ -340,7 +340,7 @@ def test_coset_cover_matches_a_brute_force_walk():
             g_s, g_y = fld.fq_coords(gamma)
             c = None
             if g_y:
-                c = fld.fq_coords(fld.mul(fld.neg(elem(g_s)), fld.inv(elem(g_y))))[0]
+                c = fld.fq_coords(fld.mul(fld.sub(fld.zero, elem(g_s)), fld.inv(elem(g_y))))[0]
             invg = fld.inv(gamma)
             keys = {}
             lines = set()
@@ -361,6 +361,28 @@ def test_coset_cover_matches_a_brute_force_walk():
             assert len(set(keys.values())) == len(keys), (q, gamma)
             assert verify._lines_met(fld, cosets.values(), c) == \
                 sum(1 << i for i in lines), (q, gamma)
+
+
+def test_cosets_on_the_line_through_zero_meet_no_line():
+    # a coset with s + c*y = 0 lies on the line through 0 of slope c, where
+    # the Zech table has no entry; _lines_met must count it as meeting no
+    # line t != 0, since it is ruled out by field arithmetic alone
+    pairs = 0
+    for q in (3, 5, 7, 9, 11, 13, 17, 25, 27, 29, 31, 41, 49, 81):
+        fld = build_field(ctx_for_prime_power(q))
+        elem = lambda s: fld.from_fq_coords(s, 0)  # noqa: E731
+        cosets = list(verify._cosets(fld))
+        for _, c in verify._line_slopes(fld):
+            if c is None:
+                continue
+            for coset in cosets:
+                ls, ly, _ = coset
+                s = 0 if ls is None else fld.fq_exp[ls]
+                t = fld.add(elem(s), fld.mul(elem(c), elem(fld.fq_exp[ly])))
+                if t == fld.zero:
+                    assert verify._lines_met(fld, [coset], c) == 0, (q, c, coset)
+                    pairs += 1
+    assert pairs == 65
 
 
 def test_line_scaling_invariance(fields):
