@@ -8,21 +8,18 @@ derived data every later stage needs.  Everything here is exact integer
 arithmetic.
 
 ``_odd_prime_powers`` streams the odd prime powers of an interval up to
-``SCAN_Q_CAP``, taking the primes from a segmented sieve without
-re-testing them, and returns two sources for the even numbers
-n = q - 1 and q + 1: their factor lists, read from a smallest-prime-factor
-table of the odd numbers, and their counts of distinct odd primes, read
-from a count table of the halves n / 2.  Both tables end at
-``_FACTOR_TABLE_CAP``, which bounds their memory and sets the cap.
+``SCAN_Q_CAP`` from one count table of the distinct odd primes of every
+n from lo - 1 to hi + 1, which also gives the scan its counts for the
+even numbers n = q - 1 and q + 1.  ``factorize`` is the one way the
+package factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, log
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 __all__ = [
     "SCAN_Q_CAP",
@@ -46,21 +43,19 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Gaps of the mod-30 wheel starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
-# Largest odd number the factor table covers, and the largest n / 2 the
-# count table covers.  The factor table's bytes index the odd primes
-# below 1621; there are 255 of them, and they hold the smallest factor of
-# every odd composite below 1621**2.
-_FACTOR_TABLE_CAP = 1621**2 - 1
+# Largest q of ``_odd_prime_powers``, whose count table it bounds at
+# about 5 MB.  q**2 - 1 <= SCAN_Q_CAP**2 - 1 has at most 12 distinct
+# primes, below the prime-count cutoff of 14 in ``criteria``, so no q the
+# scan meets is settled by its prime count.
+SCAN_Q_CAP = 5_255_279
 
-# Largest q of ``_odd_prime_powers``: n = q + 1 of every q up to here has
-# its half in both tables.  q**2 - 1 <= SCAN_Q_CAP**2 - 1 has at most 12
-# distinct primes, below the prime-count cutoff of 14 in ``criteria``, so
-# no q the scan meets is settled by its prime count.
-SCAN_Q_CAP = 2 * _FACTOR_TABLE_CAP - 1
-
-# Byte map adding one to a count.  No count exceeds 6, since the product
-# of the first seven odd primes, 4849845, already exceeds the cap.
+# Byte map adding one to a count.  No count exceeds 7, since the product
+# of the first eight odd primes, 111546435, exceeds SCAN_Q_CAP + 1; that
+# of the first seven, 4849845, does not.
 _INC = bytes(range(1, 256)) + b"\0"
+
+# Byte map flagging the counts of the odd prime powers.
+_AT_MOST_ONE = bytes(c <= 1 for c in range(256))
 
 
 def is_prime(n: int) -> bool:
@@ -190,13 +185,10 @@ class PrimePowerCtx:
     t_q: int
 
 
-def _ctx(p: int, k: int, q: int, minus: Sequence[tuple[int, int]],
-         plus: Sequence[tuple[int, int]]) -> PrimePowerCtx:
-    """Context for q = p**k from ``factorize(q - 1).factors`` (minus) and
-    ``factorize(q + 1).factors`` (plus)."""
+def _ctx(p: int, k: int, q: int) -> PrimePowerCtx:
+    """Context for q = p**k, with p prime and k >= 1."""
     # q**2 - 1 factors through the two halves, both of size about q.
-    fact = product_factorization(Factorization(q - 1, tuple(minus)),
-                                 Factorization(q + 1, tuple(plus)))
+    fact = product_factorization(factorize(q - 1), factorize(q + 1))
     d = fact.multiplicity(2)
     return PrimePowerCtx(
         p=p,
@@ -216,10 +208,7 @@ def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
         raise ValueError("exponent k must be at least 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    # p**1 is a new int object; reusing p keeps q and p one object in the
-    # scan's output rows, which hold both for every q.
-    q = p if k == 1 else p**k
-    return _ctx(p, k, q, factorize(q - 1).factors, factorize(q + 1).factors)
+    return _ctx(p, k, p**k)
 
 
 def ctx_for_prime_power(q: int) -> PrimePowerCtx:
@@ -230,7 +219,7 @@ def ctx_for_prime_power(q: int) -> PrimePowerCtx:
     if len(fact.factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, k = fact.factors[0]
-    return prime_power_ctx(p, k)
+    return _ctx(p, k, q)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -260,118 +249,45 @@ def first_primes(count: int) -> list[int]:
     return ps[:count]
 
 
-def _odd_primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    # Segmented sieve so large intervals never materialize a full table.
-    lo = max(lo, 3)
-    if lo > hi:
-        return
-    base = primes_upto(isqrt(hi))
-    block = 1 << 18
-    for start in range(lo, hi + 1, block):
-        end = min(start + block - 1, hi)
-        seg = bytearray([1]) * (end - start + 1)
-        for p in base:
-            if p * p > end:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        odd = start | 1
-        yield from compress(range(odd, end + 1, 2), seg[odd - start :: 2])
-
-
-def _odd_factor_table(n: int) -> tuple[bytearray, list[int]]:
-    """Smallest-prime-factor table of the odd numbers up to n.
-
-    Byte j describes 2*j + 1: 0 if it is 1 or prime, otherwise the index
-    of its smallest prime factor in the returned list of odd primes up to
-    sqrt(n), whose entry 0 is a placeholder.  n must not exceed
-    ``_FACTOR_TABLE_CAP``.
-    """
-    primes = [0] + primes_upto(isqrt(n))[1:]
-    table = bytearray((n >> 1) + 1)
-    # Larger primes first, so each odd composite keeps its smallest one.
-    for i in range(len(primes) - 1, 0, -1):
-        p = primes[i]
-        start = (p * p) >> 1
-        table[start::p] = bytes((i,)) * len(range(start, len(table), p))
-    return table, primes
-
-
-def _table_factors(n: int, table: bytearray, primes: list[int]
-                   ) -> list[tuple[int, int]]:
-    """``factorize(n).factors`` as a list, for n >= 1 whose odd part the
-    table covers."""
-    factors = []
-    twos = (n & -n).bit_length() - 1
-    if twos:
-        factors.append((2, twos))
-    m = n >> twos
-    while m > 1:
-        i = table[m >> 1]
-        if not i:
-            factors.append((m, 1))
-            break
-        p = primes[i]
-        m //= p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return factors
-
-
-def _odd_prime_counts(base: int, top: int) -> bytearray:
-    """Count table of the numbers from base >= 1 up to top.
-
-    Byte i is the number of distinct odd primes of base + i; the table is
-    empty when top < base.  Each odd prime p <= top raises every multiple
-    of p by one in a single slice increment.
-    """
-    out = bytearray(max(top - base + 1, 0))
-    for p in primes_upto(top)[1:]:
-        s = -base % p
-        out[s::p] = out[s::p].translate(_INC)
-    return out
-
-
 def _odd_prime_powers(lo: int, hi: int) -> tuple[
-        Iterator[tuple[int, int, int]], Callable[[int], Sequence[tuple[int, int]]],
-        Callable[[int], int]]:
-    """The odd prime powers in [lo, hi] and two sources for q +- 1.
+        Iterator[tuple[int, int, int]], Callable[[int], int]]:
+    """The odd prime powers in [lo, hi] and a count source for q +- 1.
 
     Returns the triples (q, p, k) with q = p**k, ascending in q and taken
-    lazily, a factor source mapping n = q - 1 or q + 1 to
-    ``factorize(n).factors`` and a count source mapping such n to its
-    number of distinct odd primes, ``len(factorize(n).factors) - 1``.
-    The primes come from a segmented sieve, which proves them, so they
-    are not tested again; the few higher powers are sorted up front and
-    merged in.  The odd part and the half n / 2 of every such n are at
-    most (hi + 1) / 2, so the factor source reads the smallest-prime-factor
-    table of the odd numbers up to there, and the count source the count
-    table of the n / 2 from (lo - 1) / 2 up to there.
+    lazily, and a count source mapping n = q - 1 or q + 1 to its number
+    of distinct odd primes, ``len(factorize(n).factors) - 1``.  Both read
+    one table: byte n - (lo - 1) counts the odd primes p <= (hi + 1) / 2
+    that divide n, for n from lo - 1 to hi + 1.  Every odd prime of an
+    even n <= hi + 1 is at most n / 2, so the counts of q +- 1 are exact.
+    An odd q <= hi that is no prime power has two distinct odd primes of
+    at most q / 3 and counts at least 2; a prime power counts 1, or 0 if
+    it is a prime above (hi + 1) / 2.  So the entries are the odd q that
+    count at most 1.
     """
     if not 3 <= lo <= hi <= SCAN_Q_CAP:
         raise ValueError(f"range must satisfy 3 <= lo <= hi <= {SCAN_Q_CAP}")
-    powers = []
-    for p in primes_upto(isqrt(hi))[1:]:
+    base = lo - 1
+    counts = bytearray(hi + 2 - base)
+    powers = {}
+    for p in primes_upto((hi + 1) >> 1)[1:]:
+        s = -base % p
+        counts[s::p] = counts[s::p].translate(_INC)
         value, k = p * p, 2
         while value <= hi:
-            if value >= lo:
-                powers.append((value, p, k))
+            powers[value] = (p, k)
             value *= p
             k += 1
-    powers.sort()
-    entries = merge(((v, v, 1) for v in _odd_primes_in_range(lo, hi)), powers)
-    top = (hi + 1) >> 1
-    table, primes = _odd_factor_table(top)
-    base = (lo - 1) >> 1
-    count_table = _odd_prime_counts(base, top)
-
-    def factors(n: int) -> Sequence[tuple[int, int]]:
-        return _table_factors(n, table, primes)
+    odd = lo | 1
+    # The flags of the odd n, translated one block at a time: a per-byte
+    # lookup takes over twice as long, and a whole copy holds 0.5 MB per
+    # 2**20 numbers.
+    flags = chain.from_iterable(
+        counts[i:i + 65536:2].translate(_AT_MOST_ONE)
+        for i in range(odd - base, len(counts), 65536))
+    entries = ((q, *powers.get(q, (q, 1)))
+               for q in compress(range(odd, hi + 1, 2), flags))
 
     def count(n: int) -> int:
-        return count_table[(n >> 1) - base]
+        return counts[n - base]
 
-    return entries, factors, count
+    return entries, count

@@ -349,17 +349,18 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
     the basic stage is decided from the odd prime counts a of q - 1 and b
-    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read from the
-    count table that ``_odd_prime_powers`` builds once for the whole
-    interval.  Only the q the basic stage does not pass get their two
-    factor lists and a ``PrimePowerCtx``.  The prime powers are read as a
-    stream, so the verdicts are the one list the scan holds.
+    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read from the one
+    count table that ``_odd_prime_powers`` builds for the whole interval
+    and also enumerates its prime powers by.  Only the q the basic stage
+    does not pass get a ``PrimePowerCtx``, whose q - 1 and q + 1
+    ``factorize`` factors.  The prime powers are read as a stream, so the
+    verdicts are the one list the scan holds.
     Raises ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``; no q up to
     that cap is settled by its prime count, so the basic stage comes first.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
     """
-    entries, factors, count = _odd_prime_powers(lo, hi)
+    entries, count = _odd_prime_powers(lo, hi)
     verdicts = []
     for q, p, k in entries:
         a, b = count(q - 1), count(q + 1)
@@ -367,6 +368,5 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
         if ok:
             verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
         else:
-            verdicts.append(classify_prime_power(
-                _ctx(p, k, q, factors(q - 1), factors(q + 1))))
+            verdicts.append(classify_prime_power(_ctx(p, k, q)))
     return verdicts

@@ -5,13 +5,9 @@ One test per headline claim, each printing a single [acceptance] line
 The full run takes about a minute on one core; its largest parts are
 the reference verifiers that cross-check the fast ones (the line
 reference up to q = 311 in test_c6, about 30 s, and the translate
-reference on all 101 exceptions in test_c3, about 4 s).  Set QUADPRIM_SKIP_SLOW=1 to cap
-line verification at q <= 1021, the line cross-check at q <= 169 and to
-shrink the interval scan, keeping every check that is exact on the
-reduced scope.
+reference on all 101 exceptions in test_c3, about 4 s).
 """
 
-import os
 import random
 from functools import lru_cache
 from math import gcd
@@ -43,11 +39,7 @@ from quadprim.verify import (
     verify_translate_reference,
 )
 
-SKIP_SLOW = os.environ.get("QUADPRIM_SKIP_SLOW") == "1"
-
-SCAN_HI = (1 << 17) if SKIP_SLOW else (1 << 20)
-LINE_MAX = 1021 if SKIP_SLOW else 3541
-LINE_AGREE_MAX = 169 if SKIP_SLOW else 311
+LINE_AGREE_MAX = 311
 
 FULL_SCAN_TOTAL = 82_247
 FULL_SCAN_BASIC_FAILURES = 2_425
@@ -67,7 +59,7 @@ def _field(q: int):
 
 @lru_cache(maxsize=None)
 def _scan_verdicts():
-    return scan_interval(3, SCAN_HI)
+    return scan_interval(3, 1 << 20)
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +69,7 @@ def _translate_reports():
 
 @lru_cache(maxsize=None)
 def _line_reports():
-    return {q: verify_line_fast(_field(q))
-            for q in sorted(SCAN_EXCEPTIONS) if q <= LINE_MAX}
+    return {q: verify_line_fast(_field(q)) for q in sorted(SCAN_EXCEPTIONS)}
 
 
 def _two_primitive_by_walk(fld) -> list:
@@ -100,19 +91,14 @@ def test_c1_interval_scan():
                   if v.stage is Stage.ELIMINATED_BY_PRIME_COUNT]
     ok = (set(exceptions) == SCAN_EXCEPTIONS
           and max(exceptions) == 3541
-          and not eliminated)
-    if SKIP_SLOW:
-        detail = (f"range 3:{SCAN_HI}, {len(verdicts)} prime powers, "
-                  f"{len(exceptions)} exceptions; counts not checked on "
-                  f"the reduced range")
-    else:
-        ok = (ok and len(verdicts) == FULL_SCAN_TOTAL
-              and len(basic_failures) == FULL_SCAN_BASIC_FAILURES
-              and max(basic_failures) == FULL_SCAN_LARGEST_BASIC_FAILURE)
-        detail = (f"{len(verdicts)} prime powers, "
-                  f"{len(basic_failures)} basic failures "
-                  f"(largest {max(basic_failures)}), "
-                  f"{len(exceptions)} exceptions (largest {max(exceptions)})")
+          and not eliminated
+          and len(verdicts) == FULL_SCAN_TOTAL
+          and len(basic_failures) == FULL_SCAN_BASIC_FAILURES
+          and max(basic_failures) == FULL_SCAN_LARGEST_BASIC_FAILURE)
+    detail = (f"{len(verdicts)} prime powers, "
+              f"{len(basic_failures)} basic failures "
+              f"(largest {max(basic_failures)}), "
+              f"{len(exceptions)} exceptions (largest {max(exceptions)})")
     _report("interval-scan", ok, detail)
 
 
@@ -152,7 +138,7 @@ def test_c4_line_verification():
     failures = {q for q, rep in reports.items() if not rep.holds}
     ok = failures == LINE_EXCEPTIONS
     _report("line-verification", ok,
-            f"checked {len(reports)} values up to {LINE_MAX}, "
+            f"checked {len(reports)} values up to {max(reports)}, "
             f"failures={sorted(failures)}")
 
 

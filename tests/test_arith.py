@@ -3,14 +3,10 @@ import random
 import pytest
 
 from quadprim.arith import (
-    _FACTOR_TABLE_CAP,
     SCAN_Q_CAP,
     Factorization,
     _ctx,
-    _odd_factor_table,
-    _odd_prime_counts,
     _odd_prime_powers,
-    _table_factors,
     ctx_for_prime_power,
     euler_phi,
     factorize,
@@ -155,58 +151,48 @@ def test_enumerate_rejects_bad_range():
             _odd_prime_powers(lo, hi)
 
 
-def test_factor_table_matches_factorize():
-    n = (1 << 20) + 1
-    table, primes = _odd_factor_table(n)
-    for v in [*range(1, 200_001), *range((1 << 20) - 2000, n + 1)]:
-        assert tuple(_table_factors(v, table, primes)) == factorize(v).factors, v
-    # even values need the table only up to their odd part
-    table, primes = _odd_factor_table(n >> 1)
-    for v in range((1 << 20) - 2000, n + 1, 2):
-        assert tuple(_table_factors(v, table, primes)) == factorize(v).factors, v
-
-
-def test_count_table_matches_factorize():
-    # byte i counts the odd primes of base + i, that is of n = 2 * (base + i)
-    top = 100_000
-    for base in (1, 2, 777, 4_096, 31_337):
-        counts = _odd_prime_counts(base, top)
-        assert len(counts) == top - base + 1
-        for n in range(2 * base, 2 * top + 1, 2):
-            assert counts[(n >> 1) - base] == len(factorize(n).factors) - 1, (base, n)
-    assert _odd_prime_counts(10, 9) == bytearray()
+def test_small_windows_match_factorize():
+    # every window in [3, 200]: each end of the table falls on primes,
+    # higher powers and composites, and hi + 1 on 2p for each odd prime p < 100
+    facts = {n: factorize(n).factors for n in range(2, 202)}
+    for lo in range(3, 201):
+        for hi in range(lo, 201):
+            entries, count = _odd_prime_powers(lo, hi)
+            assert list(entries) == [
+                (q, *facts[q][0]) for q in range(lo | 1, hi + 1, 2)
+                if len(facts[q]) == 1], (lo, hi)
+            assert [count(n) for n in range(lo & ~1, hi + 2, 2)] == [
+                len(facts[n]) - 1 for n in range(lo & ~1, hi + 2, 2)], (lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", [
+    (3, 199_999),
+    (5, 199_999),
+    (1_555, 199_999),
+    (8_193, 199_999),
+    (62_675, 199_999),
     ((1 << 20) - 1_999, 1 << 20),
     (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_count_source_matches_factorize(lo, hi):
-    # the source covers the even n with (lo - 1) / 2 <= n / 2 <= (hi + 1) / 2;
-    # the second window ends where the tables do
-    _, _, count = _odd_prime_powers(lo, hi)
-    for n in range(2 * ((lo - 1) >> 1), hi + 2, 2):
+    # the source covers the even n in [lo - 1, hi + 1], the first of them
+    # being lo & ~1; the last window ends where the table does
+    _, count = _odd_prime_powers(lo, hi)
+    for n in range(lo & ~1, hi + 2, 2):
         assert count(n) == len(factorize(n).factors) - 1, n
-
-
-def test_factor_table_cap_fits_a_byte():
-    table, primes = _odd_factor_table(_FACTOR_TABLE_CAP)
-    assert len(primes) == 256 and primes[-1] == 1619 and max(table) == 255
-    # 1621**2 is the first odd composite whose smallest prime needs index 256
-    assert _FACTOR_TABLE_CAP + 1 == 1621**2 and is_prime(1621)
 
 
 @pytest.mark.parametrize("lo, hi", [
     (3, 30_000),
+    (60_001, 200_000),
     ((1 << 20) - 30_000, 1 << 20),
     (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_enumerate_matches_prime_power_ctx(lo, hi):
-    # the contexts built from the two table sources equal those built by
-    # factorize, over exactly the prime powers factorize finds
-    entries, factors, _ = _odd_prime_powers(lo, hi)
-    entries = list(entries)
-    assert [q for q, _, _ in entries] == [
-        q for q in range(lo | 1, hi + 1, 2) if len(factorize(q).factors) == 1]
-    assert [_ctx(p, k, q, factors(q - 1), factors(q + 1)) for q, p, k in entries] \
-        == [prime_power_ctx(p, k) for _, p, k in entries]
+    # the scan's contexts of the entries are the library's, over exactly
+    # the prime powers factorize finds; the second window crosses two
+    # seams of the blocks the entries are flagged in
+    entries = _odd_prime_powers(lo, hi)[0]
+    assert [_ctx(p, k, q) for q, p, k in entries] == [
+        ctx_for_prime_power(q) for q in range(lo | 1, hi + 1, 2)
+        if len(factorize(q).factors) == 1]

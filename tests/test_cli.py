@@ -18,7 +18,7 @@ import pytest
 
 import quadprim
 from quadprim import arith
-from quadprim.arith import _FACTOR_TABLE_CAP, ctx_for_prime_power
+from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import SCAN_Q_CAP, _build_parser, _scan_rows, main
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
@@ -133,11 +133,10 @@ def test_scan_runs_without_a_pool(monkeypatch):
 
 
 def test_scan_cap_is_the_count_table_coverage():
-    # the CLI takes its cap from arith, whose tables hold the halves n / 2
-    # up to _FACTOR_TABLE_CAP, so n = q + 1 of the largest q they cover is
-    # twice that; the cap is a valid HI
+    # the CLI takes its cap from arith, where it bounds the scan's count
+    # table; the cap is a valid HI
     assert SCAN_Q_CAP is arith.SCAN_Q_CAP
-    assert SCAN_Q_CAP + 1 == 2 * _FACTOR_TABLE_CAP and SCAN_Q_CAP == 5_255_279
+    assert SCAN_Q_CAP == 5_255_279
     args = _build_parser().parse_args(["scan", "--range", f"{SCAN_Q_CAP}:{SCAN_Q_CAP}"])
     assert args.range == (SCAN_Q_CAP, SCAN_Q_CAP)
 

@@ -130,7 +130,7 @@ def test_greedy_decomposition_invariants():
 
 def _contexts(lo, hi):
     # every odd prime power in [lo, hi] by factorize, apart from the scan's
-    # tables
+    # count table
     return [ctx_for_prime_power(q) for q in range(lo | 1, hi + 1, 2)
             if len(factorize(q).factors) == 1]
 
@@ -272,7 +272,7 @@ def test_divisor_bound_check_is_exact():
 def test_scan_equals_classifying_every_context(lo, hi):
     # the counts-first basic stage gives the verdicts, margins included,
     # of classifying every context built by factorize; the last window
-    # ends where the scan's tables do
+    # ends where the scan's table does
     assert scan_interval(lo, hi) == [classify_prime_power(ctx) for ctx in _contexts(lo, hi)]
 
 
@@ -282,35 +282,22 @@ def test_scan_runs_at_the_cap():
 
 
 def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
-    built = []
-    requested = []
+    factored = []
 
-    def counting_ctx(p, k, q, minus, plus):
-        built.append(q)
-        return arith._ctx(p, k, q, minus, plus)
-
-    def counting_sources(lo, hi):
-        entries, factors, count = arith._odd_prime_powers(lo, hi)
-
-        def counting_factors(n):
-            requested.append(n)
-            return factors(n)
-
-        return entries, counting_factors, count
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize(n)
 
     def refuse(n):
         raise AssertionError(f"called for {n}")
 
-    monkeypatch.setattr(criteria, "_ctx", counting_ctx)
-    monkeypatch.setattr(criteria, "_odd_prime_powers", counting_sources)
-    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "factorize", counting_factorize)
     monkeypatch.setattr(arith, "is_prime", refuse)
     verdicts = scan_interval(3, 50_000)
     failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
-    assert len(verdicts) == 5_202
-    assert built == failures and len(failures) > 100
-    # two factor lists per basic failure, none for a basic pass
-    assert requested == [n for q in failures for n in (q - 1, q + 1)]
+    assert len(verdicts) == 5_202 and len(failures) > 100
+    # q - 1 and q + 1 are factored once per basic failure, nothing for a pass
+    assert factored == [n for q in failures for n in (q - 1, q + 1)]
 
 
 def test_scan_q3_has_no_odd_primes():
