@@ -14,8 +14,9 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
-hands its rows over as a generator, so both formats write one row at a
-time.
+reads its verdicts as a stream, keeps 16 bytes a q and whole verdicts
+only for the q that are not a basic pass at k = 1, and hands its rows
+over as a generator, so both formats write one row at a time.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails or the reader closes the output pipe early, 2 for usage errors and
 an ``--output`` that cannot be opened.
@@ -28,6 +29,7 @@ import csv
 import json
 import os
 import sys
+from array import array
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -189,28 +191,46 @@ def _parse_threads(text: str) -> int:
 def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]]:
     """Rows, summary and exception list of one scan call.
 
-    The rows are a generator over the verdicts, so each is formatted only
-    as it is written.  Every row carries an equal share of the scan call's
-    time.
+    The summary lines come before the rows, so the verdict stream is read
+    to its end first.  For each q only q and its margin are kept, in two
+    arrays, 16 bytes a q; whole verdicts are kept only for the q that are
+    not a basic pass at k = 1, 3% of the full interval, and the summary
+    reads those.  The rows are a generator over the arrays, so each is
+    formatted only as it is written.  Every row carries an equal share of
+    the scan call's time.
     """
     t0 = perf_counter()
+    qs, margins = array("q"), array("d")
+    kept = {}  # q -> verdict, ascending in q
     # One call for the whole interval: scan_interval builds its count
     # table once per call, so splitting the interval repeats that work.
-    verdicts = scan_interval(lo, hi)
-    elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(len(verdicts), 1), 3)
-    _progress(args, f"scan: finished q <= {hi} ({len(verdicts)} prime powers)")
     # Stage members hash and read .value in Python code, so the basic
     # passes, 97% of the full interval, take a branch that does neither.
-    basic, basic_value = Stage.BASIC_PASS, Stage.BASIC_PASS.value
-    failures = [v for v in verdicts if v.stage is not basic]  # ascending in q
+    basic = Stage.BASIC_PASS
+    for v in scan_interval(lo, hi):
+        q, stage, _, margin, _, k = v
+        qs.append(q)
+        margins.append(margin)
+        if stage is not basic or k != 1:
+            kept[q] = v
+    total = len(qs)
+    elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)
+    _progress(args, f"scan: finished q <= {hi} ({total} prime powers)")
+    failures = [v for v in kept.values() if v.stage is not basic]  # ascending in q
     counts = {stage: 0 for stage in Stage if stage is not basic}
     for v in failures:
         counts[v.stage] += 1
     exceptions = [v.q for v in failures if v.stage is Stage.EXCEPTION]
-    rows = ((q, p, k, "scan", basic_value if stage is basic else stage.value,
-             f"{margin:.6g}", elapsed_ms)
-            for q, stage, _, margin, p, k in verdicts)
-    total = len(verdicts)
+
+    def rows() -> Iterator[tuple]:
+        basic_value = basic.value
+        for q, margin in zip(qs, margins):
+            v = kept.get(q)
+            if v is None:
+                yield q, q, 1, "scan", basic_value, f"{margin:.6g}", elapsed_ms
+            else:
+                yield q, v.p, v.k, "scan", v.stage.value, f"{margin:.6g}", elapsed_ms
+
     summary = {
         "total": total,
         "basic_pass": total - len(failures),
@@ -221,7 +241,7 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
         "largest_basic_failure": failures[-1].q if failures else 0,
         "largest_exception": max(exceptions) if exceptions else 0,
     }
-    return rows, summary, exceptions
+    return rows(), summary, exceptions
 
 
 def _cmd_scan(args) -> tuple[Iterable[tuple], dict, list[str]]:

@@ -344,8 +344,8 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     return CriterionVerdict(ctx.q, Stage.EXCEPTION, None, best, ctx.p, ctx.k)
 
 
-def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
-    """Verdicts for every odd prime power in [lo, hi], ascending in q.
+def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
+    """Yield the verdict of every odd prime power in [lo, hi], ascending in q.
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
     the basic stage is decided from the odd prime counts a of q - 1 and b
@@ -353,20 +353,19 @@ def scan_interval(lo: int, hi: int) -> list[CriterionVerdict]:
     count table that ``_odd_prime_powers`` builds for the whole interval
     and also enumerates its prime powers by.  Only the q the basic stage
     does not pass get a ``PrimePowerCtx``, whose q - 1 and q + 1
-    ``factorize`` factors.  The prime powers are read as a stream, so the
-    verdicts are the one list the scan holds.
-    Raises ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``; no q up to
-    that cap is settled by its prime count, so the basic stage comes first.
+    ``factorize`` factors.  The prime powers and the verdicts are both
+    streams, so the scan holds its table and nothing per q.
+    A generator: the call returns at once, and the first ``next`` raises
+    ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``.  No q up to that
+    cap is settled by its prime count, so the basic stage comes first.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
     """
     entries, count = _odd_prime_powers(lo, hi)
-    verdicts = []
     for q, p, k in entries:
         a, b = count(q - 1), count(q + 1)
         ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
         if ok:
-            verdicts.append(CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k))
+            yield CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
         else:
-            verdicts.append(classify_prime_power(_ctx(p, k, q)))
-    return verdicts
+            yield classify_prime_power(_ctx(p, k, q))

@@ -59,7 +59,7 @@ def _field(q: int):
 
 @lru_cache(maxsize=None)
 def _scan_verdicts():
-    return scan_interval(3, 1 << 20)
+    return list(scan_interval(3, 1 << 20))
 
 
 @lru_cache(maxsize=None)

@@ -39,8 +39,9 @@ def _read_csv(path):
 
 
 def test_scan_rows_match_library(tmp_path):
+    # the range holds 243 = 3**5, the smallest basic pass with k > 1
     out = tmp_path / "scan.csv"
-    rc = main(["scan", "--range", "3:200", "--stable-output",
+    rc = main(["scan", "--range", "3:300", "--stable-output",
                "--output", str(out)])
     assert rc == 0
     summary, rows = _read_csv(out)
@@ -50,6 +51,7 @@ def test_scan_rows_match_library(tmp_path):
         verdict = classify_prime_power(ctx_for_prime_power(q))
         assert row["result"] == verdict.stage.value
         assert int(row["p"]) ** int(row["k"]) == q
+        assert (int(row["p"]), int(row["k"])) == (verdict.p, verdict.k)
         # detail column carries the margin, rounded for display
         assert float(row["detail"]) == pytest.approx(verdict.margin, rel=1e-4)
 
@@ -142,9 +144,11 @@ def test_scan_cap_is_the_count_table_coverage():
 
 
 def test_scan_streams_its_rows(tmp_path):
-    # neither the prime powers nor the formatted rows are held as lists:
-    # on a quarter of the full interval the traced peak stays near the
-    # verdict list's 4.7-5.0 MB, where the two lists add 3 MB more
+    # neither the verdicts nor the formatted rows are held as lists: on a
+    # quarter of the full interval the scan keeps 16 bytes for each of its
+    # 23,132 prime powers, and whole verdicts only for the 2,056 that are
+    # not a basic pass at k = 1, so the traced peak stays near 1.9 MB; a
+    # verdict list adds about 3 MB
     out = tmp_path / "scan.csv"
     tracemalloc.start()
     try:
@@ -153,12 +157,13 @@ def test_scan_streams_its_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_500_000, peak
+    assert peak < 3_000_000, peak
 
 
 def test_scan_json_streams_its_rows(tmp_path):
-    # JSON output writes one row object at a time, so its peak stays near
-    # the CSV one; a document built whole peaks several times higher
+    # JSON output writes one row object at a time, so its traced peak
+    # stays near the CSV one, about 1.6 MB; a verdict list adds about 3 MB
+    # and a document built whole peaks several times higher
     out = tmp_path / "scan.json"
     tracemalloc.start()
     try:
@@ -167,7 +172,7 @@ def test_scan_json_streams_its_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_500_000, peak
+    assert peak < 3_000_000, peak
 
 
 def test_streamed_json_is_json_dump(tmp_path):

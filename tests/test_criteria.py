@@ -174,7 +174,7 @@ def test_classify_stops_at_first_passing_decomposition(monkeypatch):
 
     monkeypatch.setattr(criteria, "SieveDecomposition", counting_decomposition)
     monkeypatch.setattr(criteria, "sieve_condition", counting_sieve_condition)
-    verdicts = scan_interval(3, 60_000)
+    verdicts = list(scan_interval(3, 60_000))
     assert any(v.stage is Stage.SIEVE_PASS for v in verdicts)
     assert len(built) == len(tested) > 100
 
@@ -249,7 +249,7 @@ def test_classification_margin_signs():
 
 
 def test_scan_small_interval():
-    verdicts = scan_interval(3, 3600)
+    verdicts = list(scan_interval(3, 3600))
     qs = [v.q for v in verdicts]
     assert qs == sorted(qs)
     exceptions = {v.q for v in verdicts if v.stage is Stage.EXCEPTION}
@@ -273,12 +273,13 @@ def test_scan_equals_classifying_every_context(lo, hi):
     # the counts-first basic stage gives the verdicts, margins included,
     # of classifying every context built by factorize; the last window
     # ends where the scan's table does
-    assert scan_interval(lo, hi) == [classify_prime_power(ctx) for ctx in _contexts(lo, hi)]
+    assert list(scan_interval(lo, hi)) == \
+        [classify_prime_power(ctx) for ctx in _contexts(lo, hi)]
 
 
 def test_scan_runs_at_the_cap():
     # SCAN_Q_CAP = 67 * 78437 is no prime power
-    assert scan_interval(SCAN_Q_CAP, SCAN_Q_CAP) == []
+    assert list(scan_interval(SCAN_Q_CAP, SCAN_Q_CAP)) == []
 
 
 def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
@@ -293,7 +294,7 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", counting_factorize)
     monkeypatch.setattr(arith, "is_prime", refuse)
-    verdicts = scan_interval(3, 50_000)
+    verdicts = list(scan_interval(3, 50_000))
     failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
     assert len(verdicts) == 5_202 and len(failures) > 100
     # q - 1 and q + 1 are factored once per basic failure, nothing for a pass
@@ -303,7 +304,7 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
 def test_scan_q3_has_no_odd_primes():
     # q**2 - 1 = 8: a = b = 0, and both sides of the basic inequality
     # meet exactly
-    scanned = scan_interval(3, 3)
+    scanned = list(scan_interval(3, 3))
     classified = classify_prime_power(ctx_for_prime_power(3))
     assert scanned == [classified]
     assert classified.stage is Stage.EXCEPTION
@@ -311,17 +312,17 @@ def test_scan_q3_has_no_odd_primes():
 
 
 def test_scan_worker_determinism():
-    seq = scan_interval(3, 60_000)
-    assert scan_interval(3, 20_000) + scan_interval(20_001, 60_000) == seq
+    seq = list(scan_interval(3, 60_000))
+    assert list(scan_interval(3, 20_000)) + list(scan_interval(20_001, 60_000)) == seq
 
 
 def test_scan_rejects_bad_range():
-    with pytest.raises(ValueError):
-        scan_interval(1, 100)
-    with pytest.raises(ValueError):
-        scan_interval(50, 3)
-    with pytest.raises(ValueError):
-        scan_interval(3, SCAN_Q_CAP + 1)
+    # scan_interval is a generator function: the call returns, and the
+    # first next() raises
+    for lo, hi in ((1, 100), (50, 3), (3, SCAN_Q_CAP + 1)):
+        verdicts = scan_interval(lo, hi)
+        with pytest.raises(ValueError):
+            next(verdicts)
 
 
 def test_verdicts_are_frozen():
