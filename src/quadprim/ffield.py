@@ -197,11 +197,23 @@ class QuadExtField:
         return tuple(cols)
 
     def _find_primitive(self) -> FieldElem:
-        cofactors = [self.m // r for r in self.ctx.fact_q2m1.primes()]
+        """The least code >= p of order m: u**(m/r) != 1 for each prime r of m.
+
+        For r | q - 1 that power is N(u)**((q-1)/r), with the norm
+        N(u) = u * u**q in F_q.  For the other r it is v**(q-1) with
+        v = u**((q+1)/r), which is 1 exactly when v lies in F_q.  Either way
+        the exponent is about half as long as m/r."""
+        q = self.q
+        primes = self.ctx.fact_q2m1.primes()
+        norm_cofactors = [(q - 1) // r for r in primes if (q - 1) % r == 0]
+        other_cofactors = [(q + 1) // r for r in primes if (q - 1) % r]
         code = self.p
         while True:
             u = self.element_from_index(code)
-            if all(self._pow_raw(u, cf) != self.one for cf in cofactors):
+            norm = self.mul(u, self.frobenius_q(u))
+            if all(self._pow_raw(norm, cf) != self.one for cf in norm_cofactors) \
+                    and not any(self.in_base_field(self._pow_raw(u, cf))
+                                for cf in other_cofactors):
                 return u
             code += 1
 
@@ -316,7 +328,7 @@ class QuadExtField:
     def base_field_elements(self) -> list[FieldElem]:
         """The q elements of F_q: zero, then ascending powers of a**(q+1)."""
         out = [self.zero]
-        b = self.pow(self.a, self.q + 1)
+        b = self._fq_gen
         cur = self.one
         for _ in range(self.q - 1):
             out.append(cur)
@@ -326,10 +338,15 @@ class QuadExtField:
     # -- F_q-coordinates (built on first use) ---------------------------------
 
     @cached_property
+    def _fq_gen(self) -> FieldElem:
+        """b = a**(q+1), the generator of F_q* behind digit indices."""
+        return self.pow(self.a, self.q + 1)
+
+    @cached_property
     def _fq_frame(self) -> tuple[tuple[FieldElem, ...], tuple[tuple[int, ...], ...]]:
         """The F_p-basis b**t, b**t * x (t < k) behind F_q-coordinates, as
         columns, and the rows of its inverse."""
-        b = self.pow(self.a, self.q + 1)
+        b = self._fq_gen
         basis = [self.one]
         for _ in range(self.k - 1):
             basis.append(self.mul(basis[-1], b))
@@ -365,15 +382,23 @@ class QuadExtField:
     def fq_exp(self) -> tuple[int, ...]:
         """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1.
 
-        Digits are coordinates in the basis b**t, so a step multiplies by b
-        in F_p digits: shift them up and fold b**k back in by its digits."""
-        p, k = self.p, self.k
-        bk = self.fq_coords(self.pow(self.a, (self.q + 1) * k))[0]
+        At k = 1 the digit index of an element of F_q = F_p is its value, so
+        a step multiplies by b mod p.  At k > 1 digits are coordinates in the
+        basis b**t, so a step shifts them up and folds b**k back in by its
+        digits."""
+        p, k, n = self.p, self.k, self.q - 1
+        if k == 1:
+            b = self._fq_gen[0]
+            exp = [1]
+            for _ in range(n - 1):
+                exp.append(exp[-1] * b % p)
+            return tuple(exp)
+        bk = self.fq_coords(self.pow(self._fq_gen, k))[0]
         top = [bk // p**t % p for t in range(k)]
         weights = [p**t for t in range(k)]
         digits = [1] + [0] * (k - 1)
         exp = []
-        for _ in range(self.q - 1):
+        for _ in range(n):
             exp.append(sum(map(mul, digits, weights)))
             carry = digits.pop()
             digits = [(c + carry * t) % p for c, t in zip([0] + digits, top)]

@@ -31,10 +31,16 @@ Each property ships in two independent flavors that must agree:
   rotated by log r, with log r read off a Zech log table, and a slope is
   tested by ORing the rotated masks until every line is met.  The line
   test is this cover at slope 1, the translate test, and then at the
-  other slopes.  A slope a**x is named by its exponent class
-  x mod q + 1.  The q-power map sigma fixes F_q and the 2-primitive set
-  and sends class x to -x, so it maps the lines of slope gamma onto those
-  of slope sigma(gamma): one slope of each pair is tested.
+  other slopes.  The q + 1 slopes are the points of P^1(F_q): None for
+  slope 1 and the digit index c of every element of F_q.  The q-power
+  map sigma fixes F_q and the 2-primitive set, and with x**q = T - x for
+  T = x + x**q in F_q it sends the line s + c*y = t onto the line
+  s + (T - c)*y = t: the mate of slope c is T - c, a digit-wise
+  difference mod p, and None is its own mate.  So the line test decides
+  in digit order, with no field multiplication: None, then each c with
+  c <= T - c, one slope of each pair.  Only when a slope fails are the
+  slopes walked again in gamma-set order, each named by its gamma, so
+  that the witness is the first failing gamma's.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -313,7 +319,8 @@ def _line_slopes(fld: QuadExtField):
     """Yield (gamma, c) in gamma-set order, skipping exponent classes d
     marked done; c is the digit index of -g_s/g_y for gamma = (g_s, g_y),
     None for slope 1 (g_y = 0).  Resuming means gamma passed: then d and
-    sigma's class -d are done."""
+    sigma's class -d are done.  verify_line_fast walks it only once a
+    slope failed, to name the first failing gamma."""
     q, n = fld.q, fld.q - 1
     exp, log = fld.fq_exp, fld.fq_log
     gs = build_gamma_set(fld)
@@ -329,23 +336,47 @@ def _line_slopes(fld: QuadExtField):
             done |= {d, -d % (q + 1)}
 
 
-def verify_line_fast(fld: QuadExtField) -> PropertyReport:
-    """Coset cover test per slope in gamma-set order, which starts with
-    slope 1, earliest exit.
+def _digit_slopes(fld: QuadExtField):
+    """Yield one slope of each sigma pair as _lines_met names them: None,
+    then each digit index c with c <= T - c, ascending, where T is the
+    digit index of x + x**q and T - c is taken digit-wise mod p.  The
+    fixed slope T/2 is its own mate and is yielded too: (q + 3)/2 slopes."""
+    p, k = fld.p, fld.k
+    x = fld.element_from_index(p)
+    trace = fld.fq_coords(fld.add(x, fld.frobenius_q(x)))[0]
+    yield None
+    for c in range(fld.q):
+        mate, w = 0, 1
+        for _ in range(k):
+            mate += (trace // w - c // w) % p * w
+            w *= p
+        if c <= mate:
+            yield c
 
-    The first gamma that leaves a line t != 0 unmet fails.  A slope whose
-    Frobenius mate passed is skipped.  The cosets are walked once, lazily:
-    each slope replays a copy of one tee iterator, so the walk goes as far
-    as the slope that reads the most cosets.
+
+def verify_line_fast(fld: QuadExtField) -> PropertyReport:
+    """Coset cover test of one slope per Frobenius pair, in digit order,
+    earliest exit; the witness is named in gamma-set order.
+
+    The line property holds when no slope of _digit_slopes leaves a line
+    t != 0 unmet.  Once one does, the slopes are tested again in gamma-set
+    order, which starts with slope 1 and skips a slope whose Frobenius
+    mate passed, and the first gamma that fails names the witness.  The
+    cosets are walked once, lazily: each slope replays a copy of one tee
+    iterator, so the walk goes as far as the slope that reads the most
+    cosets.
     """
     q, n = fld.q, fld.q - 1
+    full = (1 << n) - 1
     cosets = tee(_cosets(fld), 1)[0]
+    if all(_lines_met(fld, cosets.__copy__(), c) == full for c in _digit_slopes(fld)):
+        return PropertyReport(q, "line", True, None, n)
     for gamma, c in _line_slopes(fld):
         met = _lines_met(fld, cosets.__copy__(), c)
-        if met != (1 << n) - 1:
+        if met != full:
             return PropertyReport(q, "line", False, (gamma, _unmet_key(fld, gamma, c, met)),
                                   met.bit_count())
-    return PropertyReport(q, "line", True, None, n)
+    raise AssertionError("a slope failed in digit order but none in gamma-set order")
 
 
 # -- dumb witness re-checkers ----------------------------------------------

@@ -262,7 +262,8 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
         monkeypatch.setattr(QuadExtField, name, broken)
     for name in ("fq_exp", "fq_log", "fq_zech", "_fq_frame"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_line_slopes"):
+    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_line_slopes",
+                 "_digit_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))
@@ -294,26 +295,47 @@ def test_frobenius_pairs_slopes_with_equal_covers(fields):
 
 
 def test_fast_line_tests_one_slope_per_frobenius_pair(monkeypatch):
-    # _line_slopes yields every tested slope, slope 1 first
+    # a passing q tests each slope _lines_met is handed: None (slope 1)
+    # first, then digit indices c, one of each pair {c, T - c} with
+    # T = x + x**q, the fixed slope T/2 included
     tested = []
-    line_slopes = verify._line_slopes
+    lines_met = verify._lines_met
 
-    def recording(fld):
-        for gamma, c in line_slopes(fld):
-            tested.append(gamma)
-            yield gamma, c
+    def recording(fld, cosets, c):
+        tested.append(c)
+        return lines_met(fld, cosets, c)
 
-    monkeypatch.setattr(verify, "_line_slopes", recording)
-    for q in (27, 81, 125, 169):
+    monkeypatch.setattr(verify, "_lines_met", recording)
+    for q in (17, 27, 81, 125, 169):
         fld = build_field(ctx_for_prime_power(q))
         tested.clear()
         assert verify_line_fast(fld).holds, q
-        assert tested[0] == fld.one, q
-        assert len(tested) == (q + 3) // 2, q
+        assert tested[0] is None, q
+        assert len(tested) == len(set(tested)) == (q + 3) // 2, q
+        elem = lambda s: fld.from_fq_coords(s, 0)  # noqa: E731
+        x = fld.from_fq_coords(0, 1)
+        trace = fld.add(x, fld.frobenius_q(x))
+        mates = {fld.fq_coords(fld.sub(trace, elem(c)))[0] for c in tested[1:]}
+        assert set(tested[1:]) | mates == set(range(q)), q
+        # slope c is the direction of -c + x, slope None that of 1, and
         # u**(q-1) names the class u * F_q*, i.e. the direction of u
-        directions = {fld.pow(u, q - 1) for g in tested
+        gammas = [fld.one] + [fld.sub(x, elem(c)) for c in tested[1:]]
+        directions = {fld.pow(u, q - 1) for g in gammas
                       for u in (g, fld.frobenius_q(g))}
         assert len(directions) == q + 1, q
+
+
+def test_fast_line_decides_without_the_gamma_set(monkeypatch):
+    # a passing q is decided in digit order; the gamma set only names the
+    # witness of a failing one
+    def broken(*args, **kwargs):
+        raise AssertionError("verify_line_fast built the gamma set")
+
+    monkeypatch.setattr(verify, "build_gamma_set", broken)
+    for q in (27, 509):
+        assert verify_line_fast(build_field(ctx_for_prime_power(q))).holds, q
+    with pytest.raises(AssertionError):
+        verify_line_fast(build_field(ctx_for_prime_power(13)))
 
 
 def test_coset_cover_matches_a_brute_force_walk():
