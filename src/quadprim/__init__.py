@@ -2,11 +2,11 @@
 
 Layers, bottom up:
 
-- arith        integer support: primality, factoring, contexts for q = p**k
+- arith        integer support: factoring, contexts for q = p**k
 - ffield       concrete arithmetic in F_q and F_{q**2}
 - criteria     sufficient conditions, sieve decompositions, interval scan
 - verify       exhaustive translate / line property verification
-- charoracle   character-sum consistency checks for small fields
+- charoracle   character-sum and sieve checks for small fields
 - cli          command line front end
 
 The package namespace re-exports the entry points of the README's

@@ -1,17 +1,17 @@
 """Exact integer number theory for the verification pipeline.
 
-Primality (deterministic Miller-Rabin), factorization by trial division
-alone (exact for every positive integer; ``factorize`` states the
-largest input the pipeline gives it), the multiplicative functions the
-later stages use, and enumeration of odd prime powers together with the
-derived data every later stage needs.  Everything here is exact integer
-arithmetic.
+Factorization by trial division alone (exact for every positive
+integer; ``factorize`` states the largest input the pipeline gives it),
+the multiplicative functions the later stages use, and enumeration of
+odd prime powers together with the derived data every later stage
+needs.  Everything here is exact integer arithmetic.
 
 ``_odd_prime_powers`` streams the odd prime powers of an interval up to
 ``SCAN_Q_CAP`` from one count table of the distinct odd primes of every
 n from lo - 1 to hi + 1, which also gives the scan its counts for the
 even numbers n = q - 1 and q + 1.  ``factorize`` is the one way the
-package factors.
+package factors or decides primality, and ``ctx_for_prime_power`` the one
+way it builds the context of a given q.
 """
 
 from __future__ import annotations
@@ -25,20 +25,14 @@ __all__ = [
     "SCAN_Q_CAP",
     "Factorization",
     "PrimePowerCtx",
-    "is_prime",
     "factorize",
     "euler_phi",
     "squarefree_odd_radical",
     "product_factorization",
-    "prime_power_ctx",
     "ctx_for_prime_power",
     "primes_upto",
     "first_primes",
 ]
-
-# Witness set making Miller-Rabin deterministic for every n < 3.3 * 10**24,
-# which covers all 64-bit inputs.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Gaps of the mod-30 wheel starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -56,29 +50,6 @@ _INC = bytes(range(1, 256)) + b"\0"
 
 # Byte map flagging the counts of the odd prime powers.
 _AT_MOST_ONE = bytes(c <= 1 for c in range(256))
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = ((d & -d).bit_length()) - 1
-    d >>= r
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -200,15 +171,6 @@ def _ctx(p: int, k: int, q: int) -> PrimePowerCtx:
         rprime=squarefree_odd_radical(fact),
         t_q=len(fact.factors),
     )
-
-
-def prime_power_ctx(p: int, k: int) -> PrimePowerCtx:
-    """Build the context for q = p**k; p must be prime, k >= 1."""
-    if k < 1:
-        raise ValueError("exponent k must be at least 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _ctx(p, k, p**k)
 
 
 def ctx_for_prime_power(q: int) -> PrimePowerCtx:

@@ -3,19 +3,22 @@
 Multiplicative characters of F_{q**2}* are indexed against the chosen
 primitive element a: chi_t(a**e) = exp(2*pi*i*t*e/m) with m = q**2 - 1.
 On top of a discrete-log table (one multiplicative sweep, memoized per
-field) this module evaluates
+field) this module checks three facts:
 
-- translate sums  sum_{x in F_q} chi(theta + x),
-- orthogonality-based indicators (n-free, k-th power residue, and the
-  combined square-not-fourth-power-and-free indicator that picks out
-  elements of order m/2),
-- line target counts both by direct order tests and through the
-  character expansion, and
-- the sieve lower bound relating a count for a modulus to counts for a
-  family of its divisors.
+- translate sums: sum_{x in F_q} chi(theta + x) is -1 for a nontrivial
+  chi trivial on F_q* and has modulus sqrt(q) otherwise, for every
+  translate class (``survey_translate_sums``);
+- the line count: the number of x in F_q with alpha * (theta + x) an
+  r-free square and not a fourth power, by exact order tests and
+  through its character expansion (``line_target_count``,
+  ``survey_line_identities``);
+- the sieve lower bound relating that count for a modulus to the counts
+  for a family of its divisors, with exact counts
+  (``check_sieve_inequality``).
 
-Everything here is exhaustive and floating-point based, so fields are
-capped at q <= ORACLE_Q_CAP.
+The character sums are floating point, checked against exact values
+and counts.  Everything here is exhaustive, so fields are capped at
+q <= ORACLE_Q_CAP.
 """
 
 from __future__ import annotations
@@ -37,17 +40,9 @@ __all__ = [
     "SieveCheck",
     "TranslateSumSurvey",
     "LineIdentitySurvey",
-    "trivial_character",
     "characters_of_order",
     "char_eval",
-    "translate_character_sum",
     "translate_transversal",
-    "mfree_indicator",
-    "power_residue_indicator",
-    "rfree_square_indicator",
-    "rfree_square_indicator_expanded",
-    "is_mfree_exact",
-    "is_power_residue_exact",
     "line_target_count",
     "check_sieve_inequality",
     "survey_translate_sums",
@@ -114,10 +109,6 @@ class CharIndex:
     order: int
 
 
-def trivial_character(fld: QuadExtField) -> CharIndex:
-    return CharIndex(0, 1)
-
-
 def characters_of_order(d: int, fld: QuadExtField) -> tuple[CharIndex, ...]:
     """All characters of exact order d, ascending in index t."""
     m = fld.m
@@ -150,15 +141,6 @@ def _character_sum(t: int, logs: list[int], roots: list[complex], m: int) -> com
     return total
 
 
-def translate_character_sum(chi: CharIndex, theta: FieldElem,
-                            fld: QuadExtField) -> complex:
-    """sum_{x in F_q} chi(theta + x) for theta outside F_q."""
-    if fld.in_base_field(theta):
-        raise ValueError("theta must lie outside the base field")
-    [logs] = _translate_logs((theta,), fld)
-    return _character_sum(chi.t, logs, _root_table(fld), fld.m)
-
-
 def translate_transversal(fld: QuadExtField) -> tuple[FieldElem, ...]:
     """One representative per translate class, q - 1 in all: the first
     element of each class in elements() order, in that order."""
@@ -166,7 +148,7 @@ def translate_transversal(fld: QuadExtField) -> tuple[FieldElem, ...]:
     return tuple(translate_classes(fld).values())
 
 
-# -- indicators ------------------------------------------------------------
+# -- line target counts and the sieve --------------------------------------
 
 
 def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
@@ -175,93 +157,6 @@ def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
     for prime, _ in factorize(n).factors:
         out += [(d * prime, -mu) for d, mu in out]
     return out
-
-
-def mfree_indicator(x: FieldElem, n: int, fld: QuadExtField) -> complex:
-    """Character expansion of [x is n-free], i.e. no prime dividing n has
-    x as one of its power residues.  n must divide the group order."""
-    m = fld.m
-    if n < 1 or m % n:
-        raise ValueError(f"{n} does not divide the group order {m}")
-    e = dlog(x, fld)
-    roots = _root_table(fld)
-    total = 0j
-    for d, mu in _squarefree_divisors(n):
-        phi = euler_phi(factorize(d))
-        coeff = mu / phi
-        for chi in characters_of_order(d, fld):
-            total += coeff * roots[(chi.t * e) % m]
-    theta_n = euler_phi(factorize(n)) / n
-    return theta_n * total
-
-
-def power_residue_indicator(x: FieldElem, k: int, fld: QuadExtField) -> complex:
-    """Character expansion of [x is a k-th power].  k must divide the
-    group order."""
-    m = fld.m
-    if k < 1 or m % k:
-        raise ValueError(f"{k} does not divide the group order {m}")
-    e = dlog(x, fld)
-    roots = _root_table(fld)
-    total = 0j
-    for j in range(k):
-        total += roots[((m // k) * j * e) % m]
-    return total / k
-
-
-def rfree_square_indicator(x: FieldElem, r: int, fld: QuadExtField) -> complex:
-    """[x is r-free, a square, and not a fourth power], as the product of
-    the two simpler indicators.  Picks out elements of order m/2 when r
-    is the odd radical of m."""
-    return mfree_indicator(x, r, fld) * (
-        power_residue_indicator(x, 2, fld) - power_residue_indicator(x, 4, fld))
-
-
-def rfree_square_indicator_expanded(x: FieldElem, r: int,
-                                    fld: QuadExtField) -> complex:
-    """Same quantity as rfree_square_indicator, written out as one double
-    sum over combined character indices.  Independent code path used to
-    cross-check the grouped form."""
-    m = fld.m
-    if r < 1 or m % r:
-        raise ValueError(f"{r} does not divide the group order {m}")
-    if m % 4:
-        raise ValueError("group order must be divisible by 4")
-    e = dlog(x, fld)
-    roots = _root_table(fld)
-    quartet = ((0, 1.0), (m // 2, 1.0), (m // 4, -1.0), (3 * m // 4, -1.0))
-    total = 0j
-    for d, mu in _squarefree_divisors(r):
-        coeff = mu / euler_phi(factorize(d))
-        for chi in characters_of_order(d, fld):
-            for s, sign in quartet:
-                total += coeff * sign * roots[(((chi.t + s) % m) * e) % m]
-    theta_r = euler_phi(factorize(r)) / r
-    return (theta_r / 4.0) * total
-
-
-def is_mfree_exact(x: FieldElem, n: int, fld: QuadExtField) -> bool:
-    """Order test: x is n-free iff x is no ell-th power for any prime
-    ell dividing n."""
-    m = fld.m
-    if n < 1 or m % n:
-        raise ValueError(f"{n} does not divide the group order {m}")
-    if x == fld.zero:
-        raise ValueError("zero is not in the multiplicative group")
-    return all(fld.pow(x, m // ell) != fld.one
-               for ell in factorize(n).primes())
-
-
-def is_power_residue_exact(x: FieldElem, k: int, fld: QuadExtField) -> bool:
-    m = fld.m
-    if k < 1 or m % k:
-        raise ValueError(f"{k} does not divide the group order {m}")
-    if x == fld.zero:
-        raise ValueError("zero is not in the multiplicative group")
-    return fld.pow(x, m // k) == fld.one
-
-
-# -- line target counts and the sieve --------------------------------------
 
 
 @dataclass(frozen=True)

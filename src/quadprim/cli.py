@@ -313,20 +313,22 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
     fails_count = 0
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
-        outcomes = set()
+        # whole reports: the flavors must agree on witness and
+        # classes_covered as well as on the verdict
+        reports = set()
         for flavor, verifier in flavors:
             if args.mode not in (flavor, "both"):
                 continue
             t0 = perf_counter()
             report = verifier(fld)
-            outcomes.add(report.holds)
+            reports.add(report)
             rows.append(_row(q, fld.p, fld.k, f"verify-{args.prop}:{flavor}",
                              "holds" if report.holds else "fails",
                              _fmt_witness(report), (perf_counter() - t0) * 1000.0))
-        if len(outcomes) != 1:
+        if len(reports) != 1:
             problems.append(f"q={q}: reference and fast verifiers disagree")
             continue
-        holds = outcomes.pop()
+        holds = reports.pop().holds
         holds_count += holds
         fails_count += not holds
         if args.expect_known and holds != (q not in args.known):

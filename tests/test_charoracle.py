@@ -11,18 +11,10 @@ from quadprim.charoracle import (
     characters_of_order,
     check_sieve_inequality,
     dlog,
-    is_mfree_exact,
-    is_power_residue_exact,
     line_target_count,
-    mfree_indicator,
-    power_residue_indicator,
-    rfree_square_indicator,
-    rfree_square_indicator_expanded,
     survey_line_identities,
     survey_translate_sums,
-    translate_character_sum,
     translate_transversal,
-    trivial_character,
 )
 from quadprim.ffield import build_field
 
@@ -80,7 +72,7 @@ def test_character_orthogonality(fields):
         total = sum(char_eval(CharIndex(t, 0), u, fld) for u in elems)
         assert abs(total) < 1e-9
     # trivial character sums to the group size
-    total = sum(char_eval(trivial_character(fld), u, fld) for u in elems)
+    total = sum(char_eval(CharIndex(0, 1), u, fld) for u in elems)
     assert abs(total - m) < 1e-9
 
 
@@ -114,15 +106,6 @@ def test_translate_sum_survey_matches_direct_sums(fields):
         assert survey_translate_sums(fld).max_deviation == worst
 
 
-def test_translate_sum_trivial_character(fields):
-    fld = fields[7]
-    theta = translate_transversal(fld)[0]
-    total = translate_character_sum(trivial_character(fld), theta, fld)
-    assert abs(total - 7) < 1e-9
-    with pytest.raises(ValueError):
-        translate_character_sum(trivial_character(fld), fld.one, fld)
-
-
 def test_translate_transversal_is_transversal(fields):
     for q in (5, 9, 13):
         fld = fields[q]
@@ -137,48 +120,6 @@ def test_translate_transversal_is_transversal(fields):
             if not fld.in_base_field(u):
                 first.setdefault(fld.sub(fld.frobenius_q(u), u), u)
         assert reps == tuple(first.values())
-
-
-def test_indicators_match_exact_predicates(fields):
-    for q in (9, 13):
-        fld = fields[q]
-        m = fld.m
-        r = fld.ctx.rprime
-        u = fld.one
-        for _ in range(m - 1):
-            u = fld.mul(u, fld.a)
-            free = mfree_indicator(u, r, fld)
-            assert abs(free - (1.0 if is_mfree_exact(u, r, fld) else 0.0)) < 1e-9
-            sq = power_residue_indicator(u, 2, fld)
-            assert abs(sq - (1.0 if is_power_residue_exact(u, 2, fld) else 0.0)) < 1e-9
-            fourth = power_residue_indicator(u, 4, fld)
-            assert abs(fourth - (1.0 if is_power_residue_exact(u, 4, fld) else 0.0)) < 1e-9
-
-
-def test_two_primitive_indicator_forms_agree(fields):
-    # product form == expanded double sum == exact order test
-    for q in (9, 13):
-        fld = fields[q]
-        m = fld.m
-        r = fld.ctx.rprime
-        u = fld.one
-        for _ in range(m - 1):
-            u = fld.mul(u, fld.a)
-            grouped = rfree_square_indicator(u, r, fld)
-            expanded = rfree_square_indicator_expanded(u, r, fld)
-            assert abs(grouped - expanded) < 1e-9
-            exact = 1.0 if fld.element_order(u) == m // 2 else 0.0
-            assert abs(grouped - exact) < 1e-6
-
-
-def test_exact_predicates_reject_zero(fields):
-    fld = fields[5]
-    with pytest.raises(ValueError):
-        is_mfree_exact(fld.zero, 3, fld)
-    with pytest.raises(ValueError):
-        is_power_residue_exact(fld.zero, 2, fld)
-    with pytest.raises(ValueError):
-        mfree_indicator(fld.one, 5, fld)  # 5 does not divide 24
 
 
 def test_line_target_count_identity(fields):

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from quadprim import arith
 from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import SCAN_Q_CAP, _build_parser, _scan_rows, main
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
-from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS
+from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS, verify_line_fast
 
 
 def _read_csv(path):
@@ -365,6 +366,28 @@ def test_oracle_output_bytes_are_pinned(tmp_path):
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "41b2ae207bec12df97c61910eeeb8b6bf6572bd5656a00b0a22723ee5f577b0d"
+
+
+@pytest.mark.parametrize("alter", [
+    lambda report, fld: replace(report, witness=(
+        report.witness[0], fld.add(report.witness[1], fld.one))),
+    lambda report, fld: replace(report, classes_covered=report.classes_covered + 1),
+], ids=["witness", "classes_covered"])
+def test_verify_both_compares_whole_reports(tmp_path, capsys, monkeypatch, alter):
+    # a fast report with the right verdict but another witness or cover
+    # count is a disagreement, as a wrong verdict is
+    def altered_fast(fld):
+        report = verify_line_fast(fld)
+        altered = alter(report, fld)
+        assert altered != report and altered.holds == report.holds is False
+        return altered
+
+    monkeypatch.setattr("quadprim.cli.verify_line_fast", altered_fast)
+    out = tmp_path / "vl.csv"
+    assert main(["verify-line", "--q-list", "5", "--mode", "both",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "expectation failed: q=5: reference and fast verifiers disagree"]
 
 
 def test_oracle_rows_are_timed(tmp_path):

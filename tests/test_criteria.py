@@ -289,11 +289,7 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
         factored.append(n)
         return factorize(n)
 
-    def refuse(n):
-        raise AssertionError(f"called for {n}")
-
     monkeypatch.setattr(arith, "factorize", counting_factorize)
-    monkeypatch.setattr(arith, "is_prime", refuse)
     verdicts = list(scan_interval(3, 50_000))
     failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
     assert len(verdicts) == 5_202 and len(failures) > 100

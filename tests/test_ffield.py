@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -194,6 +195,19 @@ def test_modulus_is_minimal_code():
             disc = (e1 * e1 - 4 * e0) % p
             is_non_residue = disc != 0 and pow(disc, (p - 1) // 2, p) == p - 1
             assert not is_non_residue
+
+
+def test_extension_moduli_are_pinned():
+    # the degree-2k modulus and primitive element of every field with
+    # k >= 2 and q <= 8192, the command line's bound: a change of the
+    # irreducibility test or of the search order moves this digest
+    qs = [q for q in range(9, 8193, 2)
+          if len(f := factorize(q).factors) == 1 and f[0][1] >= 2]
+    assert len(qs) == 38
+    data = [(q, fld.modulus, fld.a)
+            for q in qs for fld in [build_field(ctx_for_prime_power(q))]]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == \
+        "7f84d25d3d95e10b6ddff54eef0287e5c14a4f47d542346a834cbf1dbe550cf9"
 
 
 def test_element_roundtrip(fields):
