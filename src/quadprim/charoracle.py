@@ -323,21 +323,16 @@ class LineIdentitySurvey:
     ok: bool
 
 
-def survey_line_identities(fld: QuadExtField, r: int | None = None,
-                           alphas: tuple[FieldElem, ...] | None = None
-                           ) -> LineIdentitySurvey:
+def survey_line_identities(fld: QuadExtField) -> LineIdentitySurvey:
     """Compare direct and character-expansion line counts over every
-    translate class for each given alpha (default: 1 and the primitive
-    element).  r defaults to the odd radical of the group order."""
+    translate class for alpha = 1 and alpha = a, with r the odd radical
+    R' of the group order."""
     _require_oracle_field(fld)
-    if r is None:
-        r = fld.ctx.rprime
-    if alphas is None:
-        alphas = (fld.one, fld.a)
+    r = fld.ctx.rprime
     worst = 0.0
     pairs = 0
     for theta in translate_transversal(fld):
-        for alpha in alphas:
+        for alpha in (fld.one, fld.a):
             res = line_target_count(theta, alpha, r, fld)
             dev = abs(res.via_formula - res.direct)
             if dev > worst:

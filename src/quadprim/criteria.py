@@ -158,19 +158,17 @@ def r1_of(ctx: PrimePowerCtx, R: int) -> int:
     return out
 
 
-def basic_condition(ctx: PrimePowerCtx, R: int, R1: int) -> tuple[bool, float]:
-    """Evaluate the basic inequality for a square-free divisor R of R'.
+def basic_condition(ctx: PrimePowerCtx) -> tuple[bool, float]:
+    """Evaluate the basic inequality with R = R', the odd radical of q**2 - 1.
 
-    Returns (holds, margin) with margin = (q+1) - rhs.  Shrinking R can
-    only help, so the strongest sufficient statement uses R = R'.
+    Returns (holds, margin) with margin = (q+1) - rhs.
     """
     q = ctx.q
     if q % 2 == 0:
         raise ValueError("q must be odd")
-    if R < 1 or ctx.rprime % R:
-        raise ValueError("R must divide the odd radical of q**2 - 1")
+    R = ctx.rprime
     return _basic_holds(q, 1 << _count_prime_divisors(ctx, R),
-                        1 << _count_prime_divisors(ctx, R1))
+                        1 << _count_prime_divisors(ctx, r1_of(ctx, R)))
 
 
 def _basic_holds(q: int, w_r: int, w_r1: int) -> tuple[bool, float]:
@@ -330,8 +328,7 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     if ctx.t_q >= prime_count_cutoff():
         return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf,
                                 ctx.p, ctx.k)
-    R = ctx.rprime
-    ok, margin = basic_condition(ctx, R, r1_of(ctx, R))
+    ok, margin = basic_condition(ctx)
     if ok:
         return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin, ctx.p, ctx.k)
     best = margin

@@ -4,7 +4,9 @@ The extension is realized as a single tower step F_p[x]/(f) of degree 2k,
 with f the first monic irreducible polynomial in a fixed enumeration by
 ascending coefficient code.  A context therefore always yields the same
 modulus, the same primitive element and the same root of unity, on every
-run and platform.
+run and platform.  At degree 2 the search tests the discriminant; above
+that it runs Rabin's test with the field's own multiply mod each candidate,
+the gcd checks first and x**(p**n) == x last (see ``_find_modulus``).
 
 Elements are coordinate tuples of length 2k over F_p, constant term
 first.  The subfield F_q sits inside as the fixed points of the q-power
@@ -35,43 +37,13 @@ __all__ = [
 FieldElem = tuple  # coordinate vector of length 2k over F_p
 
 
-# -- polynomial helpers over F_p (little-endian coefficient lists) --------
+# -- polynomial gcd over F_p (little-endian coefficient lists) -----------
 
 
 def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    # f monic; result reduced mod f
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    deg_f = len(f) - 1
-    for t in range(len(res) - 1, deg_f - 1, -1):
-        c = res[t]
-        if c:
-            res[t] = 0
-            for i in range(deg_f):
-                res[t - deg_f + i] = (res[t - deg_f + i] - c * f[i]) % p
-    return _ptrim(res[:deg_f])
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, acc, f, p)
-        acc = _pmulmod(acc, acc, f, p)
-        e >>= 1
-    return result
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -91,20 +63,6 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
             _ptrim(r)
         a, b = monic, r
     return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree >= 2 over F_p."""
-    n = len(f) - 1
-
-    def x_power_minus_x(e: int) -> list[int]:  # x**(p**e) - x mod f
-        h = _ppowmod([0, 1], p**e, f, p) + [0, 0]
-        return _ptrim([(c - (i == 1)) % p for i, c in enumerate(h)])
-
-    if any(len(_pgcd(f, x_power_minus_x(n // r), p)) != 1
-           for r in factorize(n).primes()):
-        return False
-    return x_power_minus_x(n) == []
 
 
 def _pinverse(cols: list[FieldElem], p: int) -> tuple[tuple[int, ...], ...]:
@@ -144,7 +102,7 @@ class QuadExtField:
         self.zero: FieldElem = (0,) * self.deg
         self.one: FieldElem = (1,) + (0,) * (self.deg - 1)
         self.modulus = self._find_modulus()
-        self._init_reduction()
+        self._init_reduction(self.modulus)
         self._frobq_cols = self._build_frobenius_columns()
         self.a = self._find_primitive()
         self.zeta = self.pow(self.a, ctx.odd_part)
@@ -155,7 +113,12 @@ class QuadExtField:
     # -- construction -----------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
-        """First monic irreducible of degree 2k by ascending coefficient code."""
+        """First monic irreducible of degree 2k by ascending coefficient code.
+
+        Degree 2 tests the discriminant.  Above that, with f's reduction rows
+        installed, Rabin's test: for the splits e = n/r (r a prime of n = 2k),
+        ascending, y = x**(p**e) is raised from the last y and f is rejected
+        at the first gcd(f, y - x) != 1; x**(p**n) == x is checked last."""
         p, deg = self.p, self.deg
         if deg == 2:
             for code in range(p * p):
@@ -164,17 +127,25 @@ class QuadExtField:
                 if disc and pow(disc, (p - 1) // 2, p) == p - 1:
                     return (c0, c1, 1)
             raise AssertionError("no irreducible quadratic found")
+        x = self.element_from_index(p)
+        splits = sorted(deg // r for r in factorize(deg).primes())
         code = 0
         while True:
-            f = list(self.element_from_index(code)) + [1]
-            if _is_irreducible(f, p):
-                return tuple(f)
+            f = self.element_from_index(code) + (1,)
+            self._init_reduction(f)
+            y, done = x, 0  # y = x**(p**done) mod f
+            for e in splits:
+                y, done = self._pow_raw(y, p**(e - done)), e
+                if len(_pgcd(f, self.sub(y, x), p)) != 1:
+                    break
+            else:
+                if self._pow_raw(y, p**(deg - done)) == x:
+                    return f
             code += 1
 
-    def _init_reduction(self) -> None:
-        # rows[i] = coordinates of x**(deg+i) modulo the modulus
+    def _init_reduction(self, f: tuple[int, ...]) -> None:
+        # rows[i] = coordinates of x**(deg+i) modulo the monic f
         p, deg = self.p, self.deg
-        f = self.modulus
         top = [(-c) % p for c in f[:deg]]
         rows = [tuple(top)]
         cur = list(top)
@@ -247,16 +218,20 @@ class QuadExtField:
                 row = red[t - deg]
                 for i, ri in enumerate(row):
                     conv[i] += c * ri
-        return tuple(c % p for c in conv[:deg])
+        # from a list: tuple() of a generator resizes its result, so freed
+        # products would pile up in the tuple free list and raise peak RSS
+        return tuple([c % p for c in conv[:deg]])
 
     def _pow_raw(self, u: FieldElem, e: int) -> FieldElem:
-        result = self.one
-        acc = u
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
+        # left to right: no multiply by one and no unused square; u goes
+        # first so a sparse u (such as x) makes the product cheap
+        if not e:
+            return self.one
+        result = u
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(u, result)
         return result
 
     def pow(self, u: FieldElem, e: int) -> FieldElem:

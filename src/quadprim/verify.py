@@ -401,8 +401,10 @@ def recheck_translate_witness(fld: QuadExtField, key: FieldElem) -> bool:
 
 def recheck_line_witness(fld: QuadExtField, gamma: FieldElem, key: FieldElem) -> bool:
     """Confirm by direct order computation that the named line contains
-    no element of order (q**2 - 1)/2.  Raises ValueError for a key that
-    no translate set carries."""
+    no element of order (q**2 - 1)/2.  Raises ValueError for a zero gamma,
+    which slopes no line, and for a key that no translate set carries."""
+    if gamma == fld.zero:
+        raise ValueError("gamma must be nonzero")
     theta = translate_classes(fld).get(key)
     if theta is None:
         raise ValueError("no translate set carries this key")

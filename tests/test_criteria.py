@@ -35,12 +35,12 @@ def test_exception_table_shape():
 def test_basic_condition_small_values():
     # q = 3: both sides meet exactly, so the condition must not hold
     ctx = ctx_for_prime_power(3)
-    ok, margin = basic_condition(ctx, ctx.rprime, r1_of(ctx, ctx.rprime))
+    ok, margin = basic_condition(ctx)
     assert not ok
     assert margin == pytest.approx(0.0, abs=1e-12)
 
     ctx = ctx_for_prime_power(4561)
-    ok, margin = basic_condition(ctx, ctx.rprime, r1_of(ctx, ctx.rprime))
+    ok, margin = basic_condition(ctx)
     assert ok and margin > 0
 
 
@@ -186,8 +186,7 @@ def test_sieve_with_no_primes_matches_basic():
     ctx = ctx_for_prime_power(3)
     decs = list(greedy_decompose(ctx))
     assert len(decs) == 1 and decs[0].s == 0
-    basic_ok, basic_margin = basic_condition(
-        ctx, ctx.rprime, r1_of(ctx, ctx.rprime))
+    basic_ok, basic_margin = basic_condition(ctx)
     ok, margin = sieve_condition(ctx, decs[0])
     assert ok == basic_ok
     assert margin == pytest.approx(basic_margin)

@@ -195,6 +195,32 @@ def test_modulus_is_minimal_code():
             disc = (e1 * e1 - 4 * e0) % p
             is_non_residue = disc != 0 and pow(disc, (p - 1) // 2, p) == p - 1
             assert not is_non_residue
+    # degree 2k >= 4: f is irreducible and every earlier monic code is
+    # reducible, decided by trial division rather than Rabin's test
+    for q in (9, 25, 27, 49, 81, 125, 243):
+        fld = build_field(ctx_for_prime_power(q))
+        p, k, f = fld.p, fld.k, fld.modulus
+        assert len(f) == 2 * k + 1 and f[-1] == 1
+        assert not _has_monic_factor(f, p, k)
+        for earlier in range(fld.index_of(f[:-1])):
+            assert _has_monic_factor(fld.element_from_index(earlier) + (1,), p, k)
+
+
+def _has_monic_factor(f, p, max_deg):
+    # f little-endian and monic; trial division by every monic g of degree
+    # 1..max_deg over F_p, which decides reducibility for deg f <= 2 max_deg
+    for d in range(1, max_deg + 1):
+        for code in range(p**d):
+            g = [code // p**i % p for i in range(d)] + [1]
+            r = list(f)
+            for t in range(len(r) - 1, d - 1, -1):
+                c = r[t]
+                if c:
+                    for i, gi in enumerate(g):
+                        r[t - d + i] = (r[t - d + i] - c * gi) % p
+            if not any(r[:d]):
+                return True
+    return False
 
 
 def test_extension_moduli_are_pinned():

@@ -10,6 +10,7 @@ from quadprim.ffield import (
     QuadExtField,
     build_field,
     line_class_key,
+    translate_classes,
 )
 from quadprim.verify import (
     LINE_EXCEPTIONS,
@@ -166,6 +167,12 @@ def test_recheck_rejects_unknown_keys(fields):
             recheck_translate_witness(fld, fld.one)
         with pytest.raises(ValueError):
             recheck_line_witness(fld, fld.one, fld.one)
+    # gamma = 0 slopes no line: at q = 43 the line property holds, so a
+    # zero gamma must not be confirmed as a witness for a real key
+    fld = fields[43]
+    key = next(iter(translate_classes(fld)))
+    with pytest.raises(ValueError):
+        recheck_line_witness(fld, fld.zero, key)
 
 
 def test_reference_cover_skips_the_line_through_0(fields):
