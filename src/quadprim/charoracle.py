@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .arith import euler_phi, factorize
@@ -101,8 +101,7 @@ def dlog(u: FieldElem, fld: QuadExtField) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class CharIndex:
+class CharIndex(NamedTuple):
     """Multiplicative character chi_t of exact order `order`."""
 
     t: int
@@ -159,8 +158,7 @@ def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class LineTargetCount:
+class LineTargetCount(NamedTuple):
     """Count of x in F_q for which alpha * (theta + x) is an r-free
     square and not a fourth power, by exact order tests (direct) and by
     the character expansion (via_formula)."""
@@ -201,10 +199,9 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
     direct = _direct_line_count(theta, alpha, r, fld)
 
     roots = _root_table(fld)
-    tbl = _dlog_table(fld)
-    # discrete logs of the q line elements, computed once
-    logs = [tbl[fld.index_of(fld.mul(alpha, fld.add(theta, x)))]
-            for x in fld.base_field_elements()]
+    # discrete logs of the q line elements alpha * (theta + x), computed once
+    la = dlog(alpha, fld)
+    logs = [(e + la) % m for e in _translate_logs((theta,), fld)[0]]
     # chi_t times the quartet's characters chi_s, s = m/2, m/4, 3m/4, at
     # a**e is roots[(t*e + s*e) % m]; the offsets s*e are fixed per log
     offsets = [(e, m // 2 * e % m, m // 4 * e % m, 3 * m // 4 * e % m) for e in logs]
@@ -226,8 +223,7 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
     return LineTargetCount(fld.q, r, direct, (theta_r / 4.0) * total)
 
 
-@dataclass(frozen=True)
-class SieveCheck:
+class SieveCheck(NamedTuple):
     """Sieve lower bound for one (theta, alpha) pair: the count at the
     full modulus must be at least sum(part_counts) - (s - 1) * base_count."""
 
@@ -281,8 +277,7 @@ def check_sieve_inequality(theta: FieldElem, alpha: FieldElem, modulus: int,
 # -- aggregate surveys (shared by tests and the command line) ---------------
 
 
-@dataclass(frozen=True)
-class TranslateSumSurvey:
+class TranslateSumSurvey(NamedTuple):
     q: int
     characters: int
     translates: int
@@ -314,8 +309,7 @@ def survey_translate_sums(fld: QuadExtField) -> TranslateSumSurvey:
     return TranslateSumSurvey(q, m - 1, len(reps), worst, worst <= TRANSLATE_SUM_TOL)
 
 
-@dataclass(frozen=True)
-class LineIdentitySurvey:
+class LineIdentitySurvey(NamedTuple):
     q: int
     r: int
     pairs: int

@@ -485,9 +485,13 @@ def main(argv: list[str] | None = None) -> int:
         rows, summary, failures = args.handler(args)
         _emit(args, out, rows, summary)
         out.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe.  As the signal module's docs advise,
-        # the rest goes to devnull, so no later flush raises again.
+    except OSError as exc:
+        # A reader that closed the pipe wants no more output, so only other
+        # write errors, such as a full disk, are reported.  As the signal
+        # module's docs advise, the rest goes to devnull, so neither the
+        # close nor the exit-time flush raises again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"quadprim: error: cannot write output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
     finally:

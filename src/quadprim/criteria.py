@@ -35,7 +35,6 @@ the inequality and decides nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -86,8 +85,7 @@ class Stage(Enum):
     ELIMINATED_BY_PRIME_COUNT = "eliminated-by-prime-count"
 
 
-@dataclass(frozen=True)
-class SieveDecomposition:
+class SieveDecomposition(NamedTuple):
     """A decomposition R' = kk * p_1 ... p_s with the derived sieve data.
 
     sieve_primes  the moved primes, in the order they were moved
@@ -118,9 +116,7 @@ class CriterionVerdict(NamedTuple):
     margin is lhs - rhs of the decisive inequality: the passing one for
     BasicPass/SievePass, the closest failing attempt for Exception, and
     infinity for EliminatedByPrimeCount.  p and k give q = p**k, as the
-    classifying context holds them.  A named tuple, not a frozen
-    dataclass: the scan makes one per prime power, and a tuple is built
-    without a ``__setattr__`` call per field.
+    classifying context holds them.
     """
 
     q: int

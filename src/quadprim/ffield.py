@@ -118,7 +118,8 @@ class QuadExtField:
         Degree 2 tests the discriminant.  Above that, with f's reduction rows
         installed, Rabin's test: for the splits e = n/r (r a prime of n = 2k),
         ascending, y = x**(p**e) is raised from the last y and f is rejected
-        at the first gcd(f, y - x) != 1; x**(p**n) == x is checked last."""
+        at the first gcd(f, y - x) != 1; x**(p**n) == x is checked last.
+        Walks the p**(2k) monic codes and raises when none passes."""
         p, deg = self.p, self.deg
         if deg == 2:
             for code in range(p * p):
@@ -126,22 +127,21 @@ class QuadExtField:
                 disc = (c1 * c1 - 4 * c0) % p
                 if disc and pow(disc, (p - 1) // 2, p) == p - 1:
                     return (c0, c1, 1)
-            raise AssertionError("no irreducible quadratic found")
-        x = self.element_from_index(p)
-        splits = sorted(deg // r for r in factorize(deg).primes())
-        code = 0
-        while True:
-            f = self.element_from_index(code) + (1,)
-            self._init_reduction(f)
-            y, done = x, 0  # y = x**(p**done) mod f
-            for e in splits:
-                y, done = self._pow_raw(y, p**(e - done)), e
-                if len(_pgcd(f, self.sub(y, x), p)) != 1:
-                    break
-            else:
-                if self._pow_raw(y, p**(deg - done)) == x:
-                    return f
-            code += 1
+        else:
+            x = self.element_from_index(p)
+            splits = sorted(deg // r for r in factorize(deg).primes())
+            for code in range(p**deg):
+                f = self.element_from_index(code) + (1,)
+                self._init_reduction(f)
+                y, done = x, 0  # y = x**(p**done) mod f
+                for e in splits:
+                    y, done = self._pow_raw(y, p**(e - done)), e
+                    if len(_pgcd(f, self.sub(y, x), p)) != 1:
+                        break
+                else:
+                    if self._pow_raw(y, p**(deg - done)) == x:
+                        return f
+        raise AssertionError(f"no irreducible modulus of degree {deg} found for q = {self.q}")
 
     def _init_reduction(self, f: tuple[int, ...]) -> None:
         # rows[i] = coordinates of x**(deg+i) modulo the monic f
@@ -173,20 +173,20 @@ class QuadExtField:
         For r | q - 1 that power is N(u)**((q-1)/r), with the norm
         N(u) = u * u**q in F_q.  For the other r it is v**(q-1) with
         v = u**((q+1)/r), which is 1 exactly when v lies in F_q.  Either way
-        the exponent is about half as long as m/r."""
+        the exponent is about half as long as m/r.  Walks the codes
+        p ... p**(2k) - 1 and raises when none passes."""
         q = self.q
         primes = self.ctx.fact_q2m1.primes()
         norm_cofactors = [(q - 1) // r for r in primes if (q - 1) % r == 0]
         other_cofactors = [(q + 1) // r for r in primes if (q - 1) % r]
-        code = self.p
-        while True:
+        for code in range(self.p, self.p**self.deg):
             u = self.element_from_index(code)
             norm = self.mul(u, self.frobenius_q(u))
             if all(self._pow_raw(norm, cf) != self.one for cf in norm_cofactors) \
                     and not any(self.in_base_field(self._pow_raw(u, cf))
                                 for cf in other_cofactors):
                 return u
-            code += 1
+        raise AssertionError(f"no primitive element found for q = {self.q}")
 
     # -- element arithmetic -------------------------------------------------
 

@@ -48,9 +48,9 @@ confirm by direct order computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import tee
 from math import gcd
+from typing import NamedTuple
 
 from .ffield import FieldElem, QuadExtField, line_class_key, translate_classes
 
@@ -75,8 +75,7 @@ TRANSLATE_EXCEPTIONS: frozenset[int] = frozenset({5, 7, 11, 13, 31, 41})
 LINE_EXCEPTIONS: frozenset[int] = frozenset({3, 5, 7, 9, 11, 13, 31, 41})
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(NamedTuple):
     """Transversal of line slopes: q + 1 values covering all lines.
 
     gammas holds, for ascending multiples j of q - 1 below (q**2 - 1)/2,
@@ -85,13 +84,11 @@ class GammaSet:
     their classes mod q + 1 are distinct, so every nonzero beta equals
     gamma * b for exactly one gamma here and some b in F_q*."""
 
-    q: int
     gammas: tuple[FieldElem, ...]
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Result of one exhaustive verification.
 
     prop is "translate" or "line".  On failure, witness names a class
@@ -121,7 +118,7 @@ def build_gamma_set(fld: QuadExtField) -> GammaSet:
         g = fld.mul(g, a_qm1)
     if len({x % (q + 1) for x in exponents}) != q + 1:
         raise AssertionError("gamma set is no transversal of the directions")
-    return GammaSet(q=q, gammas=tuple(gammas), exponents=tuple(exponents))
+    return GammaSet(gammas=tuple(gammas), exponents=tuple(exponents))
 
 
 # -- the F_q-coordinate walk behind the fast verifiers ---------------------

@@ -2,7 +2,8 @@
 
 Everything runs in process through quadprim.cli.main so exit codes and
 output files can be checked without spawning subprocesses; only the
-broken-pipe test starts one, since it needs a real pipe.
+tests that need a real pipe, a full device or a fresh interpreter start
+one.
 """
 
 import concurrent.futures
@@ -13,7 +14,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -202,6 +202,38 @@ def test_closed_pipe_exits_1_without_a_traceback():
     assert "Traceback" not in err, err
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this quadprim."""
+    return dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(quadprim.__file__)))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_output", [True, False], ids=["--output", "stdout"])
+def test_full_device_exits_1_without_a_traceback(to_output):
+    # every write to /dev/full fails with ENOSPC, whether it is named by
+    # --output or stdout is redirected to it
+    argv = [sys.executable, "-m", "quadprim.cli", "scan", "--range", "3:100"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv + ["--output", "/dev/full"] if to_output else argv,
+                              stdout=subprocess.DEVNULL if to_output else full,
+                              stderr=subprocess.PIPE, env=_src_env(), text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("quadprim: error: cannot write output: "), lines
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the records are named tuples: importing dataclasses would also pull
+    # inspect, ast, dis and tokenize into every launch
+    code = ("import sys, quadprim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_src_env(), text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_scan_rows_are_timed(tmp_path):
     # each row carries an equal share of the scan call's time
     out = tmp_path / "scan.csv"
@@ -369,9 +401,9 @@ def test_oracle_output_bytes_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("alter", [
-    lambda report, fld: replace(report, witness=(
+    lambda report, fld: report._replace(witness=(
         report.witness[0], fld.add(report.witness[1], fld.one))),
-    lambda report, fld: replace(report, classes_covered=report.classes_covered + 1),
+    lambda report, fld: report._replace(classes_covered=report.classes_covered + 1),
 ], ids=["witness", "classes_covered"])
 def test_verify_both_compares_whole_reports(tmp_path, capsys, monkeypatch, alter):
     # a fast report with the right verdict but another witness or cover

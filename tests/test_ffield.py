@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from quadprim import ffield
 from quadprim.arith import ctx_for_prime_power, euler_phi, factorize
-from quadprim.ffield import build_field, line_class_key
+from quadprim.ffield import QuadExtField, build_field, line_class_key
 
 SMALL_QS = (3, 5, 7, 9, 11, 13, 25, 27)
 
@@ -245,6 +246,21 @@ def test_element_roundtrip(fields):
 def test_rejects_even_context():
     with pytest.raises(ValueError):
         build_field(ctx_for_prime_power(4))
+
+
+def test_reducible_modulus_fails_instead_of_hanging(monkeypatch):
+    # x**4 + 1 = (x**2 + x + 2)(x**2 + 2x + 2) over F_3: the ring has no
+    # element of order 80, so the bounded search for one runs out
+    monkeypatch.setattr(QuadExtField, "_find_modulus", lambda self: (1, 0, 0, 0, 1))
+    with pytest.raises(AssertionError, match="primitive element .* q = 9"):
+        build_field(ctx_for_prime_power(9))
+
+
+def test_modulus_search_fails_instead_of_hanging(monkeypatch):
+    # a gcd that always reports a common factor rejects every candidate
+    monkeypatch.setattr(ffield, "_pgcd", lambda a, b, p: [0, 1])
+    with pytest.raises(AssertionError, match="modulus .* q = 9"):
+        build_field(ctx_for_prime_power(9))
 
 
 def test_element_count(fields):
