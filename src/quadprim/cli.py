@@ -16,7 +16,11 @@ with leading `# summary:` comment lines, or a JSON object with `rows` and
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
 reads its verdicts as a stream, keeps 16 bytes a q and whole verdicts
 only for the q that are not a basic pass at k = 1, and hands its rows
-over as a generator, so both formats write one row at a time.
+over as a generator, so neither format holds more than a few hundred
+rows.  CSV rows are the bytes of ``csv.writer``, written as one ``%``
+template each: no cell of a command needs quoting, and a guard raises on
+one that would.  That halves the CSV time of the full scan's 82,247 rows
+and keeps the csv module out of every launch.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails or the reader closes the output pipe early, 2 for usage errors and
 an ``--output`` that cannot be opened.
@@ -25,11 +29,11 @@ an ``--output`` that cannot be opened.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from array import array
+from itertools import chain, islice
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -109,9 +113,42 @@ def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
     else:
         for key in sorted(summary):
             out.write(f"# summary: {key}={summary[key]}\n")
-        writer = csv.writer(out)
-        writer.writerow(ROW_FIELDS)
-        writer.writerows(rows)
+        _write_csv(out, chain((ROW_FIELDS,), rows))
+
+
+# A CSV row as csv.writer writes it when no cell needs quoting: each
+# cell's str(), comma-separated, ended by \r\n.
+_CSV_ROW = ",".join(["%s"] * len(ROW_FIELDS)) + "\r\n"
+
+# Rows formatted and checked per write: a check per row costs as much as
+# csv.writer itself, and a batch of 256 scan rows is about 17 kB.
+_CSV_BATCH = 256
+
+
+def _plain_csv(text: str, n: int) -> bool:
+    # text is n rows of _CSV_ROW, and csv.writer would neither quote nor
+    # blank any of their cells: no cell adds a comma, \r or \n, holds a
+    # quote, or is None, which % writes as "None" and csv.writer as ""
+    return (text.count(",") == (len(ROW_FIELDS) - 1) * n
+            and text.count("\r") == n == text.count("\n")
+            and '"' not in text and "None" not in text)
+
+
+def _write_csv(out, rows: Iterable[tuple]) -> None:
+    r"""Write rows as csv.writer(out).writerows(rows) would, or raise.
+
+    Raises ValueError on a row with a cell that csv.writer would quote or
+    write empty, one holding ``,``, ``"``, ``\r`` or ``\n`` or None
+    (the text None as well); no row of a command holds one.  Each row is
+    one % template, about half of csv.writer's time per row.
+    """
+    rows = iter(rows)
+    while batch := list(islice(rows, _CSV_BATCH)):
+        text = "".join([_CSV_ROW % row for row in batch])
+        if not _plain_csv(text, len(batch)):
+            bad = next(row for row in batch if not _plain_csv(_CSV_ROW % row, 1))
+            raise ValueError(f"CSV row has a cell csv.writer would quote or blank: {bad!r}")
+        out.write(text)
 
 
 def _progress(args, message: str) -> None:

@@ -24,6 +24,10 @@ The sieve stage builds its decompositions lazily: ``greedy_decompose``
 yields them one at a time, so ``classify_prime_power`` builds no
 decomposition past the first one that passes.
 
+The scan's interval [3, 2**20] leaves no q open: ``prime_count_cutoff``
+settles every q whose q**2 - 1 has 14 or more primes, and ``scan_bound``
+every q above Q* = 142,862 with fewer.
+
 No float decides a verdict.  Both inequalities, multiplied through by
 their positive denominators, take the form A + B * sqrt(q) > 0 with
 integers A and B, and ``_positive`` decides that sign exactly from the
@@ -38,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, sqrt
+from math import floor, inf, sqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
@@ -60,6 +64,7 @@ __all__ = [
     "r1_of",
     "settle_prime_count_range",
     "prime_count_cutoff",
+    "scan_bound",
     "classify_prime_power",
     "scan_interval",
 ]
@@ -163,14 +168,10 @@ def basic_condition(ctx: PrimePowerCtx) -> tuple[bool, float]:
     if q % 2 == 0:
         raise ValueError("q must be odd")
     R = ctx.rprime
-    return _basic_holds(q, 1 << _count_prime_divisors(ctx, R),
-                        1 << _count_prime_divisors(ctx, r1_of(ctx, R)))
-
-
-def _basic_holds(q: int, w_r: int, w_r1: int) -> tuple[bool, float]:
-    # The basic inequality for odd q, given W(R) = w_r and W(R1) = w_r1.
-    # Times e it is A + B * sqrt(q) > 0, decided exactly; the margin is
-    # that sum over e.
+    w_r = 1 << _count_prime_divisors(ctx, R)
+    w_r1 = 1 << _count_prime_divisors(ctx, r1_of(ctx, R))
+    # Times e the inequality is A + B * sqrt(q) > 0, decided exactly; the
+    # margin is that sum over e.
     e = 2 if q % 4 == 1 else 1
     A, B = e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r)
     return _positive(A, B, q), (A + B * sqrt(q)) / e
@@ -319,6 +320,38 @@ def prime_count_cutoff() -> int:
     return cutoff
 
 
+@lru_cache(maxsize=1)
+def scan_bound() -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """Every odd q > Q* whose q**2 - 1 has fewer primes than the cutoff
+    passes the sieve: returns ((t, s, floor(Q(t))) for t = 2 ... cutoff
+    - 1, Q*), with Q* the largest floor(Q(t)).
+
+    With t distinct primes, R' has t - 1 odd primes.  Move its s largest
+    into the sieve set (0 <= s <= t - 1), so W(kk) = 2**(t - 1 - s); they
+    are termwise at least the s largest of the first t primes, so epsilon
+    is at least eps, taken over those, and the sieve holds whenever
+    eps > 0 and sqrt(q) > 2**(t + 1 - s) * ((s - 1) / eps + 2): the
+    W(k1) terms add 4 * W(k1) * Y * (sqrt(q) - 1) > 0 to the left side
+    and are dropped, and q + 1 > q.  Q(t) is the square of that bound at the s that makes
+    it least, in exact Fractions.
+    """
+    rows = []
+    for t in range(2, prime_count_cutoff()):
+        ps = first_primes(t)
+        best = None
+        eps = Fraction(1)
+        for s in range(t):
+            if s:
+                eps -= Fraction(1, ps[t - s])
+                if eps <= 0:
+                    break
+            bound = (2 ** (t + 1 - s) * (Fraction(s - 1) / eps + 2)) ** 2
+            if best is None or bound < best[1]:
+                best = (s, bound)
+        rows.append((t, best[0], floor(best[1])))
+    return tuple(rows), max(row[2] for row in rows)
+
+
 def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     """Classify one odd prime power by the first stage that settles it."""
     if ctx.t_q >= prime_count_cutoff():
@@ -327,7 +360,13 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     ok, margin = basic_condition(ctx)
     if ok:
         return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin, ctx.p, ctx.k)
-    best = margin
+    return _sieve_stage(ctx, margin)
+
+
+def _sieve_stage(ctx: PrimePowerCtx, best: float) -> CriterionVerdict:
+    # The verdict of a q the basic inequality does not pass, whose basic
+    # margin is best: the first greedy decomposition that passes, else an
+    # exception with the largest margin tried.
     for dec in greedy_decompose(ctx):
         ok, margin = sieve_condition(ctx, dec)
         if ok:
@@ -346,19 +385,31 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
     count table that ``_odd_prime_powers`` builds for the whole interval
     and also enumerates its prime powers by.  Only the q the basic stage
     does not pass get a ``PrimePowerCtx``, whose q - 1 and q + 1
-    ``factorize`` factors.  The prime powers and the verdicts are both
+    ``factorize`` factors, and go to the sieve stage with the basic
+    margin already in hand.  The prime powers and the verdicts are both
     streams, so the scan holds its table and nothing per q.
     A generator: the call returns at once, and the first ``next`` raises
     ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``.  No q up to that
     cap is settled by its prime count, so the basic stage comes first.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
+
+    The basic stage is the loop body itself, 97% of the q on [3, 2**20]:
+    it forms the integers A and B of ``basic_condition`` and its margin
+    by the same operations, so verdicts and margins are bit-identical, and
+    builds a passing verdict by ``tuple.__new__``, which is all the named
+    tuple's own Python-level ``__new__`` does.  Per q a function call or
+    that frame costs as much as the arithmetic.
     """
     entries, count = _odd_prime_powers(lo, hi)
+    new, basic = tuple.__new__, Stage.BASIC_PASS
     for q, p, k in entries:
-        a, b = count(q - 1), count(q + 1)
-        ok, margin = _basic_holds(q, 1 << (a + b), 1 << b)
-        if ok:
-            yield CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
+        w_r1 = 1 << count(q + 1)
+        e = 2 if q % 4 == 1 else 1
+        A = e * (q + 1) - 4 * w_r1
+        B = 4 * (w_r1 - e * (w_r1 << count(q - 1)))
+        margin = (A + B * sqrt(q)) / e
+        if _positive(A, B, q):
+            yield new(CriterionVerdict, (q, basic, None, margin, p, k))
         else:
-            yield classify_prime_power(_ctx(p, k, q))
+            yield _sieve_stage(_ctx(p, k, q), margin)

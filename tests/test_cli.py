@@ -9,6 +9,7 @@ one.
 import concurrent.futures
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -20,7 +21,15 @@ import pytest
 import quadprim
 from quadprim import arith
 from quadprim.arith import ctx_for_prime_power
-from quadprim.cli import SCAN_Q_CAP, _build_parser, _scan_rows, main
+from quadprim.cli import (
+    ROW_FIELDS,
+    SCAN_Q_CAP,
+    _build_parser,
+    _emit,
+    _scan_rows,
+    _write_csv,
+    main,
+)
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS, verify_line_fast
 
@@ -226,12 +235,49 @@ def test_full_device_exits_1_without_a_traceback(to_output):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # the records are named tuples: importing dataclasses would also pull
-    # inspect, ast, dis and tokenize into every launch
+    # inspect, ast, dis and tokenize into every launch; CSV rows are
+    # written without the csv module
     code = ("import sys, quadprim.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_src_env(), text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--range", "3:5000"],
+    ["scan", "--range", "3:5000", "--stable-output"],
+    ["settle-prime-counts"],
+    ["verify-line", "--q-list", "5,9", "--mode", "both"],
+    ["oracle", "--q-list", "5,7"],
+    ["reproduce-all", "--scan-hi", "4000"],
+], ids=["scan", "scan-stable", "settle", "verify-witness", "oracle", "reproduce-all"])
+def test_csv_rows_are_csv_writer_bytes(argv):
+    # every command's rows, failure witnesses and empty cells included,
+    # come out as csv.writer writes them
+    args = _build_parser().parse_args(argv)
+    rows, summary, _ = args.handler(args)
+    rows = list(rows)
+    out = io.StringIO(newline="")
+    _emit(args, out, iter(rows), summary)
+    expected = io.StringIO(newline="")
+    for key in sorted(summary):
+        expected.write(f"# summary: {key}={summary[key]}\n")
+    if args.stable_output:
+        rows = [row[:-1] + (0,) for row in rows]
+    csv.writer(expected).writerows([ROW_FIELDS] + rows)
+    assert out.getvalue() == expected.getvalue()
+    if argv[0] == "verify-line":
+        assert "gamma=" in out.getvalue()  # q = 5 fails with a witness
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", None])
+def test_csv_rows_refuse_cells_csv_writer_would_quote(cell):
+    # csv.writer would quote these cells, or write None as an empty one
+    good = (3, 3, 1, "scan", "exception", "0", 0.5)
+    rows = [good] * 300 + [good[:5] + (cell,) + good[6:]]
+    with pytest.raises(ValueError, match="would quote or blank"):
+        _write_csv(io.StringIO(), rows)
 
 
 def test_scan_rows_are_timed(tmp_path):

@@ -19,6 +19,7 @@ from quadprim.criteria import (
     greedy_decompose,
     prime_count_cutoff,
     r1_of,
+    scan_bound,
     scan_interval,
     settle_prime_count_range,
     sieve_condition,
@@ -221,6 +222,40 @@ def test_prime_count_cutoff():
     assert prime_count_cutoff() == 14
 
 
+def test_scan_bound_table():
+    # best s and floor(Q(t)) for t = 2 ... 13; the greedy s, the most
+    # primes that keep epsilon positive, would leave Q(9) near 7.2e8
+    table, q_star = scan_bound()
+    assert table == (
+        (2, 0, 64), (3, 0, 256), (4, 2, 793), (5, 3, 1958), (6, 4, 4231),
+        (7, 5, 8160), (8, 6, 14849), (9, 7, 25456), (10, 8, 41100),
+        (11, 9, 65091), (12, 10, 99376), (13, 10, 142862))
+    assert [t for t, _, _ in table] == list(range(2, prime_count_cutoff()))
+    # the scan's interval reaches past every q the bound leaves open
+    assert q_star == 142_862 < 1 << 20
+
+
+def test_scan_bound_passes_the_sieve_above_q_t():
+    # every q above Q(t) of its prime count t passes with the table's s
+    # largest odd primes moved, s = 0 being the basic condition
+    table = {t: (s, q_t) for t, s, q_t in scan_bound()[0]}
+    # q = 3 is the one odd q whose q**2 - 1 = 8 has a single prime
+    entries, _ = arith._odd_prime_powers(5, 160_000)
+    seen = set()
+    for q, p, k in entries:
+        ctx = arith._ctx(p, k, q)
+        s, q_t = table[ctx.t_q]
+        if q <= q_t:
+            continue
+        if s == 0:
+            assert basic_condition(ctx)[0], q
+        else:
+            dec = next(dec for dec in greedy_decompose(ctx) if dec.s == s)
+            assert sieve_condition(ctx, dec)[0], q
+        seen.add(ctx.t_q)
+    assert seen == set(range(3, 10))  # no q in (64, 160000] has t = 2
+
+
 def test_no_scanned_q_is_settled_by_its_prime_count():
     # q**2 - 1 of every q the scan accepts has at most 12 distinct primes,
     # so the scan needs no prime-count stage of its own
@@ -294,6 +329,18 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
     assert len(verdicts) == 5_202 and len(failures) > 100
     # q - 1 and q + 1 are factored once per basic failure, nothing for a pass
     assert factored == [n for q in failures for n in (q - 1, q + 1)]
+
+
+def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):
+    # the scan's own basic stage passes its margin on to the sieve stage:
+    # no verdict runs basic_condition
+    expected = [classify_prime_power(ctx) for ctx in _contexts(3, 50_000)]
+
+    def unreachable(ctx):
+        raise AssertionError(f"basic_condition ran for q = {ctx.q}")
+
+    monkeypatch.setattr(criteria, "basic_condition", unreachable)
+    assert list(scan_interval(3, 50_000)) == expected
 
 
 def test_scan_q3_has_no_odd_primes():
