@@ -9,9 +9,10 @@ translate set and every line contains an element of order m/2 as soon as
 holds with R = R', where W counts square-free divisors, R1 is the part of
 R dividing q + 1, and e is 2 for q = 1 (mod 4) and 1 otherwise.  When the
 basic inequality fails, a sieve over decompositions R' = kk * p_1 ... p_s
-relaxes it.  ``scan_interval`` classifies every odd prime power in an
-interval by the first stage that settles it; survivors are Exceptions and
-must be checked exhaustively.
+relaxes it; the basic inequality is the sieve's with no prime moved
+(s = 0), and ``sieve_condition`` decides both.  ``scan_interval``
+classifies every odd prime power in an interval by the first stage that
+settles it; survivors are Exceptions and must be checked exhaustively.
 
 The basic stage needs only two numbers from q**2 - 1.  Since
 gcd(q - 1, q + 1) = 2, the odd parts of q - 1 and q + 1 share no prime,
@@ -21,8 +22,10 @@ a and b from the count source of the interval and builds the full
 ``PrimePowerCtx`` only for the q that the basic inequality does not pass.
 
 The sieve stage builds its decompositions lazily: ``greedy_decompose``
-yields them one at a time, so ``classify_prime_power`` builds no
-decomposition past the first one that passes.
+yields them one at a time, s = 0 first, so ``classify_prime_power``
+builds no decomposition past the first one that passes.  One exact walk,
+``_moves``, steps epsilon = 1 - sum(1/p) down the moved primes; it drives
+``greedy_decompose``, ``settle_prime_count_range`` and ``scan_bound``.
 
 The scan's interval [3, 2**20] leaves no q open: ``prime_count_cutoff``
 settles every q whose q**2 - 1 has 14 or more primes, and ``scan_bound``
@@ -42,6 +45,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import floor, inf, sqrt
 from typing import Iterator, NamedTuple
 
@@ -58,7 +62,6 @@ __all__ = [
     "Stage",
     "SieveDecomposition",
     "CriterionVerdict",
-    "basic_condition",
     "sieve_condition",
     "greedy_decompose",
     "r1_of",
@@ -159,24 +162,6 @@ def r1_of(ctx: PrimePowerCtx, R: int) -> int:
     return out
 
 
-def basic_condition(ctx: PrimePowerCtx) -> tuple[bool, float]:
-    """Evaluate the basic inequality with R = R', the odd radical of q**2 - 1.
-
-    Returns (holds, margin) with margin = (q+1) - rhs.
-    """
-    q = ctx.q
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
-    R = ctx.rprime
-    w_r = 1 << _count_prime_divisors(ctx, R)
-    w_r1 = 1 << _count_prime_divisors(ctx, r1_of(ctx, R))
-    # Times e the inequality is A + B * sqrt(q) > 0, decided exactly; the
-    # margin is that sum over e.
-    e = 2 if q % 4 == 1 else 1
-    A, B = e * (q + 1) - 4 * w_r1, 4 * (w_r1 - e * w_r)
-    return _positive(A, B, q), (A + B * sqrt(q)) / e
-
-
 def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, float]:
     """Evaluate the sieved inequality for one decomposition of R'.
 
@@ -202,42 +187,39 @@ def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, 
     return _positive(A, B, q), (A + B * sqrt(q)) / (e * num)
 
 
+def _moves(primes_desc) -> Iterator[tuple[int, int, int]]:
+    """The one epsilon walk: yield (s, num, den) for s = 0, 1, ... while
+    epsilon = num / den = 1 - sum(1/p) over the first s primes of
+    primes_desc stays positive, with den the product of those primes."""
+    num = den = 1
+    yield 0, num, den
+    for s, p in enumerate(primes_desc, start=1):
+        num = num * p - den
+        if num <= 0:
+            return
+        den *= p
+        yield s, num, den
+
+
 def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     """Greedy sieve decompositions of R', largest primes moved first.
 
-    Moves one prime at a time from kk into the sieve set while epsilon
-    stays positive, yielding every intermediate decomposition as it is
-    reached.  k1 starts as the odd radical of q + 1 and r at 0; both
-    change only when the moved prime divides q + 1.  When R' has no
-    primes at all the single trivial decomposition (s = 0) is yielded,
-    which makes the sieve condition coincide with the basic one.
+    Yields the decomposition with no prime moved (s = 0, kk = R'), whose
+    sieve condition is the basic one, then moves one prime at a time from
+    kk into the sieve set while epsilon stays positive, yielding every
+    decomposition as it is reached.  den is the product of the moved
+    primes, k1 the part of kk dividing q + 1, and r counts the moved
+    primes dividing q + 1, over which epsilon' = num_prime / den is taken.
     """
     qp1 = ctx.q + 1
     primes_desc = [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
-    if not primes_desc:
-        yield SieveDecomposition(kk=1, k1=1, sieve_primes=(), s=0, r=0,
-                                 num=1, num_prime=1, den=1)
-        return
-    sieve: tuple[int, ...] = ()
-    kk = ctx.rprime
-    k1 = r1_of(ctx, kk)
-    r = 0
-    # epsilon and epsilon' are num/den and num_prime/den, with den the
-    # product of the moved primes
-    num = num_prime = den = 1
-    for p in primes_desc:
-        if num * p - den <= 0:
-            break
-        sieve += (p,)
-        kk //= p
-        num, num_prime = num * p - den, num_prime * p
-        if qp1 % p == 0:
-            num_prime -= den
-            k1 //= p
-            r += 1
-        den *= p
-        yield SieveDecomposition(kk=kk, k1=k1, sieve_primes=sieve, s=len(sieve),
-                                 r=r, num=num, num_prime=num_prime, den=den)
+    for s, num, den in _moves(primes_desc):
+        sieve = tuple(primes_desc[:s])
+        kk = ctx.rprime // den
+        on_qp1 = [p for p in sieve if qp1 % p == 0]
+        yield SieveDecomposition(kk=kk, k1=r1_of(ctx, kk), sieve_primes=sieve, s=s,
+                                 r=len(on_qp1), num=num,
+                                 num_prime=den - sum(den // p for p in on_qp1), den=den)
 
 
 def _max_prime_count(limit) -> int:
@@ -254,25 +236,29 @@ def _max_prime_count(limit) -> int:
     return c
 
 
+def _sieve_bound(t: int, s: int, num: int, den: int) -> Fraction:
+    """(2**(t + 1 - s) * ((s - 1) / epsilon + 2))**2, epsilon = num / den, with
+    t primes in q**2 - 1 and s moved: the threshold of settle and scan_bound."""
+    return (2 ** (t + 1 - s) * (Fraction((s - 1) * den, num) + 2)) ** 2
+
+
 def settle_prime_count_range(t1: int, t2: int) -> bool:
     """Decide whether every q whose m = q**2 - 1 has between t1 and t2
     distinct prime factors satisfies the sieved condition.
 
     Exact rational arithmetic throughout.  Greedily lower-bounds epsilon
-    using the largest possible primes, forms the threshold q1 below which
-    the condition could fail, and returns True when no integer small
-    enough to be q**2 - 1 for some q < q1 can carry t1 distinct primes.
+    by moving the most of the first t1 primes, largest first, that keep it
+    positive, forms the threshold q1 below which the condition could fail,
+    and returns True when no integer up to q1**2 - 1 carries more than t1
+    distinct primes.  That leaves the q < q1 with exactly t1 primes to
+    other arguments: at 11:13 the count is exactly 11, and "11:13
+    settled" also rests on the scan tables, which cover every q below
+    that q1 (about 1.041e6 < 2**20).
     """
     if not 2 <= t1 <= t2:
         raise ValueError("need 2 <= t1 <= t2")
-    ps = first_primes(t1)
-    s = 0
-    eps1 = Fraction(1)
-    # guard uses p(t1 - s); the update consumes that same prime
-    while s < t1 and eps1 - Fraction(1, ps[t1 - s - 1]) > 0:
-        s += 1
-        eps1 -= Fraction(1, ps[t1 - s])
-    q1 = (2 * 2 ** (t2 - s) * (Fraction(s - 1) / eps1 + 2)) ** 2
+    *_, (s, num, den) = _moves(first_primes(t1)[::-1])
+    q1 = _sieve_bound(t2, s, num, den)
     return _max_prime_count(q1 * q1 - 1) <= t1
 
 
@@ -337,37 +323,33 @@ def scan_bound() -> tuple[tuple[tuple[int, int, int], ...], int]:
     """
     rows = []
     for t in range(2, prime_count_cutoff()):
-        ps = first_primes(t)
-        best = None
-        eps = Fraction(1)
-        for s in range(t):
-            if s:
-                eps -= Fraction(1, ps[t - s])
-                if eps <= 0:
-                    break
-            bound = (2 ** (t + 1 - s) * (Fraction(s - 1) / eps + 2)) ** 2
-            if best is None or bound < best[1]:
-                best = (s, bound)
-        rows.append((t, best[0], floor(best[1])))
+        odd_desc = first_primes(t)[:0:-1]
+        s, bound = min(((s, _sieve_bound(t, s, num, den))
+                        for s, num, den in _moves(odd_desc)), key=lambda row: row[1])
+        rows.append((t, s, floor(bound)))
     return tuple(rows), max(row[2] for row in rows)
 
 
 def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
-    """Classify one odd prime power by the first stage that settles it."""
+    """Classify one odd prime power by the first stage that settles it: the
+    basic stage is the greedy walk's s = 0, the sieve stage the rest."""
+    if ctx.q % 2 == 0:
+        raise ValueError("q must be odd")
     if ctx.t_q >= prime_count_cutoff():
         return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf,
                                 ctx.p, ctx.k)
-    ok, margin = basic_condition(ctx)
+    decs = greedy_decompose(ctx)
+    ok, margin = sieve_condition(ctx, next(decs))
     if ok:
         return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin, ctx.p, ctx.k)
-    return _sieve_stage(ctx, margin)
+    return _sieve_stage(ctx, margin, decs)
 
 
-def _sieve_stage(ctx: PrimePowerCtx, best: float) -> CriterionVerdict:
+def _sieve_stage(ctx: PrimePowerCtx, best: float, decs) -> CriterionVerdict:
     # The verdict of a q the basic inequality does not pass, whose basic
-    # margin is best: the first greedy decomposition that passes, else an
-    # exception with the largest margin tried.
-    for dec in greedy_decompose(ctx):
+    # margin is best: the first of decs, the greedy walk past s = 0, that
+    # passes, else an exception with the largest margin tried.
+    for dec in decs:
         ok, margin = sieve_condition(ctx, dec)
         if ok:
             return CriterionVerdict(ctx.q, Stage.SIEVE_PASS, dec, margin,
@@ -395,9 +377,10 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
     intervals concatenate to the scan of their union.
 
     The basic stage is the loop body itself, 97% of the q on [3, 2**20]:
-    it forms the integers A and B of ``basic_condition`` and its margin
-    by the same operations, so verdicts and margins are bit-identical, and
-    builds a passing verdict by ``tuple.__new__``, which is all the named
+    ``sieve_condition`` at s = 0 (num = den = 1) inlined, with the same
+    integers A and B and margin by the same operations, so verdicts and
+    margins are bit-identical and the sieve stage starts past s = 0.  A
+    passing verdict is built by ``tuple.__new__``, which is all the named
     tuple's own Python-level ``__new__`` does.  Per q a function call or
     that frame costs as much as the arithmetic.
     """
@@ -412,4 +395,5 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
         if _positive(A, B, q):
             yield new(CriterionVerdict, (q, basic, None, margin, p, k))
         else:
-            yield _sieve_stage(_ctx(p, k, q), margin)
+            ctx = _ctx(p, k, q)
+            yield _sieve_stage(ctx, margin, islice(greedy_decompose(ctx), 1, None))

@@ -39,8 +39,9 @@ Each property ships in two independent flavors that must agree:
   difference mod p, and None is its own mate.  So the line test decides
   in digit order, with no field multiplication: None, then each c with
   c <= T - c, one slope of each pair.  Only when a slope fails are the
-  slopes walked again in gamma-set order, each named by its gamma, so
-  that the witness is the first failing gamma's.
+  slopes walked again in gamma-set order, each named by its gamma and
+  none skipped as a mate, so that the witness is the first failing
+  gamma's.
 
 A failed verification reports a witness class that a dumb re-checker can
 confirm by direct order computation.
@@ -312,27 +313,6 @@ def verify_line_reference(fld: QuadExtField) -> PropertyReport:
     return PropertyReport(q, "line", True, None, q - 1)
 
 
-def _line_slopes(fld: QuadExtField):
-    """Yield (gamma, c) in gamma-set order, skipping exponent classes d
-    marked done; c is the digit index of -g_s/g_y for gamma = (g_s, g_y),
-    None for slope 1 (g_y = 0).  Resuming means gamma passed: then d and
-    sigma's class -d are done.  verify_line_fast walks it only once a
-    slope failed, to name the first failing gamma."""
-    q, n = fld.q, fld.q - 1
-    exp, log = fld.fq_exp, fld.fq_log
-    gs = build_gamma_set(fld)
-    done = set()
-    for gamma, x in zip(gs.gammas, gs.exponents):
-        d = x % (q + 1)
-        if d not in done:
-            s, y = fld.fq_coords(gamma)
-            c = None
-            if y:  # c = -s/y, with -1 = b**(n/2)
-                c = exp[(log[s] - log[y] + n // 2) % n] if s else 0
-            yield gamma, c
-            done |= {d, -d % (q + 1)}
-
-
 def _digit_slopes(fld: QuadExtField):
     """Yield one slope of each sigma pair as _lines_met names them: None,
     then each digit index c with c <= T - c, ascending, where T is the
@@ -356,19 +336,24 @@ def verify_line_fast(fld: QuadExtField) -> PropertyReport:
     earliest exit; the witness is named in gamma-set order.
 
     The line property holds when no slope of _digit_slopes leaves a line
-    t != 0 unmet.  Once one does, the slopes are tested again in gamma-set
-    order, which starts with slope 1 and skips a slope whose Frobenius
-    mate passed, and the first gamma that fails names the witness.  The
-    cosets are walked once, lazily: each slope replays a copy of one tee
-    iterator, so the walk goes as far as the slope that reads the most
-    cosets.
+    t != 0 unmet.  Once one does, every gamma is tested in gamma-set order,
+    slope c = -g_s/g_y for gamma = (g_s, g_y) (None at g_y = 0), and the
+    first that fails names the witness; Frobenius mates have equal covers,
+    so none is skipped.  The cosets are walked once, lazily: each slope
+    replays a copy of one tee iterator, so the walk goes as far as the
+    slope that reads the most cosets.
     """
     q, n = fld.q, fld.q - 1
+    exp, log = fld.fq_exp, fld.fq_log
     full = (1 << n) - 1
     cosets = tee(_cosets(fld), 1)[0]
     if all(_lines_met(fld, cosets.__copy__(), c) == full for c in _digit_slopes(fld)):
         return PropertyReport(q, "line", True, None, n)
-    for gamma, c in _line_slopes(fld):
+    for gamma in build_gamma_set(fld).gammas:
+        s, y = fld.fq_coords(gamma)
+        c = None
+        if y:  # c = -s/y, with -1 = b**(n/2)
+            c = exp[(log[s] - log[y] + n // 2) % n] if s else 0
         met = _lines_met(fld, cosets.__copy__(), c)
         if met != full:
             return PropertyReport(q, "line", False, (gamma, _unmet_key(fld, gamma, c, met)),

@@ -9,6 +9,7 @@ one.
 import concurrent.futures
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -19,7 +20,7 @@ import tracemalloc
 import pytest
 
 import quadprim
-from quadprim import arith
+from quadprim import arith, cli
 from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import (
     ROW_FIELDS,
@@ -415,6 +416,33 @@ def test_settle_prime_counts(tmp_path):
     assert results["t1=10|t2=10"] == "settled"
     assert results["t1=2|t2=2"] == "unsettled"
     assert all(row["elapsed_ms"] == "0" for row in rows)
+
+
+def test_benchmark_contract_matches_the_cli():
+    # every benchmark invocation parses as the benchmark launches it, and
+    # the benchmark's own copy of the pinned facts equals the package's;
+    # its workload file is loaded by path, as perfbench is no package
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    parser = _build_parser()
+    for workload in wl.WORKLOADS:
+        for seed in (1, 2, 3):
+            for inv in wl.invocations(workload, seed):
+                args = parser.parse_args(inv["argv"] + ["--threads", "1", "--output", "x"])
+                assert (args.threads, args.output) == (1, "x"), inv["argv"]
+                if inv["kind"] == "settle":
+                    assert {tuple(pair) for pair in args.pairs} == wl.SETTLE_PAIRS.keys()
+    assert wl.SCAN_EXCEPTIONS == SCAN_EXCEPTIONS
+    assert wl.FAILS == {"translate": TRANSLATE_EXCEPTIONS, "line": LINE_EXCEPTIONS}
+    assert (("prime-count-cutoff", str(wl.SETTLE_CUTOFF), ""),) + tuple(
+        ("settle-prime-counts", result, f"t1={t1}|t2={t2}")
+        for (t1, t2), result in wl.SETTLE_PAIRS.items()) == cli.SETTLE_EXPECTED
+    assert (wl.SCAN_TOTAL, wl.SCAN_BASIC_FAILURES, wl.SCAN_LARGEST_BASIC_FAILURE,
+            len(wl.SCAN_EXCEPTIONS)) == \
+        (cli.FULL_SCAN_TOTAL, cli.FULL_SCAN_BASIC_FAILURES,
+         cli.FULL_SCAN_LARGEST_BASIC_FAILURE, cli.FULL_SCAN_EXCEPTION_COUNT)
 
 
 def test_settle_rows_are_timed(tmp_path):

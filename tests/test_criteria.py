@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,7 +15,6 @@ from quadprim.criteria import (
     CriterionVerdict,
     SieveDecomposition,
     Stage,
-    basic_condition,
     classify_prime_power,
     greedy_decompose,
     prime_count_cutoff,
@@ -33,16 +33,29 @@ def test_exception_table_shape():
     assert all(q % 2 == 1 for q in SCAN_EXCEPTIONS)
 
 
+def _basic(ctx):
+    # the basic condition: the sieve condition of the s = 0 decomposition
+    dec = next(greedy_decompose(ctx))
+    assert dec.s == 0 and dec.kk == ctx.rprime
+    return sieve_condition(ctx, dec)
+
+
 def test_basic_condition_small_values():
     # q = 3: both sides meet exactly, so the condition must not hold
-    ctx = ctx_for_prime_power(3)
-    ok, margin = basic_condition(ctx)
+    ok, margin = _basic(ctx_for_prime_power(3))
     assert not ok
     assert margin == pytest.approx(0.0, abs=1e-12)
 
-    ctx = ctx_for_prime_power(4561)
-    ok, margin = basic_condition(ctx)
+    ok, margin = _basic(ctx_for_prime_power(4561))
     assert ok and margin > 0
+
+
+def test_classify_rejects_even_q():
+    # q**2 - 1 = 2**120 - 1 has 15 distinct primes: q is checked for
+    # oddness before the prime-count cutoff
+    for q in (4, 2**60):
+        with pytest.raises(ValueError):
+            classify_prime_power(ctx_for_prime_power(q))
 
 
 def _sign_decimal(A, B, q):
@@ -101,11 +114,12 @@ def test_r1_of():
 def test_greedy_decomposition_q41():
     ctx = ctx_for_prime_power(41)
     decs = list(greedy_decompose(ctx))
-    assert [dec.s for dec in decs] == [1, 2, 3]
-    assert decs[0].sieve_primes == (7,)
-    assert decs[1].sieve_primes == (7, 5)
-    assert decs[2].sieve_primes == (7, 5, 3)
-    last = decs[2]
+    assert [dec.s for dec in decs] == [0, 1, 2, 3]
+    assert decs[0].sieve_primes == () and decs[0].kk == 105
+    assert decs[1].sieve_primes == (7,)
+    assert decs[2].sieve_primes == (7, 5)
+    assert decs[3].sieve_primes == (7, 5, 3)
+    last = decs[3]
     assert last.kk == 1 and last.k1 == 1
     assert last.r == 2
     # epsilon = num / den and epsilon' = num_prime / den
@@ -161,36 +175,39 @@ def test_greedy_k1_and_r_match_direct_recomputation():
 
 
 def test_classify_stops_at_first_passing_decomposition(monkeypatch):
-    # every decomposition built is tested: none past the first that passes
+    # every decomposition built past s = 0 is tested: none past the first
+    # that passes.  The scan decides s = 0 itself and skips it.
     built = []
     tested = []
 
     def counting_decomposition(*args, **kwargs):
-        built.append(1)
-        return SieveDecomposition(*args, **kwargs)
+        dec = SieveDecomposition(*args, **kwargs)
+        if dec.s:
+            built.append(1)
+        return dec
 
     def counting_sieve_condition(ctx, dec):
-        tested.append(1)
+        tested.append(dec.s)
         return sieve_condition(ctx, dec)
 
     monkeypatch.setattr(criteria, "SieveDecomposition", counting_decomposition)
     monkeypatch.setattr(criteria, "sieve_condition", counting_sieve_condition)
     verdicts = list(scan_interval(3, 60_000))
     assert any(v.stage is Stage.SIEVE_PASS for v in verdicts)
-    assert len(built) == len(tested) > 100
+    assert len(built) == len(tested) > 100 and 0 not in tested
 
 
 def test_sieve_with_no_primes_matches_basic():
     # q = 3 has q**2 - 1 = 8: no odd primes, so the greedy list holds a
-    # single s = 0 decomposition and the sieve degenerates to the basic
-    # condition
+    # single s = 0 decomposition, and its sieve condition is the basic
+    # condition the scan decides from the prime counts alone
     ctx = ctx_for_prime_power(3)
     decs = list(greedy_decompose(ctx))
     assert len(decs) == 1 and decs[0].s == 0
-    basic_ok, basic_margin = basic_condition(ctx)
     ok, margin = sieve_condition(ctx, decs[0])
-    assert ok == basic_ok
-    assert margin == pytest.approx(basic_margin)
+    scanned = next(scan_interval(3, 3))
+    assert not ok and scanned.stage is not Stage.BASIC_PASS
+    assert margin == scanned.margin
 
 
 def test_settle_prime_count_range():
@@ -199,6 +216,16 @@ def test_settle_prime_count_range():
     assert not settle_prime_count_range(2, 2)
     for t in range(14, 23):
         assert settle_prime_count_range(t, t)
+
+
+def test_settle_on_every_pair():
+    # the settled pairs among all 2,016 with 2 <= t1 <= t2 <= 64, pinned
+    # by the SHA-256 of their sorted list's repr
+    settled = [(t1, t2) for t1 in range(2, 65) for t2 in range(t1, 65)
+               if settle_prime_count_range(t1, t2)]
+    assert len(settled) == 884
+    assert hashlib.sha256(repr(settled).encode()).hexdigest() == \
+        "379e3c7fdb83b1b7e60943f45cb7742a180bb500ebb1ad103865b1059b1dc2b5"
 
 
 def test_max_prime_count_is_the_primorial_count():
@@ -247,11 +274,8 @@ def test_scan_bound_passes_the_sieve_above_q_t():
         s, q_t = table[ctx.t_q]
         if q <= q_t:
             continue
-        if s == 0:
-            assert basic_condition(ctx)[0], q
-        else:
-            dec = next(dec for dec in greedy_decompose(ctx) if dec.s == s)
-            assert sieve_condition(ctx, dec)[0], q
+        dec = next(dec for dec in greedy_decompose(ctx) if dec.s == s)
+        assert sieve_condition(ctx, dec)[0], q
         seen.add(ctx.t_q)
     assert seen == set(range(3, 10))  # no q in (64, 160000] has t = 2
 
@@ -333,13 +357,15 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
 
 def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):
     # the scan's own basic stage passes its margin on to the sieve stage:
-    # no verdict runs basic_condition
+    # no verdict runs sieve_condition on an s = 0 decomposition
     expected = [classify_prime_power(ctx) for ctx in _contexts(3, 50_000)]
 
-    def unreachable(ctx):
-        raise AssertionError(f"basic_condition ran for q = {ctx.q}")
+    def no_basic(ctx, dec):
+        if dec.s == 0:
+            raise AssertionError(f"the basic condition ran again for q = {ctx.q}")
+        return sieve_condition(ctx, dec)
 
-    monkeypatch.setattr(criteria, "basic_condition", unreachable)
+    monkeypatch.setattr(criteria, "sieve_condition", no_basic)
     assert list(scan_interval(3, 50_000)) == expected
 
 

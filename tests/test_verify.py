@@ -269,8 +269,7 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
         monkeypatch.setattr(QuadExtField, name, broken)
     for name in ("fq_exp", "fq_log", "fq_zech", "_fq_frame"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_line_slopes",
-                 "_digit_slopes"):
+    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_digit_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))
@@ -395,15 +394,14 @@ def test_coset_cover_matches_a_brute_force_walk():
 def test_cosets_on_the_line_through_zero_meet_no_line():
     # a coset with s + c*y = 0 lies on the line through 0 of slope c, where
     # the Zech table has no entry; _lines_met must count it as meeting no
-    # line t != 0, since it is ruled out by field arithmetic alone
+    # line t != 0, since it is ruled out by field arithmetic alone; every
+    # digit slope c is tried, a superset of the gamma set's slopes
     pairs = 0
     for q in (3, 5, 7, 9, 11, 13, 17, 25, 27, 29, 31, 41, 49, 81):
         fld = build_field(ctx_for_prime_power(q))
         elem = lambda s: fld.from_fq_coords(s, 0)  # noqa: E731
         cosets = list(verify._cosets(fld))
-        for _, c in verify._line_slopes(fld):
-            if c is None:
-                continue
+        for c in range(q):
             for coset in cosets:
                 ls, ly, _ = coset
                 s = 0 if ls is None else fld.fq_exp[ls]
@@ -411,7 +409,7 @@ def test_cosets_on_the_line_through_zero_meet_no_line():
                 if t == fld.zero:
                     assert verify._lines_met(fld, [coset], c) == 0, (q, c, coset)
                     pairs += 1
-    assert pairs == 65
+    assert pairs == 129
 
 
 def test_line_scaling_invariance(fields):
