@@ -6,7 +6,7 @@ Layers, bottom up:
 - ffield       concrete arithmetic in F_q and F_{q**2}
 - criteria     sufficient conditions, sieve decompositions, interval scan
 - verify       exhaustive translate / line property verification
-- charoracle   character-sum and sieve checks for small fields
+- charoracle   exact character-sum and sieve checks from one log set per field
 - cli          command line front end
 
 The package namespace re-exports the entry points of the README's

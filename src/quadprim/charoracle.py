@@ -1,48 +1,52 @@
-"""Character-sum oracle over small quadratic extensions.
+"""Character-sum oracle over small quadratic extensions, decided in integers.
 
 Multiplicative characters of F_{q**2}* are indexed against the chosen
 primitive element a: chi_t(a**e) = exp(2*pi*i*t*e/m) with m = q**2 - 1.
-On top of a discrete-log table (one multiplicative sweep, memoized per
-field) this module checks three facts:
+Every check here reads one log set per field (``log_set``): L, the
+discrete logs base a of the q elements X + f, f in F_q, where
+X = element_from_index(p).  The class c * (X + F_q), c = b**i in F_q*
+with b = a**(q+1), has the logs L + (q+1)*i, and every line
+alpha * (theta + F_q) is such a class scaled by alpha, so its logs are a
+shift of L.  On that log set this module decides three facts exactly:
 
 - translate sums: sum_{x in F_q} chi(theta + x) is -1 for a nontrivial
   chi trivial on F_q* and has modulus sqrt(q) otherwise, for every
-  translate class (``survey_translate_sums``);
+  translate class (``survey_translate_sums``).  By Parseval this holds
+  exactly when L is a difference set in Z/m relative to (q+1)Z/m and no
+  log of L lies in (q+1)Z; scaling a class by c multiplies every sum by
+  chi(c), so one L decides all q - 1 classes;
 - the line count: the number of x in F_q with alpha * (theta + x) an
-  r-free square and not a fourth power, by exact order tests and
-  through its character expansion (``line_target_count``,
-  ``survey_line_identities``);
+  r-free square and not a fourth power, by exact order tests and through
+  its character expansion, an exact Fraction over the logs of the line
+  (``line_target_count``, ``survey_line_identities``);
 - the sieve lower bound relating that count for a modulus to the counts
   for a family of its divisors, with exact counts
   (``check_sieve_inequality``).
 
-The character sums are floating point, checked against exact values
-and counts.  Everything here is exhaustive, so fields are capped at
-q <= ORACLE_Q_CAP.
+The translate claim costs q**2 integer steps and m bytes, and has no
+cap.  The direct line counts cost about 2 * q**2 order tests per field,
+so the line and sieve checks are capped at q <= ORACLE_Q_CAP.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .arith import euler_phi, factorize
-from .ffield import FieldElem, QuadExtField, translate_classes
+from .ffield import FieldElem, QuadExtField
 
 __all__ = [
     "ORACLE_Q_CAP",
-    "TRANSLATE_SUM_TOL",
-    "LINE_IDENTITY_TOL",
-    "CharIndex",
     "LineTargetCount",
     "SieveCheck",
     "TranslateSumSurvey",
     "LineIdentitySurvey",
-    "characters_of_order",
-    "char_eval",
-    "translate_transversal",
+    "log_set",
+    "ramanujan_sum",
     "line_target_count",
     "check_sieve_inequality",
     "survey_translate_sums",
@@ -51,14 +55,7 @@ __all__ = [
 
 ORACLE_Q_CAP = 200
 
-# Largest deviation each survey passes with: a translate sum from its
-# exact value, and a line count's character expansion from its direct
-# count.
-TRANSLATE_SUM_TOL = 1e-6
-LINE_IDENTITY_TOL = 1e-3
-
-_dlog_cache: "WeakKeyDictionary[QuadExtField, list[int]]" = WeakKeyDictionary()
-_roots_cache: "WeakKeyDictionary[QuadExtField, list[complex]]" = WeakKeyDictionary()
+_log_set_cache: "WeakKeyDictionary[QuadExtField, tuple[int, ...]]" = WeakKeyDictionary()
 
 
 def _require_oracle_field(fld: QuadExtField) -> None:
@@ -67,87 +64,40 @@ def _require_oracle_field(fld: QuadExtField) -> None:
             f"oracle supports q <= {ORACLE_Q_CAP}, got q = {fld.q}")
 
 
-def _dlog_table(fld: QuadExtField) -> list[int]:
-    tbl = _dlog_cache.get(fld)
-    if tbl is not None:
-        return tbl
-    _require_oracle_field(fld)
-    tbl = [-1] * (fld.q * fld.q)
-    v = fld.one
-    mul, a, index = fld.mul, fld.a, fld.index_of
-    for e in range(fld.m):
-        tbl[index(v)] = e
-        v = mul(v, a)
-    _dlog_cache[fld] = tbl
-    return tbl
+def _ratio_digit(s: int, y: int, fld: QuadExtField) -> int:
+    """Digit index of s/y in F_q, for digit indices s and y != 0."""
+    log = fld.fq_log
+    return s and fld.fq_exp[(log[s] - log[y]) % (fld.q - 1)]
 
 
-def _root_table(fld: QuadExtField) -> list[complex]:
-    roots = _roots_cache.get(fld)
-    if roots is None:
-        _require_oracle_field(fld)
-        m = fld.m
-        step = 2.0 * math.pi / m
-        roots = [cmath.exp(1j * step * e) for e in range(m)]
-        _roots_cache[fld] = roots
-    return roots
+def log_set(fld: QuadExtField) -> tuple[int, ...]:
+    """L[f] = log_a(X + f) for each digit index f of F_q, memoized per field.
+
+    One walk u = a**j, 1 <= j <= q, with no table of size q**2: these u
+    lie in the q cosets of F_q* other than F_q* itself, and each such
+    coset meets X + F_q once.  So u = s + y*X has y != 0, and u/y = s/y + X
+    has the log j - (q+1) * log_b(y) mod m.
+    """
+    logs = _log_set_cache.get(fld)
+    if logs is None:
+        q, m, log = fld.q, fld.m, fld.fq_log
+        out = [0] * q
+        u = fld.one
+        for j in range(1, q + 1):
+            u = fld.mul(u, fld.a)
+            s, y = fld.fq_coords(u)
+            out[_ratio_digit(s, y, fld)] = (j - (q + 1) * log[y]) % m
+        logs = _log_set_cache[fld] = tuple(out)
+    return logs
 
 
-def dlog(u: FieldElem, fld: QuadExtField) -> int:
-    """Exponent e with a**e == u; ValueError for the zero element."""
-    e = _dlog_table(fld)[fld.index_of(u)]
-    if e < 0:
-        raise ValueError("zero has no discrete logarithm")
-    return e
-
-
-class CharIndex(NamedTuple):
-    """Multiplicative character chi_t of exact order `order`."""
-
-    t: int
-    order: int
-
-
-def characters_of_order(d: int, fld: QuadExtField) -> tuple[CharIndex, ...]:
-    """All characters of exact order d, ascending in index t."""
-    m = fld.m
-    if d < 1 or m % d:
-        raise ValueError(f"order {d} does not divide the group order {m}")
-    base = m // d
-    return tuple(CharIndex((base * j) % m, d)
-                 for j in range(1, d + 1) if math.gcd(j, d) == 1)
-
-
-def char_eval(chi: CharIndex, u: FieldElem, fld: QuadExtField) -> complex:
-    return _root_table(fld)[(chi.t * dlog(u, fld)) % fld.m]
-
-
-def _translate_logs(thetas: tuple[FieldElem, ...],
-                    fld: QuadExtField) -> list[list[int]]:
-    """Per theta, the discrete logs of theta + x over x in F_q, in
-    base_field_elements() order; they do not depend on the character."""
-    tbl = _dlog_table(fld)
-    add, index = fld.add, fld.index_of
-    base = fld.base_field_elements()
-    return [[tbl[index(add(theta, x))] for x in base] for theta in thetas]
-
-
-def _character_sum(t: int, logs: list[int], roots: list[complex], m: int) -> complex:
-    # An explicit loop, not sum(): the summation order fixes the bits.
-    total = 0j
-    for e in logs:
-        total += roots[(t * e) % m]
-    return total
-
-
-def translate_transversal(fld: QuadExtField) -> tuple[FieldElem, ...]:
-    """One representative per translate class, q - 1 in all: the first
-    element of each class in elements() order, in that order."""
-    _require_oracle_field(fld)
-    return tuple(translate_classes(fld).values())
-
-
-# -- line target counts and the sieve --------------------------------------
+def _log(u: FieldElem, fld: QuadExtField) -> int:
+    """log_a(u) for nonzero u = s + y*X, read from F_q's logs and L."""
+    q, log = fld.q, fld.fq_log
+    s, y = fld.fq_coords(u)
+    if y == 0:
+        return (q + 1) * log[s]
+    return ((q + 1) * log[y] + log_set(fld)[_ratio_digit(s, y, fld)]) % fld.m
 
 
 def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
@@ -158,15 +108,27 @@ def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def ramanujan_sum(d: int, e: int) -> int:
+    """c_d(e) = sum over d' | gcd(e, d) of mu(d/d') * d'.
+
+    It is the sum of chi(a**e) over the characters chi of exact order d,
+    for d dividing m, and an integer."""
+    g = math.gcd(e, d)
+    return sum(mu * (d // k) for k, mu in _squarefree_divisors(d) if g % (d // k) == 0)
+
+
+# -- line target counts and the sieve --------------------------------------
+
+
 class LineTargetCount(NamedTuple):
     """Count of x in F_q for which alpha * (theta + x) is an r-free
     square and not a fourth power, by exact order tests (direct) and by
-    the character expansion (via_formula)."""
+    the character expansion over the logs of the line (via_formula)."""
 
     q: int
     r: int
     direct: int
-    via_formula: complex
+    via_formula: Fraction
 
 
 def _direct_line_count(theta: FieldElem, alpha: FieldElem, r: int,
@@ -185,8 +147,23 @@ def _direct_line_count(theta: FieldElem, alpha: FieldElem, r: int,
     return count
 
 
+@lru_cache(maxsize=64)
+def _expansion_terms(r: int) -> tuple[tuple[Fraction, int, tuple[int, ...]], ...]:
+    """(mu(d)/phi(d), d, c_d by residue mod d) per squarefree d | r."""
+    return tuple((Fraction(mu, euler_phi(factorize(d))), d,
+                  tuple(ramanujan_sum(d, e) for e in range(d)))
+                 for d, mu in _squarefree_divisors(r))
+
+
 def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
                       fld: QuadExtField) -> LineTargetCount:
+    """Count the line alpha * (theta + F_q) twice, exactly.
+
+    u = a**e is a square and not a fourth power exactly when e = 2 mod 4,
+    and r-free exactly when phi(r)/r times the sum over squarefree d | r
+    of mu(d)/phi(d) * c_d(e) is 1 rather than 0.  via_formula sums that
+    over the logs e = 2 mod 4 of the line, a shift of L, as a Fraction, so
+    it equals direct exactly when the logs agree with the order tests."""
     _require_oracle_field(fld)
     m = fld.m
     if fld.in_base_field(theta):
@@ -198,29 +175,13 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
 
     direct = _direct_line_count(theta, alpha, r, fld)
 
-    roots = _root_table(fld)
-    # discrete logs of the q line elements alpha * (theta + x), computed once
-    la = dlog(alpha, fld)
-    logs = [(e + la) % m for e in _translate_logs((theta,), fld)[0]]
-    # chi_t times the quartet's characters chi_s, s = m/2, m/4, 3m/4, at
-    # a**e is roots[(t*e + s*e) % m]; the offsets s*e are fixed per log
-    offsets = [(e, m // 2 * e % m, m // 4 * e % m, 3 * m // 4 * e % m) for e in logs]
-    total = 0j
-    for d, mu in _squarefree_divisors(r):
-        coeff = mu / euler_phi(factorize(d))
-        for chi in characters_of_order(d, fld):
-            t = chi.t
-            s0 = s1 = s2 = s3 = 0
-            for e, o1, o2, o3 in offsets:
-                te = t * e
-                s0 += roots[te % m]
-                s1 += roots[(te + o1) % m]
-                s2 += roots[(te + o2) % m]
-                s3 += roots[(te + o3) % m]
-            for sign, s in zip((1.0, 1.0, -1.0, -1.0), (s0, s1, s2, s3)):
-                total += coeff * sign * s
-    theta_r = euler_phi(factorize(r)) / r
-    return LineTargetCount(fld.q, r, direct, (theta_r / 4.0) * total)
+    # theta + F_q = y * (X + F_q) for theta = s + y*X
+    shift = _log(alpha, fld) + (fld.q + 1) * fld.fq_log[fld.fq_coords(theta)[1]]
+    squares = [e for e in ((l + shift) % m for l in log_set(fld)) if e % 4 == 2]
+    total = sum(coeff * sum(c_d[e % d] for e in squares)
+                for coeff, d, c_d in _expansion_terms(r))
+    return LineTargetCount(fld.q, r, direct,
+                           Fraction(euler_phi(factorize(r)), r) * total)
 
 
 class SieveCheck(NamedTuple):
@@ -281,55 +242,53 @@ class TranslateSumSurvey(NamedTuple):
     q: int
     characters: int
     translates: int
-    max_deviation: float
+    defects: int
     ok: bool
 
 
 def survey_translate_sums(fld: QuadExtField) -> TranslateSumSurvey:
-    """Check every nontrivial character against every translate class.
+    """Decide the translate-sum claim for every nontrivial character and
+    every translate class from L, with no field cap.
 
-    Characters trivial on F_q* (index divisible by q - 1) must sum to
-    exactly -1; all others must have modulus sqrt(q).  Cost grows like
-    q**4, so keep q small.
+    defects counts the differences outside (q+1)Z that L does not give
+    exactly once (a difference inside (q+1)Z, or a repeated one, leaves
+    one of the q*(q-1) out), plus the logs of L inside (q+1)Z.  The claim
+    holds exactly when it is 0.
     """
-    _require_oracle_field(fld)
     q, m = fld.q, fld.m
-    sqrt_q = math.sqrt(q)
-    reps = translate_transversal(fld)
-    logs_per_theta = _translate_logs(reps, fld)
-    roots = _root_table(fld)
-    worst = 0.0
-    for t in range(1, m):
-        coset_character = t % (q - 1) == 0
-        for logs in logs_per_theta:
-            b = _character_sum(t, logs, roots, m)
-            dev = abs(b + 1.0) if coset_character else abs(abs(b) - sqrt_q)
-            if dev > worst:
-                worst = dev
-    return TranslateSumSurvey(q, m - 1, len(reps), worst, worst <= TRANSLATE_SUM_TOL)
+    h = q + 1
+    logs = log_set(fld)
+    seen = bytearray(m)  # seen[d] = 1 when d = x - l mod m for x, l in L
+    for l in logs:
+        for x in logs:
+            seen[(x - l) % m] = 1
+    # seen[::h] reads the q - 1 multiples of h below m, the logs of F_q*
+    outside = sum(seen) - sum(seen[::h])
+    defects = (q * (q - 1) - outside
+               + sum(1 for l in logs if l % h == 0))
+    return TranslateSumSurvey(q, m - 1, q - 1, defects, defects == 0)
 
 
 class LineIdentitySurvey(NamedTuple):
     q: int
     r: int
     pairs: int
-    max_deviation: float
+    defects: int
     ok: bool
 
 
 def survey_line_identities(fld: QuadExtField) -> LineIdentitySurvey:
     """Compare direct and character-expansion line counts over every
-    translate class for alpha = 1 and alpha = a, with r the odd radical
-    R' of the group order."""
+    translate class b**i * (X + F_q) for alpha = 1 and alpha = a, with r
+    the odd radical R' of the group order; defects counts the pairs on
+    which they differ."""
     _require_oracle_field(fld)
     r = fld.ctx.rprime
-    worst = 0.0
-    pairs = 0
-    for theta in translate_transversal(fld):
+    defects = pairs = 0
+    for y in fld.fq_exp:
+        theta = fld.from_fq_coords(0, y)
         for alpha in (fld.one, fld.a):
             res = line_target_count(theta, alpha, r, fld)
-            dev = abs(res.via_formula - res.direct)
-            if dev > worst:
-                worst = dev
+            defects += res.via_formula != res.direct
             pairs += 1
-    return LineIdentitySurvey(fld.q, r, pairs, worst, worst <= LINE_IDENTITY_TOL)
+    return LineIdentitySurvey(fld.q, r, pairs, defects, defects == 0)

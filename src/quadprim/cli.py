@@ -382,21 +382,21 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[list[tuple], dict, list[str]]:
-    surveys = (("translate-sums", survey_translate_sums, "translate sums deviate"),
-               ("line-identity", survey_line_identities, "line-count identity deviates"))
+    surveys = (("translate-sums", survey_translate_sums, "translate sums"),
+               ("line-identity", survey_line_identities, "line-count identity"))
     rows: list[tuple] = []
     problems: list[str] = []
     for q in args.q_list:
         fld = build_field(ctx_for_prime_power(q))
-        for name, survey, deviates in surveys:
+        for name, survey, what in surveys:
             t0 = perf_counter()
             res = survey(fld)
             rows.append(_row(q, fld.p, fld.k, f"oracle:{name}",
                              "ok" if res.ok else "fail",
-                             f"max_dev={res.max_deviation:.6g}",
+                             f"defects={res.defects}",
                              (perf_counter() - t0) * 1000.0))
             if not res.ok:
-                problems.append(f"q={q}: {deviates} by {res.max_deviation:.3g}")
+                problems.append(f"q={q}: {what} has {res.defects} defects")
         _progress(args, f"oracle: q={q} done")
     summary = {"checked": len(args.q_list), "expect_failures": len(problems)}
     return rows, summary, [f"oracle check failed: {problem}" for problem in problems]

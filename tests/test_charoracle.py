@@ -1,22 +1,22 @@
+import cmath
 import math
 import random
 
 import pytest
 
+from quadprim import charoracle
 from quadprim.arith import ctx_for_prime_power, euler_phi, factorize
 from quadprim.charoracle import (
     ORACLE_Q_CAP,
-    CharIndex,
-    char_eval,
-    characters_of_order,
     check_sieve_inequality,
-    dlog,
     line_target_count,
+    log_set,
+    ramanujan_sum,
     survey_line_identities,
     survey_translate_sums,
-    translate_transversal,
 )
-from quadprim.ffield import build_field
+from quadprim.criteria import SCAN_EXCEPTIONS
+from quadprim.ffield import build_field, translate_classes
 
 
 @pytest.fixture(scope="module")
@@ -24,56 +24,57 @@ def fields():
     return {q: build_field(ctx_for_prime_power(q)) for q in (5, 7, 9, 11, 13, 43)}
 
 
+def _reps(fld):
+    """One element per translate class, q - 1 in all."""
+    return tuple(translate_classes(fld).values())
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_dlog_roundtrip(fields):
-    fld = fields[9]
-    u = fld.one
-    for e in range(fld.m):
-        assert dlog(u, fld) == e
-        u = fld.mul(u, fld.a)
-    with pytest.raises(ValueError):
-        dlog(fld.zero, fld)
+    # L[f] is the log of X + f: a**L[f] has F_q-coordinates (f, 1), so the
+    # q logs land on q distinct points of X + F_q
+    for q in (9, 13):
+        fld = fields[q]
+        logs = log_set(fld)
+        assert len(logs) == q
+        assert all(0 <= e < fld.m for e in logs)
+        assert [fld.fq_coords(fld.pow(fld.a, e)) for e in logs] == \
+            [(f, 1) for f in range(q)]
 
 
 def test_characters_census(fields):
-    fld = fields[13]
-    m = fld.m
-    total = 0
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        chars = characters_of_order(d, fld)
-        expected = euler_phi(factorize(d)) if d > 1 else 1
-        assert len(chars) == expected
-        total += len(chars)
-    assert total == m
-    with pytest.raises(ValueError):
-        characters_of_order(5, fields[5])  # 5 does not divide 24
+    # c_d(0) counts the characters of exact order d: phi(d) of them, m in all
+    for q in (7, 13):
+        m = fields[q].m
+        counts = [ramanujan_sum(d, 0) for d in _divisors(m)]
+        assert counts == [euler_phi(factorize(d)) if d > 1 else 1 for d in _divisors(m)]
+        assert sum(counts) == m
 
 
-def test_char_eval_multiplicative(fields):
-    fld = fields[7]
-    rng = random.Random(3)
-    elems = [u for u in fld.elements() if u != fld.zero]
-    chars = [CharIndex(t, fld.m // math.gcd(t, fld.m)) for t in (1, 5, 8, 24)]
-    for chi in chars:
-        for _ in range(40):
-            u, v = rng.choice(elems), rng.choice(elems)
-            lhs = char_eval(chi, fld.mul(u, v), fld)
-            rhs = char_eval(chi, u, fld) * char_eval(chi, v, fld)
-            assert abs(lhs - rhs) < 1e-12
+def test_ramanujan_sums_match_float_characters(fields):
+    # the exact c_d(e) against the float sum of exp(2 pi i t e / m) over the
+    # characters t of exact order d, for every d | m and every e
+    for q in (7, 13):
+        m = fields[q].m
+        for d in _divisors(m):
+            ts = [t for t in range(m) if m // math.gcd(t, m) == d]
+            for e in range(m):
+                exact = ramanujan_sum(d, e)
+                assert isinstance(exact, int)
+                total = sum(cmath.exp(2j * math.pi * t * e / m) for t in ts)
+                assert abs(total - exact) < 1e-9, (q, d, e)
 
 
 def test_character_orthogonality(fields):
-    fld = fields[5]
-    m = fld.m
-    elems = [u for u in fld.elements() if u != fld.zero]
-    # sum over the group of a nontrivial character vanishes
-    for t in (1, 2, 7, 12):
-        total = sum(char_eval(CharIndex(t, 0), u, fld) for u in elems)
-        assert abs(total) < 1e-9
-    # trivial character sums to the group size
-    total = sum(char_eval(CharIndex(0, 1), u, fld) for u in elems)
-    assert abs(total - m) < 1e-9
+    # summed over all orders, the characters give m at e = 0 and vanish at
+    # every other e
+    for q in (7, 13):
+        m = fields[q].m
+        for e in range(m):
+            assert sum(ramanujan_sum(d, e) for d in _divisors(m)) == (m if e == 0 else 0)
 
 
 def test_translate_sum_values(fields):
@@ -82,52 +83,56 @@ def test_translate_sum_values(fields):
     for q in (5, 7, 9, 11, 13):
         fld = fields[q]
         survey = survey_translate_sums(fld)
-        assert survey.ok, (q, survey.max_deviation)
+        assert survey.ok and survey.defects == 0, (q, survey)
         assert survey.characters == fld.m - 1
         assert survey.translates == q - 1
 
 
-def test_translate_sum_survey_matches_direct_sums(fields):
-    # reference: every character evaluated at every theta + x afresh,
-    # summed in base_field_elements() order; at q = 11 another order
-    # changes the last bits
+def _float_translate_claim(logs, q, m):
+    """The translate claim decided in complex doubles: S_t over each
+    class L + (q+1)*i against -1 or modulus sqrt(q)."""
+    for t in range(1, m):
+        for i in range(q - 1):
+            s = sum(cmath.exp(2j * math.pi * t * ((e + (q + 1) * i) % m) / m)
+                    for e in logs)
+            dev = abs(s + 1) if t % (q - 1) == 0 else abs(abs(s) - math.sqrt(q))
+            if dev > 1e-6:
+                return False
+    return True
+
+
+def test_translate_sum_survey_matches_direct_sums(fields, monkeypatch):
+    # an independent float reference: the character sums computed afresh
+    # from the logs agree with the exact verdict on the true L, and both
+    # reject L with one log moved by 1
     for q in (7, 9, 11):
         fld = fields[q]
-        base = fld.base_field_elements()
-        worst = 0.0
-        for t in range(1, fld.m):
-            chi = CharIndex(t, 0)
-            for theta in translate_transversal(fld):
-                b = 0j
-                for x in base:
-                    b += char_eval(chi, fld.add(theta, x), fld)
-                dev = abs(b + 1.0) if t % (q - 1) == 0 else abs(abs(b) - math.sqrt(q))
-                worst = max(worst, dev)
-        assert survey_translate_sums(fld).max_deviation == worst
+        logs = log_set(fld)
+        perturbed = (logs[0], (logs[1] + 1) % fld.m) + logs[2:]
+        for candidate, want in ((logs, True), (perturbed, False)):
+            monkeypatch.setattr(charoracle, "log_set", lambda f, c=candidate: c)
+            assert survey_translate_sums(fld).ok is want
+            assert _float_translate_claim(candidate, q, fld.m) is want
 
 
-def test_translate_transversal_is_transversal(fields):
-    for q in (5, 9, 13):
-        fld = fields[q]
-        reps = translate_transversal(fld)
-        assert len(reps) == q - 1
-        keys = {fld.sub(fld.frobenius_q(u), u) for u in reps}
-        assert len(keys) == q - 1
-        # the representatives are the first element of each class in
-        # elements() order, in that order
-        first = {}
-        for u in fld.elements():
-            if not fld.in_base_field(u):
-                first.setdefault(fld.sub(fld.frobenius_q(u), u), u)
-        assert reps == tuple(first.values())
+def test_translate_claim_holds_on_every_exception_to_311():
+    # the exact claim has no field cap
+    qs = [q for q in sorted(SCAN_EXCEPTIONS) if q <= 311]
+    assert len(qs) == 56 and max(qs) > ORACLE_Q_CAP
+    for q in qs:
+        survey = survey_translate_sums(build_field(ctx_for_prime_power(q)))
+        assert survey.ok and survey.defects == 0, survey
 
 
 def test_line_target_count_identity(fields):
+    # the expansion is an exact Fraction and equals the direct count, for
+    # any alpha and any r | m
     fld = fields[7]
-    for theta in translate_transversal(fld):
-        for alpha in (fld.one, fld.a):
-            res = line_target_count(theta, alpha, 3, fld)
-            assert abs(res.via_formula - res.direct) < 1e-3
+    for theta in _reps(fld):
+        for alpha in (fld.one, fld.a, fld.pow(fld.a, 11)):
+            for r in (1, 3, 6, 48):
+                res = line_target_count(theta, alpha, r, fld)
+                assert res.via_formula == res.direct
 
 
 def test_line_target_count_finds_empty_line(fields):
@@ -136,7 +141,7 @@ def test_line_target_count_finds_empty_line(fields):
     fld = fields[5]
     r = fld.ctx.rprime
     counts = []
-    for theta in translate_transversal(fld):
+    for theta in _reps(fld):
         for alpha in [fld.one, fld.a, fld.mul(fld.a, fld.a)]:
             counts.append(line_target_count(theta, alpha, r, fld).direct)
     assert min(counts) == 0
@@ -150,7 +155,7 @@ def test_line_target_count_all_positive_q43(fields):
     fld = fields[43]
     r = fld.ctx.rprime
     gammas = build_gamma_set(fld).gammas[:6]
-    for theta in translate_transversal(fld)[:7]:
+    for theta in _reps(fld)[:7]:
         for alpha in gammas:
             assert line_target_count(theta, alpha, r, fld).direct >= 1
 
@@ -158,12 +163,13 @@ def test_line_target_count_all_positive_q43(fields):
 def test_line_count_survey(fields):
     for q in (7, 11, 13):
         survey = survey_line_identities(fields[q])
-        assert survey.ok, (q, survey.max_deviation)
+        assert survey.ok and survey.defects == 0, (q, survey)
+        assert survey.pairs == 2 * (q - 1)
 
 
 def test_line_target_count_validation(fields):
     fld = fields[7]
-    theta = translate_transversal(fld)[0]
+    theta = _reps(fld)[0]
     with pytest.raises(ValueError):
         line_target_count(fld.one, fld.a, 3, fld)  # theta in F_q
     with pytest.raises(ValueError):
@@ -178,7 +184,7 @@ def test_sieve_inequality_random_families(fields):
         fld = fields[q]
         ctx = fld.ctx
         primes = [p for p, _ in factorize(ctx.rprime).factors]
-        reps = translate_transversal(fld)
+        reps = _reps(fld)
         for _ in range(25):
             theta = rng.choice(reps)
             alpha = rng.choice((fld.one, fld.a, fld.mul(fld.a, fld.a)))
@@ -196,7 +202,7 @@ def test_sieve_inequality_random_families(fields):
 
 def test_sieve_inequality_with_shared_base(fields):
     fld = fields[13]  # rprime = 21
-    theta = translate_transversal(fld)[1]
+    theta = _reps(fld)[1]
     chk = check_sieve_inequality(theta, fld.a, 21, 3, (21,), fld)
     assert chk.holds
     chk = check_sieve_inequality(theta, fld.a, 21, 1, (3, 7), fld)
@@ -206,7 +212,7 @@ def test_sieve_inequality_with_shared_base(fields):
 
 def test_sieve_inequality_validation(fields):
     fld = fields[13]
-    theta = translate_transversal(fld)[0]
+    theta = _reps(fld)[0]
     with pytest.raises(ValueError):  # parts do not cover 7
         check_sieve_inequality(theta, fld.a, 21, 1, (3,), fld)
     with pytest.raises(ValueError):  # base does not divide the part
@@ -218,11 +224,14 @@ def test_sieve_inequality_validation(fields):
 
 
 def test_oracle_cap():
+    # the direct counts keep the cap; the exact translate claim does not
     fld = build_field(ctx_for_prime_power(211))
     assert 211 > ORACLE_Q_CAP
+    theta = _reps(fld)[0]
     with pytest.raises(ValueError):
-        translate_transversal(fld)
+        line_target_count(theta, fld.a, 3, fld)
     with pytest.raises(ValueError):
-        survey_translate_sums(fld)
-    with pytest.raises(ValueError):  # the cap also bounds the dlog table
-        dlog(fld.one, fld)
+        survey_line_identities(fld)
+    with pytest.raises(ValueError):
+        check_sieve_inequality(theta, fld.a, 3, 1, (3,), fld)
+    assert survey_translate_sums(fld).ok

@@ -20,7 +20,7 @@ import tracemalloc
 import pytest
 
 import quadprim
-from quadprim import arith, cli
+from quadprim import arith, charoracle, cli
 from quadprim.arith import ctx_for_prime_power
 from quadprim.cli import (
     ROW_FIELDS,
@@ -32,6 +32,7 @@ from quadprim.cli import (
     main,
 )
 from quadprim.criteria import SCAN_EXCEPTIONS, classify_prime_power
+from quadprim.ffield import build_field
 from quadprim.verify import LINE_EXCEPTIONS, TRANSLATE_EXCEPTIONS, verify_line_fast
 
 
@@ -237,9 +238,10 @@ def test_full_device_exits_1_without_a_traceback(to_output):
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # the records are named tuples: importing dataclasses would also pull
     # inspect, ast, dis and tokenize into every launch; CSV rows are
-    # written without the csv module
+    # written without the csv module; the oracle decides in integers, with
+    # no complex arithmetic
     code = ("import sys, quadprim.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'csv', 'cmath'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_src_env(), text=True, check=True)
     assert proc.stdout == "[]\n"
@@ -466,12 +468,12 @@ def test_oracle_passes_at_default_tolerance(tmp_path):
 
 def test_oracle_output_bytes_are_pinned(tmp_path):
     # digest of the stable oracle output on the benchmark's fields: both
-    # surveys' deviations, to the printed digits
+    # surveys' exact defect counts
     out = tmp_path / "oracle.csv"
     assert main(["oracle", "--q-list", "5,7,9,11,13,17,19,23", "--stable-output",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "41b2ae207bec12df97c61910eeeb8b6bf6572bd5656a00b0a22723ee5f577b0d"
+        "b4b13c958c1913cb2fe48ba0b37c297a4800f877c81272a0687c454e035161b5"
 
 
 @pytest.mark.parametrize("alter", [
@@ -529,16 +531,22 @@ def test_unwritable_output_exits_2_before_the_handler(tmp_path, capsys, monkeypa
     assert not (tmp_path / "missing").exists()
 
 
-def test_oracle_fails_at_impossible_tolerance(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("quadprim.charoracle.TRANSLATE_SUM_TOL", 1e-20)
-    out = tmp_path / "oracle.csv"
-    rc = main(["oracle", "--q-list", "5", "--stable-output", "--output", str(out)])
-    assert rc == 1
-    assert "oracle check failed" in capsys.readouterr().err
-    _, rows = _read_csv(out)
-    results = {row["command"]: row["result"] for row in rows}
-    assert results["oracle:translate-sums"] == "fail"
-    assert results["oracle:line-identity"] == "ok"
+def test_oracle_fails_on_a_wrong_log_set(tmp_path, capsys, monkeypatch):
+    # one log moved by 1 breaks the difference test, and the line counts
+    # too; L + 3 is still a relative difference set, so only its one log
+    # in (q+1)Z is a defect
+    fld = build_field(ctx_for_prime_power(5))
+    logs = charoracle.log_set(fld)
+    cases = [((logs[0] + 1,) + logs[1:], ("fail", "defects=8"), ("fail", "defects=4")),
+             (tuple((e + 3) % fld.m for e in logs), ("fail", "defects=1"), ("ok", "defects=0"))]
+    for wrong, translate, line in cases:
+        monkeypatch.setattr("quadprim.charoracle.log_set", lambda fld, w=wrong: w)
+        out = tmp_path / "oracle.csv"
+        rc = main(["oracle", "--q-list", "5", "--stable-output", "--output", str(out)])
+        assert rc == 1
+        assert "oracle check failed: q=5: translate sums has" in capsys.readouterr().err
+        _, rows = _read_csv(out)
+        assert [(row["result"], row["detail"]) for row in rows] == [translate, line]
 
 
 def test_oracle_rejects_large_q():

@@ -5,7 +5,7 @@ import pytest
 
 from quadprim import ffield
 from quadprim.arith import ctx_for_prime_power, euler_phi, factorize
-from quadprim.ffield import QuadExtField, build_field, line_class_key
+from quadprim.ffield import QuadExtField, build_field, line_class_key, translate_classes
 
 SMALL_QS = (3, 5, 7, 9, 11, 13, 25, 27)
 
@@ -157,6 +157,21 @@ def test_translate_key_constant_on_translates(fields):
         key = line_class_key(theta, fld.one, fld)
         for x in fld.base_field_elements():
             assert line_class_key(fld.add(theta, x), fld.one, fld) == key
+
+
+def test_translate_classes_is_a_transversal(fields):
+    for q in (5, 9, 13):
+        fld = fields[q]
+        reps = translate_classes(fld)
+        assert len(reps) == q - 1
+        assert all(fld.sub(fld.frobenius_q(u), u) == key for key, u in reps.items())
+        # each value is the first element of its class in elements() order,
+        # and the classes come in that order
+        first = {}
+        for u in fld.elements():
+            if not fld.in_base_field(u):
+                first.setdefault(fld.sub(fld.frobenius_q(u), u), u)
+        assert list(reps.items()) == list(first.items())
 
 
 def test_line_class_key(fields):

@@ -1,0 +1,158 @@
+"""Mutation checks: every mutant must make each of its named tests fail.
+
+Usage (from the repository root, standard library and pytest only):
+
+    python3 tools/mutants.py
+
+Each entry names a file, a text that occurs in it exactly once, the text
+that replaces it, and the pytest ids that must fail.  The script copies
+src/, tests/, perfbench/ and pyproject.toml into a temporary directory,
+applies one mutant there, runs its tests in that copy, and prints
+``killed`` when every named test failed and ``survived`` otherwise.  An
+entry whose old text is not found once is ``stale``.  The exit status
+is 1 if any mutant survived or is stale, else 0.  The repository itself
+is never modified.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CHARORACLE = "src/quadprim/charoracle.py"
+CRITERIA = "src/quadprim/criteria.py"
+CLI = "src/quadprim/cli.py"
+VERIFY = "src/quadprim/verify.py"
+
+MUTANTS = (
+    # the character-sum oracle
+    Mutant("oracle-perturbed-log", CHARORACLE,
+           "(j - (q + 1) * log[y]) % m", "(j + (j == q) - (q + 1) * log[y]) % m",
+           ("tests/test_charoracle.py::test_dlog_roundtrip",
+            "tests/test_charoracle.py::test_translate_sum_values",
+            "tests/test_cli.py::test_oracle_output_bytes_are_pinned")),
+    Mutant("oracle-no-multiple-of-q+1-check", CHARORACLE,
+           "\n               + sum(1 for l in logs if l % h == 0))", ")",
+           ("tests/test_cli.py::test_oracle_fails_on_a_wrong_log_set",)),
+    Mutant("oracle-fourth-powers", CHARORACLE,
+           "if e % 4 == 2]", "if e % 4 == 0]",
+           ("tests/test_charoracle.py::test_line_target_count_identity",
+            "tests/test_charoracle.py::test_line_count_survey",
+            "tests/test_acceptance.py::test_c5_character_sum_oracle")),
+    Mutant("oracle-flipped-mu", CHARORACLE,
+           "Fraction(mu, euler_phi(factorize(d)))", "Fraction(-mu, euler_phi(factorize(d)))",
+           ("tests/test_charoracle.py::test_line_target_count_identity",
+            "tests/test_charoracle.py::test_line_count_survey")),
+    Mutant("oracle-ramanujan-sum-term", CHARORACLE,
+           "sum(mu * (d // k) for k, mu", "sum(mu * k for k, mu",
+           ("tests/test_charoracle.py::test_ramanujan_sums_match_float_characters",
+            "tests/test_charoracle.py::test_characters_census",
+            "tests/test_charoracle.py::test_character_orthogonality")),
+    # the scan bound, the scan's hand-off and the CSV writer
+    Mutant("scan-bound-greedy-s", CRITERIA,
+           "key=lambda row: row[1])", "key=lambda row: -row[0])",
+           ("tests/test_criteria.py::test_scan_bound_table",
+            "tests/test_criteria.py::test_scan_bound_passes_the_sieve_above_q_t")),
+    Mutant("scan-reclassifies-failures", CRITERIA,
+           "yield _sieve_stage(ctx, margin, islice(greedy_decompose(ctx), 1, None))",
+           "yield classify_prime_power(ctx)",
+           ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",)),
+    Mutant("csv-guard-without-none", CLI,
+           """and '"' not in text and "None" not in text)""", """and '"' not in text)""",
+           ("tests/test_cli.py::test_csv_rows_refuse_cells_csv_writer_would_quote",)),
+    Mutant("csv-guard-without-quote", CLI,
+           """and '"' not in text and "None" not in text)""", """and "None" not in text)""",
+           ("tests/test_cli.py::test_csv_rows_refuse_cells_csv_writer_would_quote",)),
+    Mutant("csv-rows-end-in-newline", CLI,
+           '_CSV_ROW = ",".join(["%s"] * len(ROW_FIELDS)) + "\\r\\n"',
+           '_CSV_ROW = ",".join(["%s"] * len(ROW_FIELDS)) + "\\n"',
+           ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
+            "tests/test_cli.py::test_verify_output_bytes_are_pinned",
+            "tests/test_cli.py::test_oracle_output_bytes_are_pinned")),
+    # the epsilon walk and its readers
+    Mutant("settle-reads-first-s", CRITERIA,
+           "*_, (s, num, den) = _moves(first_primes(t1)[::-1])",
+           "(s, num, den), *_ = _moves(first_primes(t1)[::-1])",
+           ("tests/test_acceptance.py::test_c2_prime_count_settling",
+            "tests/test_criteria.py::test_settle_on_every_pair")),
+    Mutant("greedy-without-s0", CRITERIA,
+           "for s, num, den in _moves(primes_desc):",
+           "for s, num, den in islice(_moves(primes_desc), 1, None):",
+           ("tests/test_cli.py::test_scan_rows_match_library",)),
+    Mutant("moves-subtract-den-times-p", CRITERIA,
+           "num = num * p - den\n", "num = num * p - den * p\n",
+           ("tests/test_acceptance.py::test_c1_interval_scan",)),
+    # the line verifier's naming pass
+    Mutant("naming-pass-sign-dropped", VERIFY,
+           "(log[s] - log[y] + n // 2) % n", "(log[s] - log[y]) % n",
+           ("tests/test_acceptance.py::test_c6_structural_properties",)),
+)
+
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def _failed(test: str, failed: set[str]) -> bool:
+    """True when the named test, or any parametrized case of it, failed."""
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def run(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        for name in COPIED:
+            src = os.path.join(ROOT, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, os.path.join(work, name),
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, work)
+        target = os.path.join(work, mutant.path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(mutant.old) != 1:
+            return "stale"
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(work, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                 *mutant.tests],
+                cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "survived (timeout)"
+        failed = set(_FAILED.findall(proc.stdout))
+        left = [t for t in mutant.tests if not _failed(t, failed)]
+        return "killed" if not left else "survived (" + ", ".join(left) + " passed)"
+
+
+def main() -> int:
+    bad = 0
+    for m in MUTANTS:
+        verdict = run(m)
+        bad += verdict != "killed"
+        print(f"{m.name}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
