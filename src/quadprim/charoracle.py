@@ -16,8 +16,8 @@ shift of L.  On that log set this module decides three facts exactly:
   log of L lies in (q+1)Z; scaling a class by c multiplies every sum by
   chi(c), so one L decides all q - 1 classes;
 - the line count: the number of x in F_q with alpha * (theta + x) an
-  r-free square and not a fourth power, by exact order tests and through
-  its character expansion, an exact Fraction over the logs of the line
+  r-free square and not a fourth power, by exact order tests and as the
+  count of the logs e = 2 mod 4 of the line that are prime to r
   (``line_target_count``, ``survey_line_identities``);
 - the sieve lower bound relating that count for a modulus to the counts
   for a family of its divisors, with exact counts
@@ -31,12 +31,10 @@ so the line and sieve checks are capped at q <= ORACLE_Q_CAP.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .arith import euler_phi, factorize
+from .arith import factorize
 from .ffield import FieldElem, QuadExtField
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "TranslateSumSurvey",
     "LineIdentitySurvey",
     "log_set",
-    "ramanujan_sum",
     "line_target_count",
     "check_sieve_inequality",
     "survey_translate_sums",
@@ -100,35 +97,19 @@ def _log(u: FieldElem, fld: QuadExtField) -> int:
     return ((q + 1) * log[y] + log_set(fld)[_ratio_digit(s, y, fld)]) % fld.m
 
 
-def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """(d, mu(d)) for squarefree divisors d of n."""
-    out = [(1, 1)]
-    for prime, _ in factorize(n).factors:
-        out += [(d * prime, -mu) for d, mu in out]
-    return out
-
-
-def ramanujan_sum(d: int, e: int) -> int:
-    """c_d(e) = sum over d' | gcd(e, d) of mu(d/d') * d'.
-
-    It is the sum of chi(a**e) over the characters chi of exact order d,
-    for d dividing m, and an integer."""
-    g = math.gcd(e, d)
-    return sum(mu * (d // k) for k, mu in _squarefree_divisors(d) if g % (d // k) == 0)
-
-
 # -- line target counts and the sieve --------------------------------------
 
 
 class LineTargetCount(NamedTuple):
     """Count of x in F_q for which alpha * (theta + x) is an r-free
     square and not a fourth power, by exact order tests (direct) and by
-    the character expansion over the logs of the line (via_formula)."""
+    the logs of the line (via_formula): those e with e = 2 mod 4 and
+    gcd(e, r) = 1."""
 
     q: int
     r: int
     direct: int
-    via_formula: Fraction
+    via_formula: int
 
 
 def _direct_line_count(theta: FieldElem, alpha: FieldElem, r: int,
@@ -147,23 +128,17 @@ def _direct_line_count(theta: FieldElem, alpha: FieldElem, r: int,
     return count
 
 
-@lru_cache(maxsize=64)
-def _expansion_terms(r: int) -> tuple[tuple[Fraction, int, tuple[int, ...]], ...]:
-    """(mu(d)/phi(d), d, c_d by residue mod d) per squarefree d | r."""
-    return tuple((Fraction(mu, euler_phi(factorize(d))), d,
-                  tuple(ramanujan_sum(d, e) for e in range(d)))
-                 for d, mu in _squarefree_divisors(r))
-
-
 def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
                       fld: QuadExtField) -> LineTargetCount:
     """Count the line alpha * (theta + F_q) twice, exactly.
 
     u = a**e is a square and not a fourth power exactly when e = 2 mod 4,
-    and r-free exactly when phi(r)/r times the sum over squarefree d | r
-    of mu(d)/phi(d) * c_d(e) is 1 rather than 0.  via_formula sums that
-    over the logs e = 2 mod 4 of the line, a shift of L, as a Fraction, so
-    it equals direct exactly when the logs agree with the order tests."""
+    and r-free when phi(r)/r * sum_{d | r squarefree} mu(d)/phi(d) * c_d(e)
+    is 1, with c_d(e) the sum of chi(u) over chi of exact order d; by
+    Moebius inversion that is the integer [gcd(e, r) = 1].  via_formula
+    counts the logs e = 2 mod 4 of the line, a shift of L, with
+    gcd(e, r) = 1, so it equals direct exactly when the logs agree with
+    the order tests."""
     _require_oracle_field(fld)
     m = fld.m
     if fld.in_base_field(theta):
@@ -177,11 +152,9 @@ def line_target_count(theta: FieldElem, alpha: FieldElem, r: int,
 
     # theta + F_q = y * (X + F_q) for theta = s + y*X
     shift = _log(alpha, fld) + (fld.q + 1) * fld.fq_log[fld.fq_coords(theta)[1]]
-    squares = [e for e in ((l + shift) % m for l in log_set(fld)) if e % 4 == 2]
-    total = sum(coeff * sum(c_d[e % d] for e in squares)
-                for coeff, d, c_d in _expansion_terms(r))
-    return LineTargetCount(fld.q, r, direct,
-                           Fraction(euler_phi(factorize(r)), r) * total)
+    via_formula = sum(1 for e in ((l + shift) % m for l in log_set(fld))
+                      if e % 4 == 2 and math.gcd(e, r) == 1)
+    return LineTargetCount(fld.q, r, direct, via_formula)
 
 
 class SieveCheck(NamedTuple):
@@ -203,14 +176,17 @@ def check_sieve_inequality(theta: FieldElem, alpha: FieldElem, modulus: int,
                            base: int, parts: tuple[int, ...],
                            fld: QuadExtField) -> SieveCheck:
     """Validate the divisor family and test the sieve inequality with
-    exact counts.  Every prime of the modulus must divide some part,
-    the base must divide every part, and parts must divide the modulus."""
+    exact counts.  Base and parts must be positive, the base must divide
+    every part, parts the modulus, and each prime of the modulus a part."""
     _require_oracle_field(fld)
     m = fld.m
     if modulus < 1 or m % modulus or modulus % 2 == 0:
         raise ValueError("modulus must be an odd divisor of the group order")
     if not parts:
         raise ValueError("at least one part is required")
+    for name, v in (("base", base), *(("part", r) for r in parts)):
+        if v < 1:
+            raise ValueError(f"{name} {v} must be a positive integer")
     for r in parts:
         if modulus % r:
             raise ValueError(f"part {r} does not divide the modulus {modulus}")
@@ -278,10 +254,9 @@ class LineIdentitySurvey(NamedTuple):
 
 
 def survey_line_identities(fld: QuadExtField) -> LineIdentitySurvey:
-    """Compare direct and character-expansion line counts over every
-    translate class b**i * (X + F_q) for alpha = 1 and alpha = a, with r
-    the odd radical R' of the group order; defects counts the pairs on
-    which they differ."""
+    """Compare direct and log-set line counts over every translate class
+    b**i * (X + F_q) for alpha = 1 and alpha = a, with r the odd radical
+    R' of the group order; defects counts the pairs on which they differ."""
     _require_oracle_field(fld)
     r = fld.ctx.rprime
     defects = pairs = 0

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,6 @@ from quadprim.charoracle import (
     check_sieve_inequality,
     line_target_count,
     log_set,
-    ramanujan_sum,
     survey_line_identities,
     survey_translate_sums,
 )
@@ -33,6 +33,32 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _phi(n):
+    return euler_phi(factorize(n)) if n > 1 else 1
+
+
+def _squarefree_divisors(n):
+    """(d, mu(d)) for the squarefree divisors d of n."""
+    out = [(1, 1)]
+    for prime, _ in factorize(n).factors:
+        out += [(d * prime, -mu) for d, mu in out]
+    return out
+
+
+def ramanujan_sum(d, e):
+    """c_d(e) = sum over d' | gcd(e, d) of mu(d/d') * d': the sum of
+    chi(a**e) over the characters chi of exact order d, for d | m."""
+    g = math.gcd(e, d)
+    return sum(mu * (d // k) for k, mu in _squarefree_divisors(d) if g % (d // k) == 0)
+
+
+def _r_free_expansion(r, e):
+    """The paper's character expansion of "a**e is r-free", as a Fraction:
+    phi(r)/r * sum over squarefree d | r of mu(d)/phi(d) * c_d(e)."""
+    return Fraction(_phi(r), r) * sum(Fraction(mu, _phi(d)) * ramanujan_sum(d, e)
+                                      for d, mu in _squarefree_divisors(r))
+
+
 def test_dlog_roundtrip(fields):
     # L[f] is the log of X + f: a**L[f] has F_q-coordinates (f, 1), so the
     # q logs land on q distinct points of X + F_q
@@ -50,7 +76,7 @@ def test_characters_census(fields):
     for q in (7, 13):
         m = fields[q].m
         counts = [ramanujan_sum(d, 0) for d in _divisors(m)]
-        assert counts == [euler_phi(factorize(d)) if d > 1 else 1 for d in _divisors(m)]
+        assert counts == [_phi(d) for d in _divisors(m)]
         assert sum(counts) == m
 
 
@@ -125,14 +151,25 @@ def test_translate_claim_holds_on_every_exception_to_311():
 
 
 def test_line_target_count_identity(fields):
-    # the expansion is an exact Fraction and equals the direct count, for
-    # any alpha and any r | m
-    fld = fields[7]
-    for theta in _reps(fld):
-        for alpha in (fld.one, fld.a, fld.pow(fld.a, 11)):
-            for r in (1, 3, 6, 48):
-                res = line_target_count(theta, alpha, r, fld)
-                assert res.via_formula == res.direct
+    # the direct count, the gcd count over the logs and the paper's
+    # character expansion as an exact Fraction agree, for any alpha and
+    # every r | m, at a prime q and at q = 3**2; the logs are read off a
+    # power table of a, not off log_set
+    for q in (7, 9):
+        fld = fields[q]
+        m = fld.m
+        logs, u = {}, fld.one
+        for e in range(m):
+            logs[u] = e
+            u = fld.mul(u, fld.a)
+        for theta in _reps(fld):
+            for alpha in (fld.one, fld.a, fld.pow(fld.a, 11)):
+                line = [logs[fld.mul(alpha, fld.add(theta, x))]
+                        for x in fld.base_field_elements()]
+                for r in _divisors(m):
+                    res = line_target_count(theta, alpha, r, fld)
+                    expansion = sum(_r_free_expansion(r, e) for e in line if e % 4 == 2)
+                    assert res.direct == res.via_formula == expansion, (q, r)
 
 
 def test_line_target_count_finds_empty_line(fields):
@@ -221,6 +258,14 @@ def test_sieve_inequality_validation(fields):
         check_sieve_inequality(theta, fld.a, 3, 1, (21,), fld)
     with pytest.raises(ValueError):  # even modulus
         check_sieve_inequality(theta, fld.a, 8, 1, (8,), fld)
+    # a base or part below 1 is named, not a ZeroDivisionError or a
+    # message about factorize
+    with pytest.raises(ValueError, match="base 0 must be a positive integer"):
+        check_sieve_inequality(theta, fld.a, 21, 0, (21,), fld)
+    with pytest.raises(ValueError, match="part 0 must be a positive integer"):
+        check_sieve_inequality(theta, fld.a, 21, 1, (21, 0), fld)
+    with pytest.raises(ValueError, match="base -1 must be a positive integer"):
+        check_sieve_inequality(theta, fld.a, 21, -1, (21,), fld)
 
 
 def test_oracle_cap():

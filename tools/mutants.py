@@ -37,10 +37,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+ARITH = "src/quadprim/arith.py"
 CHARORACLE = "src/quadprim/charoracle.py"
 CRITERIA = "src/quadprim/criteria.py"
 CLI = "src/quadprim/cli.py"
+FFIELD = "src/quadprim/ffield.py"
 VERIFY = "src/quadprim/verify.py"
+TEST_CHARORACLE = "tests/test_charoracle.py"
 
 MUTANTS = (
     # the character-sum oracle
@@ -53,19 +56,41 @@ MUTANTS = (
            "\n               + sum(1 for l in logs if l % h == 0))", ")",
            ("tests/test_cli.py::test_oracle_fails_on_a_wrong_log_set",)),
     Mutant("oracle-fourth-powers", CHARORACLE,
-           "if e % 4 == 2]", "if e % 4 == 0]",
+           "if e % 4 == 2 and", "if e % 4 == 0 and",
            ("tests/test_charoracle.py::test_line_target_count_identity",
             "tests/test_charoracle.py::test_line_count_survey",
             "tests/test_acceptance.py::test_c5_character_sum_oracle")),
-    Mutant("oracle-flipped-mu", CHARORACLE,
-           "Fraction(mu, euler_phi(factorize(d)))", "Fraction(-mu, euler_phi(factorize(d)))",
+    Mutant("oracle-no-gcd-clause", CHARORACLE,
+           " and math.gcd(e, r) == 1)", ")",
            ("tests/test_charoracle.py::test_line_target_count_identity",
             "tests/test_charoracle.py::test_line_count_survey")),
-    Mutant("oracle-ramanujan-sum-term", CHARORACLE,
+    # the test-side character expansion the line count is checked against
+    Mutant("oracle-ramanujan-sum-term", TEST_CHARORACLE,
            "sum(mu * (d // k) for k, mu", "sum(mu * k for k, mu",
            ("tests/test_charoracle.py::test_ramanujan_sums_match_float_characters",
             "tests/test_charoracle.py::test_characters_census",
             "tests/test_charoracle.py::test_character_orthogonality")),
+    # the interval scan's count table
+    Mutant("count-table-exactly-one", ARITH,
+           "c <= 1 for c in range(256)", "c == 1 for c in range(256)",
+           ("tests/test_arith.py::test_enumerate_odd_prime_powers_small",)),
+    Mutant("count-table-block-step", ARITH,
+           "for i in range(odd - base, len(counts), 65536))",
+           "for i in range(odd - base, len(counts), 65534))",
+           ("tests/test_arith.py::test_enumerate_matches_prime_power_ctx",)),
+    Mutant("count-table-sieved-to-hi-half", ARITH,
+           "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
+           ("tests/test_arith.py::test_small_windows_match_factorize",)),
+    # the scan's verdicts and keep test
+    Mutant("scan-keeps-only-failures", CLI,
+           "if stage is not basic or k != 1:", "if stage is not basic:",
+           ("tests/test_cli.py::test_scan_rows_match_library",)),
+    Mutant("positive-with-A-zero", CRITERIA,
+           "return A > 0 or B * B * q > A * A", "return A >= 0 or B * B * q > A * A",
+           ("tests/test_acceptance.py::test_c1_interval_scan",)),
+    Mutant("cutoff-without-denominator", CRITERIA,
+           "if not 2 ** (8 * j) * den8 < num8 * prod:", "if not 2 ** (8 * j) < num8 * prod:",
+           ("tests/test_criteria.py::test_divisor_bound_check_is_exact",)),
     # the scan bound, the scan's hand-off and the CSV writer
     Mutant("scan-bound-greedy-s", CRITERIA,
            "key=lambda row: row[1])", "key=lambda row: -row[0])",
@@ -100,6 +125,25 @@ MUTANTS = (
     Mutant("moves-subtract-den-times-p", CRITERIA,
            "num = num * p - den\n", "num = num * p - den * p\n",
            ("tests/test_acceptance.py::test_c1_interval_scan",)),
+    # the verifiers, the reference walk and the primitive element
+    Mutant("reference-cover-keeps-key-0", VERIFY,
+           "if key != zero:", "if True:",
+           ("tests/test_verify.py::test_reference_cover_skips_the_line_through_0",)),
+    Mutant("zech-index-off-by-one", VERIFY,
+           "z = zech[(lc + ly - ls) % n]", "z = zech[(lc + ly - ls + 1) % n]",
+           ("tests/test_cli.py::test_failure_witnesses_are_pinned",)),
+    Mutant("reference-walk-not-copied", VERIFY,
+           "walk.__copy__())", "walk)",
+           ("tests/test_verify.py::test_reference_and_fast_agree",)),
+    Mutant("digit-slopes-skip-fixed-slope", VERIFY,
+           "if c <= mate:", "if c < mate:",
+           ("tests/test_acceptance.py::test_c4_line_verification",)),
+    Mutant("primitive-without-base-field-test", FFIELD,
+           "and not any(self.in_base_field", "and not all(self.in_base_field",
+           ("tests/test_acceptance.py::test_c3_translate_verification",)),
+    Mutant("gap-cache-keyed-by-j", VERIFY,
+           "step = gap_powers.get(gap)", "step = gap_powers.get(j)",
+           ("tests/test_verify.py::test_reference_walk_is_shared_across_slopes",)),
     # the line verifier's naming pass
     Mutant("naming-pass-sign-dropped", VERIFY,
            "(log[s] - log[y] + n // 2) % n", "(log[s] - log[y]) % n",
