@@ -9,14 +9,19 @@ that it runs Rabin's test with the field's own multiply mod each candidate,
 the gcd checks first and x**(p**n) == x last (see ``_find_modulus``).
 
 Elements are coordinate tuples of length 2k over F_p, constant term
-first.  The subfield F_q sits inside as the fixed points of the q-power
-map, which is precomputed as a linear map on coordinates.
+first.  The subfield F_q is the fixed field of the q-power map.  That map
+and the change to and from F_q-coordinates are F_p-linear, stored as matrix
+rows and applied by the one kernel ``_apply``; ``_times_root`` is the one
+shift-and-fold step, multiplying by a root of a monic polynomial.
 
 F_q-coordinates write an element as s + y*x with s, y in F_q, where x is
 the class of the polynomial variable.  An element of F_q is named by its
 digit index: sum c_t * p**t for the element sum c_t * b**t, with
-b = a**(q+1) generating F_q*.  Adding in F_q is then digit-wise addition
-mod p of indices, and multiplying is addition of discrete logs base b.
+b = a**(q+1) generating F_q*.  So s + y*x has the digits of s + q*y as
+coordinates in the basis b**t, b**t * x (t < k), read and written by
+``index_of`` and ``element_from_index``.  Adding in F_q is digit-wise
+addition mod p of indices, and multiplying is addition of discrete logs
+base b.
 """
 
 from __future__ import annotations
@@ -65,11 +70,24 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _pinverse(cols: list[FieldElem], p: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of the inverse mod p of the invertible matrix with these columns."""
-    n = len(cols)
-    aug = [[col[r] for col in cols] + [int(r == c) for c in range(n)]
-           for r in range(n)]
+def _apply(rows: tuple[tuple[int, ...], ...], u: FieldElem, p: int) -> FieldElem:
+    """Apply the F_p matrix with these rows to u.  The tuple is built from
+    a list: tuple() of a generator resizes its result, and the freed tuples
+    pile up in the free list and raise peak RSS."""
+    return tuple([sum(map(mul, row, u)) % p for row in rows])
+
+
+def _times_root(v: tuple[int, ...], top: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """v times a root r of a monic g, in the basis r**t (t < n = deg g),
+    where top is r**n = -g[:n]: shift up, then fold the carry back in."""
+    carry = v[-1]
+    return tuple([(c + carry * t) % p for c, t in zip((0,) + v[:-1], top)])
+
+
+def _pinverse(rows: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse mod p of the invertible matrix with these rows."""
+    n = len(rows)
+    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rows)]
     for c in range(n):
         pivot = next(r for r in range(c, n) if aug[r][c])
         aug[c], aug[pivot] = aug[pivot], aug[c]
@@ -103,7 +121,7 @@ class QuadExtField:
         self.one: FieldElem = (1,) + (0,) * (self.deg - 1)
         self.modulus = self._find_modulus()
         self._init_reduction(self.modulus)
-        self._frobq_cols = self._build_frobenius_columns()
+        self._frobq_rows = self._build_frobenius_rows()
         self.a = self._find_primitive()
         self.zeta = self.pow(self.a, ctx.odd_part)
 
@@ -144,28 +162,23 @@ class QuadExtField:
         raise AssertionError(f"no irreducible modulus of degree {deg} found for q = {self.q}")
 
     def _init_reduction(self, f: tuple[int, ...]) -> None:
-        # rows[i] = coordinates of x**(deg+i) modulo the monic f
+        """Reduction rows of the monic f: row i is x**(deg+i) mod f, from
+        x**deg = -f[:deg] on by _times_root."""
         p, deg = self.p, self.deg
-        top = [(-c) % p for c in f[:deg]]
-        rows = [tuple(top)]
-        cur = list(top)
+        rows = [tuple([(-c) % p for c in f[:deg]])]
         for _ in range(deg - 2):
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                cur = [(ci + carry * ti) % p for ci, ti in zip(cur, top)]
-            rows.append(tuple(cur))
+            rows.append(_times_root(rows[-1], rows[0], p))
         self._red = tuple(rows)
         if deg == 2:
             self._r20, self._r21 = rows[0]
 
-    def _build_frobenius_columns(self) -> tuple[FieldElem, ...]:
-        x = (0, 1) + (0,) * (self.deg - 2)
-        xq = self._pow_raw(x, self.q)
+    def _build_frobenius_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of the q-power map, whose columns are (x**q)**i."""
+        xq = self._pow_raw(self.element_from_index(self.p), self.q)
         cols = [self.one]
         for _ in range(self.deg - 1):
             cols.append(self.mul(cols[-1], xq))
-        return tuple(cols)
+        return tuple(zip(*cols))
 
     def _find_primitive(self) -> FieldElem:
         """The least code >= p of order m: u**(m/r) != 1 for each prime r of m.
@@ -218,8 +231,7 @@ class QuadExtField:
                 row = red[t - deg]
                 for i, ri in enumerate(row):
                     conv[i] += c * ri
-        # from a list: tuple() of a generator resizes its result, so freed
-        # products would pile up in the tuple free list and raise peak RSS
+        # from a list, for the reason _apply gives
         return tuple([c % p for c in conv[:deg]])
 
     def _pow_raw(self, u: FieldElem, e: int) -> FieldElem:
@@ -251,13 +263,7 @@ class QuadExtField:
 
     def frobenius_q(self, u: FieldElem) -> FieldElem:
         """The q-power map, applied as a precomputed linear map."""
-        p = self.p
-        acc = [0] * self.deg
-        for ci, col in zip(u, self._frobq_cols):
-            if ci:
-                for idx, cc in enumerate(col):
-                    acc[idx] += ci * cc
-        return tuple(v % p for v in acc)
+        return _apply(self._frobq_rows, u, self.p)
 
     def in_base_field(self, u: FieldElem) -> bool:
         """True when u lies in F_q, i.e. u**q == u."""
@@ -318,49 +324,30 @@ class QuadExtField:
         return self.pow(self.a, self.q + 1)
 
     @cached_property
-    def _fq_frame(self) -> tuple[tuple[FieldElem, ...], tuple[tuple[int, ...], ...]]:
-        """The F_p-basis b**t, b**t * x (t < k) behind F_q-coordinates, as
-        columns, and the rows of its inverse."""
-        b = self._fq_gen
-        basis = [self.one]
-        for _ in range(self.k - 1):
-            basis.append(self.mul(basis[-1], b))
+    def _fq_frame(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Rows of the frame, whose columns are the basis b**t, b**t * x
+        (t < k), and of its inverse; the frame maps the digits of s + q*y to s + y*x."""
+        basis = [self.pow(self._fq_gen, t) for t in range(self.k)]
         x = self.element_from_index(self.p)
-        cols = tuple(basis + [self.mul(v, x) for v in basis])
-        return cols, _pinverse(cols, self.p)
+        rows = tuple(zip(*basis, *[self.mul(v, x) for v in basis]))
+        return rows, _pinverse(rows, self.p)
 
     def fq_coords(self, u: FieldElem) -> tuple[int, int]:
-        """Digit indices (s, y) of the F_q-coordinates of u = s + y*x."""
-        p, k = self.p, self.k
-        rows = self._fq_frame[1]
-        s = y = 0
-        for t in reversed(range(k)):
-            s = s * p + sum(map(mul, rows[t], u)) % p
-            y = y * p + sum(map(mul, rows[k + t], u)) % p
+        """Digit indices (s, y) of u = s + y*x, from the digits of s + q*y."""
+        y, s = divmod(self.index_of(_apply(self._fq_frame[1], u, self.p)), self.q)
         return s, y
 
     def from_fq_coords(self, s: int, y: int) -> FieldElem:
         """The element s + y*x, for digit indices s and y."""
-        p = self.p
-        digits = []
-        for n in (s, y):
-            for _ in range(self.k):
-                digits.append(n % p)
-                n //= p
-        acc = [0] * self.deg
-        for d, col in zip(digits, self._fq_frame[0]):
-            for i, c in enumerate(col):
-                acc[i] += d * c
-        return tuple(v % p for v in acc)
+        return _apply(self._fq_frame[0], self.element_from_index(s + self.q * y), self.p)
 
     @cached_property
     def fq_exp(self) -> tuple[int, ...]:
         """fq_exp[l] is the digit index of b**l, for 0 <= l < q - 1.
 
         At k = 1 the digit index of an element of F_q = F_p is its value, so
-        a step multiplies by b mod p.  At k > 1 digits are coordinates in the
-        basis b**t, so a step shifts them up and folds b**k back in by its
-        digits."""
+        a step multiplies by b mod p.  At k > 1 the digits are coordinates in
+        the basis b**t, so a step is _times_root by the digits of b**k."""
         p, k, n = self.p, self.k, self.q - 1
         if k == 1:
             b = self._fq_gen[0]
@@ -368,15 +355,12 @@ class QuadExtField:
             for _ in range(n - 1):
                 exp.append(exp[-1] * b % p)
             return tuple(exp)
-        bk = self.fq_coords(self.pow(self._fq_gen, k))[0]
-        top = [bk // p**t % p for t in range(k)]
-        weights = [p**t for t in range(k)]
-        digits = [1] + [0] * (k - 1)
+        top = _apply(self._fq_frame[1][:k], self.pow(self._fq_gen, k), p)
+        digits = self.one[:k]
         exp = []
         for _ in range(n):
-            exp.append(sum(map(mul, digits, weights)))
-            carry = digits.pop()
-            digits = [(c + carry * t) % p for c, t in zip([0] + digits, top)]
+            exp.append(self.index_of(digits))
+            digits = _times_root(digits, top, p)
         return tuple(exp)
 
     @cached_property

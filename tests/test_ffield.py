@@ -304,6 +304,24 @@ def test_fq_coords_roundtrip(coord_fields):
             seen.add((s, y))
         assert len(seen) == q * q
         assert {fld.fq_coords(u)[1] for u in fld.base_field_elements()} == {0}
+        # digit index s names sum d_t * b**t over the base-p digits d_t of s,
+        # built here by field arithmetic alone, so a codec that is wrong the
+        # same way in both directions fails
+        p, k = fld.p, fld.k
+        b, x = fld.pow(fld.a, q + 1), fld.element_from_index(p)
+        consts = [fld.zero]
+        for _ in range(p - 1):
+            consts.append(fld.add(consts[-1], fld.one))
+        named = []
+        for n in range(q):
+            v = fld.zero
+            for t in range(k):
+                v = fld.add(v, fld.mul(consts[n // p**t % p], fld.pow(b, t)))
+            named.append(v)
+        for s, big_s in enumerate(named):
+            for y, big_y in enumerate(named):
+                u = fld.add(big_s, fld.mul(big_y, x))
+                assert fld.from_fq_coords(s, y) == u and fld.fq_coords(u) == (s, y), (q, s, y)
 
 
 def test_fq_log_tables(coord_fields):

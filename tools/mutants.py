@@ -81,6 +81,9 @@ MUTANTS = (
     Mutant("count-table-sieved-to-hi-half", ARITH,
            "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
            ("tests/test_arith.py::test_small_windows_match_factorize",)),
+    Mutant("scan-range-without-cap", ARITH,
+           "if not 3 <= lo <= hi <= SCAN_Q_CAP:", "if not 3 <= lo <= hi:",
+           ("tests/test_arith.py::test_enumerate_rejects_bad_range",)),
     # the scan's verdicts and keep test
     Mutant("scan-keeps-only-failures", CLI,
            "if stage is not basic or k != 1:", "if stage is not basic:",
@@ -138,9 +141,26 @@ MUTANTS = (
     Mutant("digit-slopes-skip-fixed-slope", VERIFY,
            "if c <= mate:", "if c < mate:",
            ("tests/test_acceptance.py::test_c4_line_verification",)),
+    Mutant("digit-slopes-mate-t-plus-c", VERIFY,
+           "(trace // w - c // w) % p", "(trace // w + c // w) % p",
+           ("tests/test_verify.py::test_fast_line_tests_one_slope_per_frobenius_pair",)),
     Mutant("primitive-without-base-field-test", FFIELD,
            "and not any(self.in_base_field", "and not all(self.in_base_field",
            ("tests/test_acceptance.py::test_c3_translate_verification",)),
+    # the F_p linear algebra of the field: kernel rows, codec, shift-and-fold
+    Mutant("frobenius-untransposed", FFIELD,
+           "return tuple(zip(*cols))", "return tuple(cols)",
+           ("tests/test_ffield.py::test_frobenius_is_field_automorphism",)),
+    Mutant("codec-digits-swapped", FFIELD,
+           "element_from_index(s + self.q * y)", "element_from_index(self.q * s + y)",
+           ("tests/test_ffield.py::test_fq_coords_roundtrip",)),
+    Mutant("shift-without-carry-fold", FFIELD,
+           "carry = v[-1]\n", "carry = 0\n",
+           ("tests/test_ffield.py::test_fq_log_tables",
+            "tests/test_ffield.py::test_extension_moduli_are_pinned")),
+    Mutant("fq-exp-k1-step-by-b-squared", FFIELD,
+           "exp.append(exp[-1] * b % p)", "exp.append(exp[-1] * b * b % p)",
+           ("tests/test_ffield.py::test_fq_log_tables",)),
     Mutant("gap-cache-keyed-by-j", VERIFY,
            "step = gap_powers.get(gap)", "step = gap_powers.get(j)",
            ("tests/test_verify.py::test_reference_walk_is_shared_across_slopes",)),
