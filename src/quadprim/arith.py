@@ -16,7 +16,7 @@ way it builds the context of a given q.
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, cycle, islice
 from math import isqrt, log
 from typing import Callable, Iterator, NamedTuple
 
@@ -85,24 +85,15 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires a positive integer")
     acc: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            acc[p] = e
-    d = 7
-    wi = 0
-    while d * d <= m:
+    for d in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
+        if d * d > m:
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             acc[d] = e
-        d += _WHEEL[wi]
-        wi = (wi + 1) & 7
     if m > 1:
         acc[m] = 1
     return Factorization(n, tuple(sorted(acc.items())))

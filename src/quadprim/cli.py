@@ -21,6 +21,9 @@ rows.  CSV rows are the bytes of ``csv.writer``, written as one ``%``
 template each: no cell of a command needs quoting, and a guard raises on
 one that would.  That halves the CSV time of the full scan's 82,247 rows
 and keeps the csv module out of every launch.
+Every numeric argument, a q list, a span LO:HI or T1:T2, ``--scan-hi``
+or ``--threads``, is read by ``_ints``, the one reader of separated
+integers with a count and bounds.
 Exit status is 0 on success, 1 when an expectation or agreement check
 fails or the reader closes the output pipe early, 2 for usage errors and
 an ``--output`` that cannot be opened.
@@ -156,70 +159,68 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError("range must look like LO:HI")
-    if not 3 <= lo <= hi:
-        raise argparse.ArgumentTypeError("range must satisfy 3 <= LO <= HI")
-    if hi > SCAN_Q_CAP:
-        raise argparse.ArgumentTypeError(f"HI must be at most {SCAN_Q_CAP}, got {hi}")
-    return lo, hi
+def _ints(text: str, sep: str, count: int | None, lo: int, hi: int | None,
+          what: str) -> list[int]:
+    """The integers of text split at sep, each at least lo and at most hi.
 
-
-def _parse_q_list(text: str) -> list[int]:
-    if text.strip() == "exceptions":
-        return sorted(SCAN_EXCEPTIONS)
+    There must be count of them; with count None blank parts are skipped
+    and one or more are read.  hi None sets no upper bound.  Each part is
+    read by int(), which allows a sign, blanks around the digits and
+    underscores between them.  This is the one place argument text
+    becomes a number: a failed rule raises ArgumentTypeError naming it,
+    and argparse exits 2 with that message.
+    """
+    parts = text.split(sep)
+    if count is None:
+        parts = [part for part in parts if part.strip()]
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError("q list must be comma-separated integers")
-    if not values:
-        raise argparse.ArgumentTypeError("q list is empty")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError("q list repeats a value")
-    for q in values:
-        if q > VERIFY_Q_CAP:
-            raise argparse.ArgumentTypeError(
-                f"q must be at most {VERIFY_Q_CAP}, got {q}")
-        try:
-            ctx_for_prime_power(q)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-        if q % 2 == 0:
-            raise argparse.ArgumentTypeError(f"{q} is even")
+        values = []
+    if not values or count is not None and len(values) != count:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    for v in values:
+        if v < lo or hi is not None and v > hi:
+            rule = f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"value {v} must {rule}")
     return values
 
 
-def _parse_oracle_q_list(text: str) -> list[int]:
-    values = _parse_q_list(text)
-    for q in values:
-        if q > ORACLE_Q_CAP:
+def _span(lo: int, hi: int, what: str):
+    """argparse type of an A:B span, a tuple (A, B) with lo <= A <= B <= hi."""
+    def parse(text: str) -> tuple[int, int]:
+        a, b = _ints(text, ":", 2, lo, hi, what)
+        if a > b:
             raise argparse.ArgumentTypeError(
-                f"oracle supports q <= {ORACLE_Q_CAP}, got {q}")
-    return values
+                f"{what} must satisfy {what.replace(':', ' <= ')}, got {text!r}")
+        return a, b
+    return parse
 
 
-def _parse_scan_hi(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("value must be an integer")
-    if not 3 <= n <= SCAN_Q_CAP:
-        raise argparse.ArgumentTypeError(f"value must satisfy 3 <= value <= {SCAN_Q_CAP}")
-    return n
+def _int_in(lo: int, hi: int | None):
+    """argparse type of one integer with lo <= value <= hi."""
+    return lambda text: _ints(text, ",", 1, lo, hi, "an integer")[0]
 
 
-def _parse_threads(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("threads must be an integer")
-    if n < 1:
-        raise argparse.ArgumentTypeError("threads must be at least 1")
-    return min(n, os.cpu_count() or 1)
+def _q_list(cap: int):
+    """argparse type of --q-list: distinct odd prime powers q <= cap,
+    comma-separated, or the word exceptions for the scan exceptions."""
+    def parse(text: str) -> list[int]:
+        if text.strip() == "exceptions":
+            # read as the list it names, so the cap applies to it too
+            text = ",".join(map(str, sorted(SCAN_EXCEPTIONS)))
+        qs = _ints(text, ",", None, 3, cap, "comma-separated integers")
+        if len(set(qs)) != len(qs):
+            raise argparse.ArgumentTypeError("q list repeats a value")
+        for q in qs:
+            try:
+                ctx_for_prime_power(q)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+            if q % 2 == 0:
+                raise argparse.ArgumentTypeError(f"q must be odd, got {q}")
+        return qs
+    return parse
 
 
 # -- scan -------------------------------------------------------------------
@@ -321,18 +322,6 @@ def _cmd_settle(args) -> tuple[list[tuple], dict, list[str]]:
                          "settled" if settled else "unsettled",
                          f"t1={t1}|t2={t2}", (perf_counter() - t0) * 1000.0))
     return rows, {"cutoff": cutoff, "pairs": len(args.pairs)}, []
-
-
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        t1_s, t2_s = text.split(":", 1)
-        t1, t2 = int(t1_s), int(t2_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError("pair must look like T1:T2")
-    if not 2 <= t1 <= t2 <= SETTLE_T_CAP:
-        raise argparse.ArgumentTypeError(
-            f"pair must satisfy 2 <= T1 <= T2 <= {SETTLE_T_CAP}")
-    return t1, t2
 
 
 # -- verify ------------------------------------------------------------------
@@ -455,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default="-",
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=_parse_threads, default=1,
+    common.add_argument("--threads", default=1,
+                        type=lambda text: min(_int_in(1, None)(text), os.cpu_count() or 1),
                         help="accepted for compatibility (at least 1, capped "
                              "at the CPU count); no longer changes the scan, "
                              "which runs in one process")
@@ -466,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="staged criteria over a q interval")
-    p_scan.add_argument("--range", type=_parse_range,
+    p_scan.add_argument("--range", type=_span(3, SCAN_Q_CAP, "LO:HI"),
                         default=(FULL_SCAN_LO, FULL_SCAN_HI),
                         help=f"interval LO:HI with HI <= {SCAN_Q_CAP} "
                              f"(default 3:1048576)")
@@ -476,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_settle = sub.add_parser("settle-prime-counts", parents=[common],
                               help="exact-rational prime-count settling")
-    p_settle.add_argument("pairs", nargs="*", type=_parse_pair,
+    p_settle.add_argument("pairs", nargs="*", type=_span(2, SETTLE_T_CAP, "T1:T2"),
                           default=[(11, 13), (10, 10), (2, 2)],
                           help=f"T1:T2 pairs with T2 <= {SETTLE_T_CAP} "
                                f"(default: 11:13 10:10 2:2)")
@@ -486,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              ("line", LINE_EXCEPTIONS)):
         p_v = sub.add_parser(f"verify-{prop}", parents=[common],
                              help=f"exhaustive {prop}-property verification")
-        p_v.add_argument("--q-list", type=_parse_q_list, required=True,
+        p_v.add_argument("--q-list", type=_q_list(VERIFY_Q_CAP), required=True,
                          help="comma-separated odd prime powers, or 'exceptions'")
         p_v.add_argument("--mode", choices=("reference", "fast", "both"),
                          default="fast")
@@ -496,14 +486,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="character-sum surveys for small q")
-    p_oracle.add_argument("--q-list", type=_parse_oracle_q_list, required=True,
+    p_oracle.add_argument("--q-list", type=_q_list(ORACLE_Q_CAP), required=True,
                           help=f"comma-separated odd prime powers "
                                f"q <= {ORACLE_Q_CAP}")
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_all = sub.add_parser("reproduce-all", parents=[common],
                            help="run every phase with known expectations")
-    p_all.add_argument("--scan-hi", type=_parse_scan_hi, default=FULL_SCAN_HI)
+    p_all.add_argument("--scan-hi", type=_int_in(3, SCAN_Q_CAP), default=FULL_SCAN_HI)
     p_all.set_defaults(handler=_cmd_reproduce)
 
     return parser

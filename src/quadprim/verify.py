@@ -125,14 +125,6 @@ def build_gamma_set(fld: QuadExtField) -> GammaSet:
 # -- the F_q-coordinate walk behind the fast verifiers ---------------------
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bitmask(flags: bytes) -> int:
-    """The integer whose bit i is flags[i], for flags of 0s and 1s."""
-    return int(flags[::-1].translate(_BIT_CHARS), 2)
-
-
 def _cosets(fld: QuadExtField):
     """Walk the cosets a**j * F_q* that hold 2-primitive elements.
 
@@ -148,27 +140,31 @@ def _cosets(fld: QuadExtField):
     coset with a flag set: logs base b, log s None at s = 0 (y != 0, as
     F_q* holds no 2-primitive element), and the flags as a bitmask held
     twice, at bits l and l + q - 1, so a rotation is one shift and one
-    mask.
+    mask.  As (q**2 - 1)/2 = h*(q - 1), each r not dividing h divides
+    n = q - 1, so the bits at the multiples of r below 2n, the comb
+    full // (2**r - 1) for full = 2**(2n) - 1, repeat with period n: the
+    doubled mask is full with each such comb, shifted by the l it drops,
+    cleared.
     """
     n = fld.q - 1
     log = fld.fq_log
     h = (fld.q + 1) // 2
     primes = fld.ctx.fact_q2m1.primes()
     of_h = [r for r in primes if h % r == 0]
-    # (r, -1/h mod r) for the other primes: coset i drops l = i * that
-    others = [(r, -pow(h, -1, r) % r) for r in primes if h % r]
+    full = (1 << 2 * n) - 1
+    # (r, -1/h mod r, comb) for the other primes: coset i drops l = i * that
+    others = [(r, -pow(h, -1, r) % r, full // ((1 << r) - 1))
+              for r in primes if h % r]
     a2 = fld.mul(fld.a, fld.a)
     u = fld.one
     for i in range(h):
         if all(i % r for r in of_h):
-            flags = bytearray(b"\x01") * n
-            for r, step in others:
-                start = i * step % r
-                flags[start::r] = bytes(len(range(start, n, r)))
-            mask = _bitmask(flags)
+            mask = full
+            for r, step, comb in others:
+                mask &= ~(comb << (i * step % r))
             if mask:
                 s, y = fld.fq_coords(u)
-                yield log[s], log[y], mask | mask << n
+                yield log[s], log[y], mask
         u = fld.mul(u, a2)
 
 

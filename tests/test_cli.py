@@ -130,6 +130,65 @@ def test_threads_bounded_at_parse_time():
     assert args.threads == (os.cpu_count() or 1)
 
 
+# (argv, attribute, value) of accepted numeric arguments; the value's
+# type is pinned too
+ACCEPTED_ARGS = [
+    (["scan"], "range", (3, 1 << 20)),
+    (["scan", "--range", "3:5"], "range", (3, 5)),
+    (["scan", "--range", "+3:5"], "range", (3, 5)),
+    (["scan", "--range", " 3 : 5 "], "range", (3, 5)),
+    (["scan", "--range", "3:5_0"], "range", (3, 50)),
+    (["scan", "--range", "7:7"], "range", (7, 7)),
+    (["scan", "--range", f"3:{SCAN_Q_CAP}"], "range", (3, SCAN_Q_CAP)),
+    (["settle-prime-counts"], "pairs", [(11, 13), (10, 10), (2, 2)]),
+    (["settle-prime-counts", "2:2", " 11:+13", "64:64"], "pairs",
+     [(2, 2), (11, 13), (64, 64)]),
+    (["reproduce-all"], "scan_hi", 1 << 20),
+    (["reproduce-all", "--scan-hi", "3"], "scan_hi", 3),
+    (["reproduce-all", "--scan-hi", " 4_000 "], "scan_hi", 4000),
+    (["reproduce-all", "--scan-hi", str(SCAN_Q_CAP)], "scan_hi", SCAN_Q_CAP),
+    (["scan", "--threads", "1"], "threads", 1),
+    (["scan", "--threads", "100000"], "threads", os.cpu_count() or 1),
+    (["verify-line", "--q-list", "5,7,"], "q_list", [5, 7]),
+    (["verify-line", "--q-list", ",5"], "q_list", [5]),
+    (["verify-line", "--q-list", " 9 , 3 ,, "], "q_list", [9, 3]),
+    (["verify-line", "--q-list", "8191"], "q_list", [8191]),
+    (["verify-line", "--q-list", "exceptions"], "q_list", sorted(SCAN_EXCEPTIONS)),
+    (["verify-translate", "--q-list", " exceptions "], "q_list",
+     sorted(SCAN_EXCEPTIONS)),
+    (["oracle", "--q-list", "5,7,9,11,13"], "q_list", [5, 7, 9, 11, 13]),
+    (["oracle", "--q-list", "199,"], "q_list", [199]),
+]
+
+REFUSED_ARGS = [
+    *(["scan", "--range", text] for text in (
+        "3:", ":5", "3:5:7", "50:3", "2:5", "3", "", "abc", "3.0:5", "3,5",
+        f"3:{SCAN_Q_CAP + 1}")),
+    *(["settle-prime-counts", text] for text in (
+        "1:1", "2:65", "65:65", "3:2", "2", "2:3:4", "2:", "x:3")),
+    *(["reproduce-all", "--scan-hi", text] for text in (
+        "5,", "2", str(SCAN_Q_CAP + 1), "", "x", "3:5", "1e3")),
+    *(["scan", "--threads", text] for text in ("0", "-3", "x", "1.5", "")),
+    *(["verify-line", "--q-list", text] for text in (
+        "", ",", " , ", "1", "0", "-3", "2", "4", "15", "3,3", "8209", "5;7",
+        "exceptions,5", "Exceptions")),
+    *(["oracle", "--q-list", text] for text in ("exceptions", "211", "4", "5,5")),
+]
+
+
+def test_numeric_arguments_accept_and_refuse_exactly():
+    parser = _build_parser()
+    for argv, attr, value in ACCEPTED_ARGS:
+        got = getattr(parser.parse_args(argv), attr)
+        assert (got, type(got)) == (value, type(value)), argv
+        if isinstance(got, list):
+            assert [type(v) for v in got] == [type(v) for v in value], argv
+    for argv in REFUSED_ARGS:
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(argv)
+        assert err.value.code == 2, argv
+
+
 def test_scan_runs_without_a_pool(monkeypatch):
     # --threads is still accepted, but the scan opens no process pool
     def refuse(*args, **kwargs):

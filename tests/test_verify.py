@@ -269,7 +269,7 @@ def test_reference_verifiers_skip_the_coordinate_layer(monkeypatch):
         monkeypatch.setattr(QuadExtField, name, broken)
     for name in ("fq_exp", "fq_log", "fq_zech", "_fq_frame"):
         monkeypatch.setattr(QuadExtField, name, property(broken))
-    for name in ("_cosets", "_lines_met", "_unmet_key", "_bitmask", "_digit_slopes"):
+    for name in ("_cosets", "_lines_met", "_unmet_key", "_digit_slopes"):
         monkeypatch.setattr(verify, name, broken)
     for q, (translate, line) in REFERENCE_REPORTS.items():
         fld = build_field(ctx_for_prime_power(q))

@@ -81,6 +81,9 @@ MUTANTS = (
     Mutant("count-table-sieved-to-hi-half", ARITH,
            "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
            ("tests/test_arith.py::test_small_windows_match_factorize",)),
+    Mutant("factorize-stops-at-d-squared", ARITH,
+           "if d * d > m:", "if d * d >= m:",
+           ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
     Mutant("scan-range-without-cap", ARITH,
            "if not 3 <= lo <= hi <= SCAN_Q_CAP:", "if not 3 <= lo <= hi:",
            ("tests/test_arith.py::test_enumerate_rejects_bad_range",)),
@@ -115,6 +118,11 @@ MUTANTS = (
            ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
             "tests/test_cli.py::test_verify_output_bytes_are_pinned",
             "tests/test_cli.py::test_oracle_output_bytes_are_pinned")),
+    # the command line's reader of numeric arguments
+    Mutant("span-without-order-check", CLI,
+           "if a > b:", "if False:",
+           ("tests/test_cli.py::test_usage_errors_exit_2",
+            "tests/test_cli.py::test_numeric_arguments_accept_and_refuse_exactly")),
     # the epsilon walk and its readers
     Mutant("settle-reads-first-s", CRITERIA,
            "*_, (s, num, den) = _moves(first_primes(t1)[::-1])",
@@ -132,6 +140,9 @@ MUTANTS = (
     Mutant("reference-cover-keeps-key-0", VERIFY,
            "if key != zero:", "if True:",
            ("tests/test_verify.py::test_reference_cover_skips_the_line_through_0",)),
+    Mutant("coset-comb-shifted-by-one-coset", VERIFY,
+           "mask &= ~(comb << (i * step % r))", "mask &= ~(comb << ((i + 1) * step % r))",
+           ("tests/test_verify.py::test_coset_cover_matches_a_brute_force_walk",)),
     Mutant("zech-index-off-by-one", VERIFY,
            "z = zech[(lc + ly - ls) % n]", "z = zech[(lc + ly - ls + 1) % n]",
            ("tests/test_cli.py::test_failure_witnesses_are_pinned",)),
