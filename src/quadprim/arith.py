@@ -8,17 +8,18 @@ needs.  Everything here is exact integer arithmetic.
 
 ``_odd_prime_powers`` streams the odd prime powers of an interval up to
 ``SCAN_Q_CAP`` from one count table of the distinct odd primes of every
-n from lo - 1 to hi + 1, which also gives the scan its counts for the
-even numbers n = q - 1 and q + 1.  ``factorize`` is the one way the
-package factors or decides primality, and ``ctx_for_prime_power`` the one
-way it builds the context of a given q.
+n from lo - 1 to hi + 1, and hands the scan that table and its base for
+the counts of n = q - 1 and q + 1.  ``factorize`` is the one way the
+package factors or decides primality, ``ctx_for_prime_power`` the one
+way it builds the context of a given q, and ``_odd_primes`` gives the
+scan the odd primes of q**2 - 1 without one.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, cycle, islice
+from itertools import chain, compress, islice
 from math import isqrt, log
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "SCAN_Q_CAP",
@@ -33,8 +34,8 @@ __all__ = [
     "first_primes",
 ]
 
-# Gaps of the mod-30 wheel starting from 7.
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Gaps from 2 to 3, 5 and 7, then of the mod-30 wheel, repeated from index 3.
+_GAPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 # Largest q of ``_odd_prime_powers``, whose count table it bounds at
 # about 5 MB.  q**2 - 1 <= SCAN_Q_CAP**2 - 1 has at most 12 distinct
@@ -74,26 +75,27 @@ class Factorization(NamedTuple):
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into prime powers.
 
-    Trial division over a mod-30 wheel while d*d <= m, m being what is
-    left of n; a leftover m > 1 has no factor up to its square root, so
-    it is prime.  Exact for every positive integer.  The command line's
-    largest input is q + 1 for a verified q <= 8192, and a context
-    anywhere in the scan range needs at most SCAN_Q_CAP + 1 = 5255280,
-    whose trial divisors stay below 2293.
+    Trial division by 2, 3, 5 and a mod-30 wheel, stepping d by
+    ``_GAPS``, while d*d <= m, m being what is left of n; a leftover
+    m > 1 has no factor up to its square root, so it is prime.  Exact
+    for every positive integer.  The command line's largest input is
+    q + 1 for a verified q <= 8192, and a context anywhere in the scan
+    range needs at most SCAN_Q_CAP + 1 = 5255280, whose trial divisors
+    stay below 2293.
     """
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     acc: dict[int, int] = {}
-    m = n
-    for d in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
-        if d * d > m:
-            break
+    m, d, i = n, 2, 0
+    while d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             acc[d] = e
+        d += _GAPS[i]
+        i = i + 1 if i < 10 else 3
     if m > 1:
         acc[m] = 1
     return Factorization(n, tuple(sorted(acc.items())))
@@ -161,6 +163,13 @@ def _ctx(p: int, k: int, q: int) -> PrimePowerCtx:
     )
 
 
+def _odd_primes(q: int) -> list[int]:
+    """The distinct odd primes of q**2 - 1 for odd q >= 3, descending, from
+    ``factorize`` of q - 1 and then q + 1, both even."""
+    return sorted((p for p, _ in factorize(q - 1).factors[1:] + factorize(q + 1).factors[1:]),
+                  reverse=True)
+
+
 def ctx_for_prime_power(q: int) -> PrimePowerCtx:
     """Context for an arbitrary prime power given only its value."""
     if q < 2:
@@ -205,15 +214,14 @@ def first_primes(count: int) -> list[int]:
 
 
 def _odd_prime_powers(lo: int, hi: int) -> tuple[
-        Iterator[tuple[int, int, int]], Callable[[int], int]]:
-    """The odd prime powers in [lo, hi] and a count source for q +- 1.
+        Iterator[tuple[int, int, int]], bytearray, int]:
+    """The odd prime powers in [lo, hi], a count table and its base.
 
     Returns the triples (q, p, k) with q = p**k, ascending in q and taken
-    lazily, and a count source mapping n = q - 1 or q + 1 to its number
-    of distinct odd primes, ``len(factorize(n).factors) - 1``.  Both read
-    one table: byte n - (lo - 1) counts the odd primes p <= (hi + 1) / 2
-    that divide n, for n from lo - 1 to hi + 1.  Every odd prime of an
-    even n <= hi + 1 is at most n / 2, so the counts of q +- 1 are exact.
+    lazily, the table, and base = lo - 1: byte n - base counts the odd
+    primes p <= (hi + 1) / 2 that divide n, for n from lo - 1 to hi + 1.
+    Every odd prime of an even n <= hi + 1 is at most n / 2, so the count
+    of n = q +- 1 is exact, ``len(factorize(n).factors) - 1``.
     An odd q <= hi that is no prime power has two distinct odd primes of
     at most q / 3 and counts at least 2; a prime power counts 1, or 0 if
     it is a prime above (hi + 1) / 2.  So the entries are the odd q that
@@ -232,7 +240,7 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
         counts[s::p] = counts[s::p].translate(_INC)
         value, k = p * p, 2
         while value <= hi:
-            powers[value] = (p, k)
+            powers[value] = (value, p, k)
             value *= p
             k += 1
     odd = lo | 1
@@ -242,10 +250,5 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
     flags = chain.from_iterable(
         counts[i:i + 65536:2].translate(_AT_MOST_ONE)
         for i in range(odd - base, len(counts), 65536))
-    entries = ((q, *powers.get(q, (q, 1)))
-               for q in compress(range(odd, hi + 1, 2), flags))
-
-    def count(n: int) -> int:
-        return counts[n - base]
-
-    return entries, count
+    entries = (powers.get(q) or (q, q, 1) for q in compress(range(odd, hi + 1, 2), flags))
+    return entries, counts, base

@@ -235,7 +235,7 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
     not a basic pass at k = 1, 3% of the full interval, and the summary
     reads those.  The rows are a generator over the arrays, so each is
     formatted only as it is written.  Every row carries an equal share of
-    the scan call's time.
+    the scan call's time, formatted once for all CSV rows.
     """
     t0 = perf_counter()
     qs, margins = array("q"), array("d")
@@ -245,14 +245,16 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
     # Stage members hash and read .value in Python code, so the basic
     # passes, 97% of the full interval, take a branch that does neither.
     basic = Stage.BASIC_PASS
+    add_q, add_margin = qs.append, margins.append
     for v in scan_interval(lo, hi):
         q, stage, _, margin, _, k = v
-        qs.append(q)
-        margins.append(margin)
+        add_q(q)
+        add_margin(margin)
         if stage is not basic or k != 1:
             kept[q] = v
     total = len(qs)
     elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)
+    elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms
     _progress(args, f"scan: finished q <= {hi} ({total} prime powers)")
     failures = [v for v in kept.values() if v.stage is not basic]  # ascending in q
     counts = {stage: 0 for stage in Stage if stage is not basic}

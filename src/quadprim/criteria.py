@@ -10,7 +10,7 @@ holds with R = R', where W counts square-free divisors, R1 is the part of
 R dividing q + 1, and e is 2 for q = 1 (mod 4) and 1 otherwise.  When the
 basic inequality fails, a sieve over decompositions R' = kk * p_1 ... p_s
 relaxes it; the basic inequality is the sieve's with no prime moved
-(s = 0), and ``sieve_condition`` decides both.  ``scan_interval``
+(s = 0), and ``_sieve_sign`` decides both.  ``scan_interval``
 classifies every odd prime power in an interval by the first stage that
 settles it; survivors are Exceptions and must be checked exhaustively.
 
@@ -18,14 +18,16 @@ The basic stage needs only two numbers from q**2 - 1.  Since
 gcd(q - 1, q + 1) = 2, the odd parts of q - 1 and q + 1 share no prime,
 so with a and b their distinct prime counts W(R') = 2**(a + b),
 W(R1) = 2**b and q**2 - 1 has a + b + 1 distinct primes.  The scan reads
-a and b from the count source of the interval and builds the full
-``PrimePowerCtx`` only for the q that the basic inequality does not pass.
+a and b from the count table of the interval and factors q - 1 and
+q + 1 only for the q that the basic inequality does not pass.
 
-The sieve stage builds its decompositions lazily: ``greedy_decompose``
-yields them one at a time, s = 0 first, so ``classify_prime_power``
-builds no decomposition past the first one that passes.  One exact walk,
-``_moves``, steps epsilon = 1 - sum(1/p) down the moved primes; it drives
-``greedy_decompose``, ``settle_prime_count_range`` and ``scan_bound``.
+One exact walk, ``_moves``, steps epsilon = 1 - sum(1/p) down the moved
+primes, and with it r and the numerator of epsilon' over those that
+divide q + 1; it drives ``greedy_decompose``, the sieve stage of
+``classify_prime_power`` and the scan, ``settle_prime_count_range`` and
+``scan_bound``.  The sieve stage signs its raw states in order, with
+W(kk) = 2**(t - s) and W(k1) = 2**(b - r) for t odd primes in all, and
+builds a ``SieveDecomposition`` only for the first that passes.
 
 The scan's interval [3, 2**20] leaves no q open: ``prime_count_cutoff``
 settles every q whose q**2 - 1 has 14 or more primes, and ``scan_bound``
@@ -46,13 +48,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import floor, inf, sqrt
+from math import floor, inf, prod, sqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
     PrimePowerCtx,
-    _ctx,
     _odd_prime_powers,
+    _odd_primes,
     first_primes,
     primes_upto,
 )
@@ -147,58 +149,72 @@ def _positive(A: int, B: int, q: int) -> bool:
     return A > 0 and A * A > B * B * q
 
 
-def _count_prime_divisors(ctx: PrimePowerCtx, n: int) -> int:
-    # n divides q**2 - 1, so its primes all appear in the context
-    return sum(1 for p, _ in ctx.fact_q2m1.factors if n % p == 0)
-
-
 def r1_of(ctx: PrimePowerCtx, R: int) -> int:
     """Product of the prime divisors of R that divide q + 1."""
-    qp1 = ctx.q + 1
-    out = 1
-    for p, _ in ctx.fact_q2m1.factors:
-        if R % p == 0 and qp1 % p == 0:
-            out *= p
-    return out
+    return prod(p for p, _ in ctx.fact_q2m1.factors if R % p == 0 and (ctx.q + 1) % p == 0)
 
 
-def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, float]:
-    """Evaluate the sieved inequality for one decomposition of R'.
+def _sieve_sign(q: int, s: int, r: int, num: int, num_prime: int, den: int,
+                w_k: int, w_k1: int) -> tuple[bool, float]:
+    """The one sign test: (holds, margin) of the sieved inequality.
 
-    With epsilon = num / den and epsilon' = num' / den as the
-    decomposition carries them, the inequality times e * num is
-    A + B * sqrt(q) > 0 for the integers
-    A = e * num * (q + 1) - 4 * W(k1) * Y and
+    With epsilon = num / den, epsilon' = num_prime / den, W(kk) = w_k and
+    W(k1) = w_k1, the inequality times e * num is A + B * sqrt(q) > 0 for
+    the integers A = e * num * (q + 1) - 4 * W(k1) * Y and
     B = 4 * W(k1) * Y - 4 * e * W(kk) * X, where
-    X = (s - 1) * den + 2 * num and Y = (r - 1) * den + num' + num; it is
-    decided exactly.  The margin is that sum over e * num.
+    X = (s - 1) * den + 2 * num and Y = (r - 1) * den + num_prime + num;
+    it is decided exactly.  The margin is that sum over e * num.
     """
-    q = ctx.q
-    num, den = dec.num, dec.den
-    if num <= 0:
-        raise ValueError("decomposition must have positive epsilon")
-    w_k = 1 << _count_prime_divisors(ctx, dec.kk)
-    w_k1 = 1 << _count_prime_divisors(ctx, dec.k1)
     e = 2 if q % 4 == 1 else 1
-    x = (dec.s - 1) * den + 2 * num
-    y = (dec.r - 1) * den + dec.num_prime + num
+    x = (s - 1) * den + 2 * num
+    y = (r - 1) * den + num_prime + num
     A = e * num * (q + 1) - 4 * w_k1 * y
     B = 4 * w_k1 * y - 4 * e * w_k * x
     return _positive(A, B, q), (A + B * sqrt(q)) / (e * num)
 
 
-def _moves(primes_desc) -> Iterator[tuple[int, int, int]]:
-    """The one epsilon walk: yield (s, num, den) for s = 0, 1, ... while
-    epsilon = num / den = 1 - sum(1/p) over the first s primes of
-    primes_desc stays positive, with den the product of those primes."""
-    num = den = 1
-    yield 0, num, den
+def sieve_condition(ctx: PrimePowerCtx, dec: SieveDecomposition) -> tuple[bool, float]:
+    """Evaluate the sieved inequality for one decomposition of R' by
+    ``_sieve_sign``, with W(kk) and W(k1) counted over the context's primes."""
+    if dec.num <= 0:
+        raise ValueError("decomposition must have positive epsilon")
+    w_k, w_k1 = (1 << sum(1 for p, _ in ctx.fact_q2m1.factors if n % p == 0)
+                 for n in (dec.kk, dec.k1))
+    return _sieve_sign(ctx.q, dec.s, dec.r, dec.num, dec.num_prime, dec.den, w_k, w_k1)
+
+
+def _moves(primes_desc, qp1: int = 1) -> Iterator[tuple[int, int, int, int, int]]:
+    """The one epsilon walk: yield (s, num, den, r, num_prime) for s = 0,
+    1, ... while epsilon = num / den = 1 - sum(1/p) over the first s primes
+    of primes_desc stays positive, with den the product of those primes.
+    r counts the moved primes dividing qp1 (none for the default), and
+    epsilon' = num_prime / den = 1 - sum(1/p) over them: moving p
+    multiplies both numerators by p and takes den off each p enters."""
+    num, den, r, num_prime = 1, 1, 0, 1
+    yield 0, num, den, r, num_prime
     for s, p in enumerate(primes_desc, start=1):
         num = num * p - den
         if num <= 0:
             return
+        on = qp1 % p == 0
+        r += on
+        num_prime = num_prime * p - den * on
         den *= p
-        yield s, num, den
+        yield s, num, den, r, num_prime
+
+
+def _decomposition(primes_desc, qp1: int, s: int, num: int, den: int, r: int,
+                   num_prime: int) -> SieveDecomposition:
+    # the decomposition of one state of the walk: kk keeps the odd primes
+    # past the first s, and k1 those of them that divide q + 1
+    kept = primes_desc[s:]
+    return SieveDecomposition(kk=prod(kept), k1=prod(p for p in kept if qp1 % p == 0),
+                              sieve_primes=tuple(primes_desc[:s]), s=s, r=r, num=num,
+                              num_prime=num_prime, den=den)
+
+
+def _odd_desc(ctx: PrimePowerCtx) -> list[int]:
+    return [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
 
 
 def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
@@ -211,15 +227,9 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     primes, k1 the part of kk dividing q + 1, and r counts the moved
     primes dividing q + 1, over which epsilon' = num_prime / den is taken.
     """
-    qp1 = ctx.q + 1
-    primes_desc = [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
-    for s, num, den in _moves(primes_desc):
-        sieve = tuple(primes_desc[:s])
-        kk = ctx.rprime // den
-        on_qp1 = [p for p in sieve if qp1 % p == 0]
-        yield SieveDecomposition(kk=kk, k1=r1_of(ctx, kk), sieve_primes=sieve, s=s,
-                                 r=len(on_qp1), num=num,
-                                 num_prime=den - sum(den // p for p in on_qp1), den=den)
+    primes_desc, qp1 = _odd_desc(ctx), ctx.q + 1
+    for state in _moves(primes_desc, qp1):
+        yield _decomposition(primes_desc, qp1, *state)
 
 
 def _max_prime_count(limit) -> int:
@@ -257,7 +267,7 @@ def settle_prime_count_range(t1: int, t2: int) -> bool:
     """
     if not 2 <= t1 <= t2:
         raise ValueError("need 2 <= t1 <= t2")
-    *_, (s, num, den) = _moves(first_primes(t1)[::-1])
+    *_, (s, num, den, _, _) = _moves(first_primes(t1)[::-1])
     q1 = _sieve_bound(t2, s, num, den)
     return _max_prime_count(q1 * q1 - 1) <= t1
 
@@ -325,7 +335,7 @@ def scan_bound() -> tuple[tuple[tuple[int, int, int], ...], int]:
     for t in range(2, prime_count_cutoff()):
         odd_desc = first_primes(t)[:0:-1]
         s, bound = min(((s, _sieve_bound(t, s, num, den))
-                        for s, num, den in _moves(odd_desc)), key=lambda row: row[1])
+                        for s, num, den, _, _ in _moves(odd_desc)), key=lambda row: row[1])
         rows.append((t, s, floor(bound)))
     return tuple(rows), max(row[2] for row in rows)
 
@@ -338,24 +348,24 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     if ctx.t_q >= prime_count_cutoff():
         return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf,
                                 ctx.p, ctx.k)
-    decs = greedy_decompose(ctx)
-    ok, margin = sieve_condition(ctx, next(decs))
-    if ok:
-        return CriterionVerdict(ctx.q, Stage.BASIC_PASS, None, margin, ctx.p, ctx.k)
-    return _sieve_stage(ctx, margin, decs)
+    return _classify(ctx.q, ctx.p, ctx.k, _odd_desc(ctx), 0, -inf)
 
 
-def _sieve_stage(ctx: PrimePowerCtx, best: float, decs) -> CriterionVerdict:
-    # The verdict of a q the basic inequality does not pass, whose basic
-    # margin is best: the first of decs, the greedy walk past s = 0, that
-    # passes, else an exception with the largest margin tried.
-    for dec in decs:
-        ok, margin = sieve_condition(ctx, dec)
+def _classify(q: int, p: int, k: int, primes_desc, start: int, best: float) -> CriterionVerdict:
+    # The verdict of q = p**k, whose q**2 - 1 has the odd primes primes_desc,
+    # descending, from the walk's states s >= start: the first that passes,
+    # else an exception with the largest margin tried, or best.
+    qp1 = q + 1
+    t, b = len(primes_desc), sum(qp1 % d == 0 for d in primes_desc)
+    for s, num, den, r, num_prime in islice(_moves(primes_desc, qp1), start, None):
+        ok, margin = _sieve_sign(q, s, r, num, num_prime, den, 1 << (t - s), 1 << (b - r))
         if ok:
-            return CriterionVerdict(ctx.q, Stage.SIEVE_PASS, dec, margin,
-                                    ctx.p, ctx.k)
+            if not s:
+                return CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
+            return CriterionVerdict(q, Stage.SIEVE_PASS, _decomposition(
+                primes_desc, qp1, s, num, den, r, num_prime), margin, p, k)
         best = max(best, margin)
-    return CriterionVerdict(ctx.q, Stage.EXCEPTION, None, best, ctx.p, ctx.k)
+    return CriterionVerdict(q, Stage.EXCEPTION, None, best, p, k)
 
 
 def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
@@ -363,13 +373,13 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
     the basic stage is decided from the odd prime counts a of q - 1 and b
-    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read from the one
-    count table that ``_odd_prime_powers`` builds for the whole interval
-    and also enumerates its prime powers by.  Only the q the basic stage
-    does not pass get a ``PrimePowerCtx``, whose q - 1 and q + 1
-    ``factorize`` factors, and go to the sieve stage with the basic
-    margin already in hand.  The prime powers and the verdicts are both
-    streams, so the scan holds its table and nothing per q.
+    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read straight from
+    the one count table that ``_odd_prime_powers`` builds for the whole
+    interval and also enumerates its prime powers by.  Only the q the
+    basic stage does not pass are factored, by ``_odd_primes`` with no
+    ``PrimePowerCtx``, and walk on from s = 1 with the basic margin in
+    hand.  The prime powers and the verdicts are both streams, so the
+    scan holds its table and nothing per q.
     A generator: the call returns at once, and the first ``next`` raises
     ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``.  No q up to that
     cap is settled by its prime count, so the basic stage comes first.
@@ -377,23 +387,23 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
     intervals concatenate to the scan of their union.
 
     The basic stage is the loop body itself, 97% of the q on [3, 2**20]:
-    ``sieve_condition`` at s = 0 (num = den = 1) inlined, with the same
-    integers A and B and margin by the same operations, so verdicts and
-    margins are bit-identical and the sieve stage starts past s = 0.  A
-    passing verdict is built by ``tuple.__new__``, which is all the named
-    tuple's own Python-level ``__new__`` does.  Per q a function call or
-    that frame costs as much as the arithmetic.
+    ``_sieve_sign`` at s = 0 (num = den = num_prime = 1) inlined, with the
+    same integers A and B and margin by the same operations, so verdicts
+    and margins are bit-identical.  A passing verdict is built by
+    ``tuple.__new__``, which is all the named tuple's own Python-level
+    ``__new__`` does.  Per q a function call or that frame costs as much
+    as the arithmetic.
     """
-    entries, count = _odd_prime_powers(lo, hi)
+    entries, counts, base = _odd_prime_powers(lo, hi)
+    up, down = 1 - base, -1 - base
     new, basic = tuple.__new__, Stage.BASIC_PASS
     for q, p, k in entries:
-        w_r1 = 1 << count(q + 1)
+        w_r1 = 1 << counts[q + up]
         e = 2 if q % 4 == 1 else 1
         A = e * (q + 1) - 4 * w_r1
-        B = 4 * (w_r1 - e * (w_r1 << count(q - 1)))
+        B = 4 * (w_r1 - e * (w_r1 << counts[q + down]))
         margin = (A + B * sqrt(q)) / e
         if _positive(A, B, q):
             yield new(CriterionVerdict, (q, basic, None, margin, p, k))
         else:
-            ctx = _ctx(p, k, q)
-            yield _sieve_stage(ctx, margin, islice(greedy_decompose(ctx), 1, None))
+            yield _classify(q, p, k, _odd_primes(q), 1, margin)

@@ -141,11 +141,11 @@ def test_small_windows_match_factorize():
     facts = {n: factorize(n).factors for n in range(2, 202)}
     for lo in range(3, 201):
         for hi in range(lo, 201):
-            entries, count = _odd_prime_powers(lo, hi)
+            entries, counts, base = _odd_prime_powers(lo, hi)
             assert list(entries) == [
                 (q, *facts[q][0]) for q in range(lo | 1, hi + 1, 2)
                 if len(facts[q]) == 1], (lo, hi)
-            assert [count(n) for n in range(lo & ~1, hi + 2, 2)] == [
+            assert [counts[n - base] for n in range(lo & ~1, hi + 2, 2)] == [
                 len(facts[n]) - 1 for n in range(lo & ~1, hi + 2, 2)], (lo, hi)
 
 
@@ -159,11 +159,13 @@ def test_small_windows_match_factorize():
     (SCAN_Q_CAP - 600, SCAN_Q_CAP),
 ])
 def test_count_source_matches_factorize(lo, hi):
-    # the source covers the even n in [lo - 1, hi + 1], the first of them
-    # being lo & ~1; the last window ends where the table does
-    _, count = _odd_prime_powers(lo, hi)
+    # the table covers the even n in [lo - 1, hi + 1], the first of them
+    # being lo & ~1, at byte n - base with base = lo - 1; the last window
+    # ends where the table does
+    _, counts, base = _odd_prime_powers(lo, hi)
+    assert base == lo - 1 and len(counts) == hi + 2 - base
     for n in range(lo & ~1, hi + 2, 2):
-        assert count(n) == len(factorize(n).factors) - 1, n
+        assert counts[n - base] == len(factorize(n).factors) - 1, n
 
 
 @pytest.mark.parametrize("lo, hi", [

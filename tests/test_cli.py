@@ -90,6 +90,18 @@ def test_scan_json_format(tmp_path):
     assert first["result"] == "exception"
 
 
+def test_scan_json_elapsed_is_a_number(tmp_path):
+    # without --stable-output every JSON row carries elapsed_ms as a JSON
+    # number; only the CSV rows share it as text, formatted once
+    out = tmp_path / "scan.json"
+    assert main(["scan", "--range", "3:2000", "--format", "json",
+                 "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 323
+    assert all(type(row["elapsed_ms"]) is float for row in rows)
+    assert '"elapsed_ms": "' not in out.read_text()
+
+
 def test_usage_errors_exit_2():
     for argv in (["scan", "--range", "50:3"],
                  ["scan", "--range", "abc"],

@@ -12,6 +12,7 @@ from quadprim.criteria import (
     _divisor_bound_holds,
     _max_prime_count,
     _positive,
+    _sieve_sign,
     CriterionVerdict,
     SieveDecomposition,
     Stage,
@@ -175,26 +176,37 @@ def test_greedy_k1_and_r_match_direct_recomputation():
 
 
 def test_classify_stops_at_first_passing_decomposition(monkeypatch):
-    # every decomposition built past s = 0 is tested: none past the first
-    # that passes.  The scan decides s = 0 itself and skips it.
+    # the sieve stage signs the walk's states s = 1, 2, ... in order, none
+    # past the first that passes, and builds the decomposition of that one
+    # alone.  The scan decides s = 0 itself and skips it.
     built = []
-    tested = []
+    tested = {}  # q -> [(s, holds), ...]
 
     def counting_decomposition(*args, **kwargs):
-        dec = SieveDecomposition(*args, **kwargs)
-        if dec.s:
-            built.append(1)
-        return dec
+        built.append(1)
+        return SieveDecomposition(*args, **kwargs)
 
-    def counting_sieve_condition(ctx, dec):
-        tested.append(dec.s)
-        return sieve_condition(ctx, dec)
+    def counting_sign(q, s, *args):
+        ok, margin = _sieve_sign(q, s, *args)
+        tested.setdefault(q, []).append((s, ok))
+        return ok, margin
 
     monkeypatch.setattr(criteria, "SieveDecomposition", counting_decomposition)
-    monkeypatch.setattr(criteria, "sieve_condition", counting_sieve_condition)
+    monkeypatch.setattr(criteria, "_sieve_sign", counting_sign)
     verdicts = list(scan_interval(3, 60_000))
-    assert any(v.stage is Stage.SIEVE_PASS for v in verdicts)
-    assert len(built) == len(tested) > 100 and 0 not in tested
+    failures = [v for v in verdicts if v.stage is not Stage.BASIC_PASS]
+    passes = [v for v in failures if v.stage is Stage.SIEVE_PASS]
+    assert len(passes) > 100 and set(tested) <= {v.q for v in failures}
+    for v in failures:
+        signed = tested.get(v.q, [])
+        assert [s for s, _ in signed] == list(range(1, len(signed) + 1)), v.q
+        holds = [ok for _, ok in signed]
+        if v.stage is Stage.SIEVE_PASS:
+            assert holds == [False] * (len(holds) - 1) + [True], v.q
+            assert v.decomposition.s == len(holds)
+        else:
+            assert not any(holds), v.q
+    assert len(built) == len(passes)
 
 
 def test_sieve_with_no_primes_matches_basic():
@@ -267,7 +279,7 @@ def test_scan_bound_passes_the_sieve_above_q_t():
     # largest odd primes moved, s = 0 being the basic condition
     table = {t: (s, q_t) for t, s, q_t in scan_bound()[0]}
     # q = 3 is the one odd q whose q**2 - 1 = 8 has a single prime
-    entries, _ = arith._odd_prime_powers(5, 160_000)
+    entries = arith._odd_prime_powers(5, 160_000)[0]
     seen = set()
     for q, p, k in entries:
         ctx = arith._ctx(p, k, q)
@@ -357,16 +369,41 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
 
 def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):
     # the scan's own basic stage passes its margin on to the sieve stage:
-    # no verdict runs sieve_condition on an s = 0 decomposition
+    # no verdict signs the s = 0 state of the walk again
     expected = [classify_prime_power(ctx) for ctx in _contexts(3, 50_000)]
 
-    def no_basic(ctx, dec):
-        if dec.s == 0:
-            raise AssertionError(f"the basic condition ran again for q = {ctx.q}")
-        return sieve_condition(ctx, dec)
+    def no_basic(q, s, *args):
+        if s == 0:
+            raise AssertionError(f"the basic condition ran again for q = {q}")
+        return _sieve_sign(q, s, *args)
 
-    monkeypatch.setattr(criteria, "sieve_condition", no_basic)
+    monkeypatch.setattr(criteria, "_sieve_sign", no_basic)
     assert list(scan_interval(3, 50_000)) == expected
+
+
+def test_full_scan_failures_match_the_decompositions():
+    # every verdict of the full interval that is not a basic pass is the
+    # context's classification, field for field, and the one that
+    # greedy_decompose and sieve_condition give: the first decomposition
+    # that passes, else an exception with the largest margin of all
+    seen = 0
+    for v in scan_interval(3, 1 << 20):
+        if v.stage is Stage.BASIC_PASS:
+            continue
+        ctx = ctx_for_prime_power(v.q)
+        w = classify_prime_power(ctx)
+        assert (v.stage, v.decomposition, v.p, v.k) == (w.stage, w.decomposition, w.p, w.k)
+        assert v.margin == w.margin, v.q
+        signed = [(dec, *sieve_condition(ctx, dec)) for dec in greedy_decompose(ctx)]
+        passing = next((row for row in signed if row[1]), None)
+        if passing is None:
+            assert v.stage is Stage.EXCEPTION and v.decomposition is None
+            assert v.margin == max(margin for _, _, margin in signed), v.q
+        else:
+            assert v.stage is Stage.SIEVE_PASS
+            assert (v.decomposition, v.margin) == (passing[0], passing[2]), v.q
+        seen += 1
+    assert seen == 2_425
 
 
 def test_scan_q3_has_no_odd_primes():

@@ -82,7 +82,10 @@ MUTANTS = (
            "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
            ("tests/test_arith.py::test_small_windows_match_factorize",)),
     Mutant("factorize-stops-at-d-squared", ARITH,
-           "if d * d > m:", "if d * d >= m:",
+           "while d * d <= m:", "while d * d < m:",
+           ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
+    Mutant("factorize-wheel-wraps-to-4", ARITH,
+           "i = i + 1 if i < 10 else 3", "i = i + 1 if i < 10 else 4",
            ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
     Mutant("scan-range-without-cap", ARITH,
            "if not 3 <= lo <= hi <= SCAN_Q_CAP:", "if not 3 <= lo <= hi:",
@@ -103,9 +106,16 @@ MUTANTS = (
            ("tests/test_criteria.py::test_scan_bound_table",
             "tests/test_criteria.py::test_scan_bound_passes_the_sieve_above_q_t")),
     Mutant("scan-reclassifies-failures", CRITERIA,
-           "yield _sieve_stage(ctx, margin, islice(greedy_decompose(ctx), 1, None))",
-           "yield classify_prime_power(ctx)",
+           "yield _classify(q, p, k, _odd_primes(q), 1, margin)",
+           "yield _classify(q, p, k, _odd_primes(q), 0, -inf)",
            ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",)),
+    Mutant("scan-counts-swapped", CRITERIA,
+           "up, down = 1 - base, -1 - base", "up, down = -1 - base, 1 - base",
+           ("tests/test_criteria.py::test_scan_equals_classifying_every_context",)),
+    Mutant("scan-elapsed-text-in-json", CLI,
+           'elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms',
+           "elapsed_ms = str(elapsed_ms)",
+           ("tests/test_cli.py::test_scan_json_elapsed_is_a_number",)),
     Mutant("csv-guard-without-none", CLI,
            """and '"' not in text and "None" not in text)""", """and '"' not in text)""",
            ("tests/test_cli.py::test_csv_rows_refuse_cells_csv_writer_would_quote",)),
@@ -125,17 +135,30 @@ MUTANTS = (
             "tests/test_cli.py::test_numeric_arguments_accept_and_refuse_exactly")),
     # the epsilon walk and its readers
     Mutant("settle-reads-first-s", CRITERIA,
-           "*_, (s, num, den) = _moves(first_primes(t1)[::-1])",
-           "(s, num, den), *_ = _moves(first_primes(t1)[::-1])",
+           "*_, (s, num, den, _, _) = _moves(first_primes(t1)[::-1])",
+           "(s, num, den, _, _), *_ = _moves(first_primes(t1)[::-1])",
            ("tests/test_acceptance.py::test_c2_prime_count_settling",
             "tests/test_criteria.py::test_settle_on_every_pair")),
     Mutant("greedy-without-s0", CRITERIA,
-           "for s, num, den in _moves(primes_desc):",
-           "for s, num, den in islice(_moves(primes_desc), 1, None):",
-           ("tests/test_cli.py::test_scan_rows_match_library",)),
+           "for state in _moves(primes_desc, qp1):",
+           "for state in islice(_moves(primes_desc, qp1), 1, None):",
+           ("tests/test_criteria.py::test_greedy_decomposition_q41",
+            "tests/test_criteria.py::test_sieve_with_no_primes_matches_basic")),
     Mutant("moves-subtract-den-times-p", CRITERIA,
            "num = num * p - den\n", "num = num * p - den * p\n",
            ("tests/test_acceptance.py::test_c1_interval_scan",)),
+    Mutant("moves-epsilon-prime-without-den", CRITERIA,
+           "num_prime = num_prime * p - den * on", "num_prime = num_prime * p",
+           ("tests/test_criteria.py::test_greedy_decomposition_q41",
+            "tests/test_criteria.py::test_sieve_condition_is_exact")),
+    Mutant("moves-r-not-incremented", CRITERIA,
+           "r += on\n", "r += 0\n",
+           ("tests/test_criteria.py::test_greedy_k1_and_r_match_direct_recomputation",
+            "tests/test_criteria.py::test_greedy_decomposition_q41")),
+    Mutant("sieve-w-k1-from-b", CRITERIA,
+           "1 << (b - r))", "1 << b)",
+           ("tests/test_criteria.py::test_full_scan_failures_match_the_decompositions",
+            "tests/test_cli.py::test_scan_output_bytes_are_pinned")),
     # the verifiers, the reference walk and the primitive element
     Mutant("reference-cover-keeps-key-0", VERIFY,
            "if key != zero:", "if True:",
