@@ -14,12 +14,12 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
-reads its verdicts as a stream, keeps 16 bytes a q and whole verdicts
-only for the q that are not a basic pass at k = 1, and hands its rows
-over as a generator, so neither format holds more than a few hundred
-rows.  CSV rows are the bytes of ``csv.writer``, written as one ``%``
-template each: no cell of a command needs quoting, and a guard raises on
-one that would.  That halves the CSV time of the full scan's 82,247 rows
+reads its columns a block at a time, keeps 16 bytes a q, and p, k and
+the stage only for the q that are not a basic pass at k = 1, and hands
+its rows over as a generator, so neither format holds more than a few
+hundred rows.  CSV rows are the bytes of ``csv.writer``, written as one
+``%`` template each: no cell of a command needs quoting, and a guard
+raises on one that would.  That halves the CSV time of the full scan's 82,247 rows
 and keeps the csv module out of every launch.
 Every numeric argument, a q list, a span LO:HI or T1:T2, ``--scan-hi``
 or ``--threads``, is read by ``_ints``, the one reader of separated
@@ -46,7 +46,7 @@ from .criteria import (
     SCAN_EXCEPTIONS,
     Stage,
     prime_count_cutoff,
-    scan_interval,
+    scan_blocks,
     settle_prime_count_range,
 )
 from .ffield import build_field
@@ -229,38 +229,37 @@ def _q_list(cap: int):
 def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]]:
     """Rows, summary and exception list of one scan call.
 
-    The summary lines come before the rows, so the verdict stream is read
-    to its end first.  For each q only q and its margin are kept, in two
-    arrays, 16 bytes a q; whole verdicts are kept only for the q that are
-    not a basic pass at k = 1, 3% of the full interval, and the summary
-    reads those.  The rows are a generator over the arrays, so each is
-    formatted only as it is written.  Every row carries an equal share of
-    the scan call's time, formatted once for all CSV rows.
+    The summary lines come before the rows, so the scan is read to its
+    end first.  ``scan_blocks`` hands over its columns a block at a time,
+    and no verdict of a basic pass at k = 1 is ever built.  Each block's
+    q and margins are appended whole to two arrays, 16 bytes a q; of its
+    verdicts, those of the q that are not a basic pass at k = 1, 3% of
+    the full interval, only p, k and the stage are kept, which the rows
+    and the summary read, and no decomposition.  The rows are a generator
+    over the arrays, so each is formatted only as it is written.  Every
+    row carries an equal share of the scan call's time, formatted once
+    for all CSV rows.
     """
     t0 = perf_counter()
     qs, margins = array("q"), array("d")
-    kept = {}  # q -> verdict, ascending in q
-    # One call for the whole interval: scan_interval builds its count
-    # table once per call, so splitting the interval repeats that work.
-    # Stage members hash and read .value in Python code, so the basic
-    # passes, 97% of the full interval, take a branch that does neither.
-    basic = Stage.BASIC_PASS
-    add_q, add_margin = qs.append, margins.append
-    for v in scan_interval(lo, hi):
-        q, stage, _, margin, _, k = v
-        add_q(q)
-        add_margin(margin)
-        if stage is not basic or k != 1:
-            kept[q] = v
+    kept = {}  # q -> (p, k, stage), ascending in q
+    # One call for the whole interval: scan_blocks builds its count table
+    # once per call, so splitting the interval repeats that work.
+    for block_qs, block_margins, block_kept in scan_blocks(lo, hi):
+        qs += block_qs
+        margins += block_margins
+        for q, v in block_kept.items():
+            kept[q] = v.p, v.k, v.stage
     total = len(qs)
     elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)
     elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms
     _progress(args, f"scan: finished q <= {hi} ({total} prime powers)")
-    failures = [v for v in kept.values() if v.stage is not basic]  # ascending in q
+    basic = Stage.BASIC_PASS
+    failures = [(q, stage) for q, (_, _, stage) in kept.items() if stage is not basic]
     counts = {stage: 0 for stage in Stage if stage is not basic}
-    for v in failures:
-        counts[v.stage] += 1
-    exceptions = [v.q for v in failures if v.stage is Stage.EXCEPTION]
+    for _, stage in failures:
+        counts[stage] += 1
+    exceptions = [q for q, stage in failures if stage is Stage.EXCEPTION]
 
     def rows() -> Iterator[tuple]:
         basic_value = basic.value
@@ -269,7 +268,8 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
             if v is None:
                 yield q, q, 1, "scan", basic_value, f"{margin:.6g}", elapsed_ms
             else:
-                yield q, v.p, v.k, "scan", v.stage.value, f"{margin:.6g}", elapsed_ms
+                p, k, stage = v
+                yield q, p, k, "scan", stage.value, f"{margin:.6g}", elapsed_ms
 
     summary = {
         "total": total,
@@ -278,7 +278,7 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
         "sieve_pass": counts[Stage.SIEVE_PASS],
         "exceptions": counts[Stage.EXCEPTION],
         "eliminated_by_prime_count": counts[Stage.ELIMINATED_BY_PRIME_COUNT],
-        "largest_basic_failure": failures[-1].q if failures else 0,
+        "largest_basic_failure": failures[-1][0] if failures else 0,
         "largest_exception": max(exceptions) if exceptions else 0,
     }
     return rows(), summary, exceptions

@@ -17,9 +17,12 @@ settles it; survivors are Exceptions and must be checked exhaustively.
 The basic stage needs only two numbers from q**2 - 1.  Since
 gcd(q - 1, q + 1) = 2, the odd parts of q - 1 and q + 1 share no prime,
 so with a and b their distinct prime counts W(R') = 2**(a + b),
-W(R1) = 2**b and q**2 - 1 has a + b + 1 distinct primes.  The scan reads
-a and b from the count table of the interval and factors q - 1 and
-q + 1 only for the q that the basic inequality does not pass.
+W(R1) = 2**b and q**2 - 1 has a + b + 1 distinct primes.  So q meets
+the basic inequality through its class (e, a, b) and sqrt(q) alone, and
+each of the 128 classes passes exactly the q from one threshold T on
+(``scan_interval`` proves it).  The scan reads a and b from the count
+table of the interval, compares q with its class's T, and factors q - 1
+and q + 1 only for the q below it.
 
 One exact walk, ``_moves``, steps epsilon = 1 - sum(1/p) down the moved
 primes, and with it r and the numerator of epsilon' over those that
@@ -44,6 +47,7 @@ the inequality and decides nothing.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -66,11 +70,11 @@ __all__ = [
     "CriterionVerdict",
     "sieve_condition",
     "greedy_decompose",
-    "r1_of",
     "settle_prime_count_range",
     "prime_count_cutoff",
     "scan_bound",
     "classify_prime_power",
+    "scan_blocks",
     "scan_interval",
 ]
 
@@ -147,11 +151,6 @@ def _positive(A: int, B: int, q: int) -> bool:
     if B >= 0:
         return A > 0 or B * B * q > A * A
     return A > 0 and A * A > B * B * q
-
-
-def r1_of(ctx: PrimePowerCtx, R: int) -> int:
-    """Product of the prime divisors of R that divide q + 1."""
-    return prod(p for p, _ in ctx.fact_q2m1.factors if R % p == 0 and (ctx.q + 1) % p == 0)
 
 
 def _sieve_sign(q: int, s: int, r: int, num: int, num_prime: int, den: int,
@@ -368,42 +367,103 @@ def _classify(q: int, p: int, k: int, primes_desc, start: int, best: float) -> C
     return CriterionVerdict(q, Stage.EXCEPTION, None, best, p, k)
 
 
+@lru_cache(maxsize=1)
+def _basic_thresholds() -> tuple[tuple[int, int, int, float], ...]:
+    """The basic stage of each class (e, a, b): a tuple (T, e, A0, B) at
+    index (q & 2) << 5 | a << 3 | b, for a, b = 0 ... 7.
+
+    A0 = e - 4 * 2**b and B = 4 * 2**b * (1 - e * 2**a), a float, so the
+    basic inequality of q is e * q + A0 + B * sqrt(q) > 0 and holds
+    exactly for q >= T.  T is the least integer at which ``_positive``
+    holds, found by doubling and then bisection, which is valid since
+    the set of such q is an upward ray (see ``scan_interval``).
+    """
+    classes = [None] * 128
+    for r in (1, 3):  # q mod 4
+        e = 2 if r == 1 else 1
+        for a in range(8):
+            for b in range(8):
+                A0, B = e - (4 << b), (4 << b) * (1 - (e << a))
+                lo, hi = 0, 1
+                while not _positive(e * hi + A0, B, hi):
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if _positive(e * mid + A0, B, mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                classes[(r & 2) << 5 | a << 3 | b] = hi, e, A0, float(B)
+    return tuple(classes)
+
+
+def scan_blocks(lo: int, hi: int) -> Iterator[tuple[array, array, dict[int, CriterionVerdict]]]:
+    """The scan of [lo, hi] in columns, one block of 16,384 numbers at a time.
+
+    Yields (qs, margins, kept) per block: the odd prime powers of the
+    block, ascending, in an ``array('q')``, the margins of their verdicts
+    in an ``array('d')``, and the verdicts of those q that are not a basic
+    pass at k = 1, ascending in q.  Every other q is a basic pass with
+    p = q and k = 1.  ``scan_interval`` states the rules; this is its loop.
+    """
+    blocks, counts, base, powers = _odd_prime_powers(lo, hi)
+    classes = _basic_thresholds()
+    up, down = 1 - base, -1 - base
+    for qs in blocks:
+        margins, kept = array("d"), {}
+        add = margins.append
+        for q in qs:
+            T, e, A0, B = classes[(q & 2) << 5 | counts[q + down] << 3 | counts[q + up]]
+            margin = (e * q + A0 + B * sqrt(q)) / e
+            if q < T:
+                p, k = powers.get(q, (q, 1))
+                kept[q] = v = _classify(q, p, k, _odd_primes(q), 1, margin)
+                margin = v.margin
+            elif q in powers:
+                kept[q] = CriterionVerdict(q, Stage.BASIC_PASS, None, margin, *powers[q])
+            add(margin)
+        yield qs, margins, kept
+
+
 def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
     """Yield the verdict of every odd prime power in [lo, hi], ascending in q.
 
     Each verdict equals ``classify_prime_power`` of the q's context, but
-    the basic stage is decided from the odd prime counts a of q - 1 and b
-    of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read straight from
-    the one count table that ``_odd_prime_powers`` builds for the whole
-    interval and also enumerates its prime powers by.  Only the q the
-    basic stage does not pass are factored, by ``_odd_primes`` with no
-    ``PrimePowerCtx``, and walk on from s = 1 with the basic margin in
-    hand.  The prime powers and the verdicts are both streams, so the
-    scan holds its table and nothing per q.
+    the basic stage is decided from q mod 4 and the odd prime counts a of
+    q - 1 and b of q + 1 alone (W(R') = 2**(a + b), W(R1) = 2**b), read
+    straight from the one count table that ``_odd_prime_powers`` builds
+    for the whole interval and also enumerates its prime powers by.
+    Only the q the basic stage does not pass are factored, by
+    ``_odd_primes`` with no ``PrimePowerCtx``, and walk on from s = 1
+    with the basic margin in hand.
     A generator: the call returns at once, and the first ``next`` raises
     ValueError unless 3 <= lo <= hi <= ``SCAN_Q_CAP``.  No q up to that
     cap is settled by its prime count, so the basic stage comes first.
     The verdict of q depends on q alone, so the scans of adjacent
     intervals concatenate to the scan of their union.
 
-    The basic stage is the loop body itself, 97% of the q on [3, 2**20]:
-    ``_sieve_sign`` at s = 0 (num = den = num_prime = 1) inlined, with the
-    same integers A and B and margin by the same operations, so verdicts
-    and margins are bit-identical.  A passing verdict is built by
-    ``tuple.__new__``, which is all the named tuple's own Python-level
-    ``__new__`` does.  Per q a function call or that frame costs as much
-    as the arithmetic.
+    The basic stage is one comparison per q.  Times e, the basic
+    inequality is the s = 0 sign test of ``_sieve_sign``,
+    e * q + A0 + B * sqrt(q) > 0 with A0 = e - 4 * 2**b and
+    B = 4 * 2**b * (1 - e * 2**a).  A0 < 0, as e <= 2 < 4 * 2**b, and
+    B <= 0.  So in x = sqrt(q) the left side is e * x**2 + B * x + A0,
+    an upward parabola that is negative at x = 0: it has exactly one
+    positive root and is positive exactly beyond it.  The q that pass
+    are therefore every integer from the least one that passes, T, on.
+    a, b <= 7 (arith's ``_INC``), so 128 classes (e, a, b) cover every
+    q, and ``_basic_thresholds`` finds their T once, with ``_positive``;
+    the largest is 4,261,478,910.  The margin is
+    (e * q + A0 + B * sqrt(q)) / e, the same float operations on the
+    same integers as ``_sieve_sign``, so margins are bit-identical.
+
+    ``scan_blocks`` does that work a block of 16,384 numbers at a time,
+    and this generator holds one block: its q and margins in two arrays
+    and the verdicts that are not a basic pass at k = 1.  Every other
+    verdict is built as it is yielded, by ``tuple.__new__``, which is
+    all the named tuple's own Python-level ``__new__`` does.
     """
-    entries, counts, base = _odd_prime_powers(lo, hi)
-    up, down = 1 - base, -1 - base
     new, basic = tuple.__new__, Stage.BASIC_PASS
-    for q, p, k in entries:
-        w_r1 = 1 << counts[q + up]
-        e = 2 if q % 4 == 1 else 1
-        A = e * (q + 1) - 4 * w_r1
-        B = 4 * (w_r1 - e * (w_r1 << counts[q + down]))
-        margin = (A + B * sqrt(q)) / e
-        if _positive(A, B, q):
-            yield new(CriterionVerdict, (q, basic, None, margin, p, k))
-        else:
-            yield _classify(q, p, k, _odd_primes(q), 1, margin)
+    for qs, margins, kept in scan_blocks(lo, hi):
+        get = kept.get
+        for q, margin in zip(qs, margins):
+            yield get(q) or new(CriterionVerdict, (q, basic, None, margin, q, 1))

@@ -117,15 +117,22 @@ def test_first_primes():
     assert first_primes(25)[-1] == 97
 
 
+def _entries(lo, hi):
+    # the (q, p, k) of the blocks' entries: p, k from the higher powers,
+    # or q, 1 for a prime
+    blocks, _, _, powers = _odd_prime_powers(lo, hi)
+    return [(q, *powers.get(q, (q, 1))) for qs in blocks for q in qs]
+
+
 def test_enumerate_odd_prime_powers_small():
-    entries = list(_odd_prime_powers(3, 30)[0])
+    entries = _entries(3, 30)
     assert [q for q, _, _ in entries] == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
     for q, p, k in entries:
         assert q == p**k
 
 
 def test_enumerate_odd_prime_powers_window():
-    got = list(_odd_prime_powers(121, 128)[0])
+    got = _entries(121, 128)
     assert got == [(121, 11, 2), (125, 5, 3), (127, 127, 1)]
 
 
@@ -141,8 +148,8 @@ def test_small_windows_match_factorize():
     facts = {n: factorize(n).factors for n in range(2, 202)}
     for lo in range(3, 201):
         for hi in range(lo, 201):
-            entries, counts, base = _odd_prime_powers(lo, hi)
-            assert list(entries) == [
+            _, counts, base, _ = _odd_prime_powers(lo, hi)
+            assert _entries(lo, hi) == [
                 (q, *facts[q][0]) for q in range(lo | 1, hi + 1, 2)
                 if len(facts[q]) == 1], (lo, hi)
             assert [counts[n - base] for n in range(lo & ~1, hi + 2, 2)] == [
@@ -162,7 +169,7 @@ def test_count_source_matches_factorize(lo, hi):
     # the table covers the even n in [lo - 1, hi + 1], the first of them
     # being lo & ~1, at byte n - base with base = lo - 1; the last window
     # ends where the table does
-    _, counts, base = _odd_prime_powers(lo, hi)
+    _, counts, base, _ = _odd_prime_powers(lo, hi)
     assert base == lo - 1 and len(counts) == hi + 2 - base
     for n in range(lo & ~1, hi + 2, 2):
         assert counts[n - base] == len(factorize(n).factors) - 1, n
@@ -176,9 +183,8 @@ def test_count_source_matches_factorize(lo, hi):
 ])
 def test_enumerate_matches_prime_power_ctx(lo, hi):
     # the scan's contexts of the entries are the library's, over exactly
-    # the prime powers factorize finds; the second window crosses two
+    # the prime powers factorize finds; the second window crosses eight
     # seams of the blocks the entries are flagged in
-    entries = _odd_prime_powers(lo, hi)[0]
-    assert [_ctx(p, k, q) for q, p, k in entries] == [
+    assert [_ctx(p, k, q) for q, p, k in _entries(lo, hi)] == [
         ctx_for_prime_power(q) for q in range(lo | 1, hi + 1, 2)
         if len(factorize(q).factors) == 1]

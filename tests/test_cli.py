@@ -229,9 +229,9 @@ def test_scan_cap_is_the_count_table_coverage():
 def test_scan_streams_its_rows(tmp_path):
     # neither the verdicts nor the formatted rows are held as lists: on a
     # quarter of the full interval the scan keeps 16 bytes for each of its
-    # 23,132 prime powers, and whole verdicts only for the 2,056 that are
-    # not a basic pass at k = 1, so the traced peak stays near 1.9 MB; a
-    # verdict list adds about 3 MB
+    # 23,132 prime powers, and p, k and the stage only for the 2,056 that
+    # are not a basic pass at k = 1, so the traced peak stays near 1.7 MB;
+    # a verdict list adds about 3 MB
     out = tmp_path / "scan.csv"
     tracemalloc.start()
     try:
@@ -245,7 +245,7 @@ def test_scan_streams_its_rows(tmp_path):
 
 def test_scan_json_streams_its_rows(tmp_path):
     # JSON output writes one row object at a time, so its traced peak
-    # stays near the CSV one, about 1.6 MB; a verdict list adds about 3 MB
+    # stays near the CSV one, about 1.3 MB; a verdict list adds about 3 MB
     # and a document built whole peaks several times higher
     out = tmp_path / "scan.json"
     tracemalloc.start()
@@ -304,6 +304,19 @@ def test_full_device_exits_1_without_a_traceback(to_output):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("quadprim: error: cannot write output: "), lines
+
+
+def test_cli_import_computes_no_thresholds():
+    # the scan's 128 basic-stage thresholds are found on the first scan,
+    # so importing the CLI, and every other command, costs nothing for them
+    code = ("import os, quadprim.cli\n"
+            "from quadprim.criteria import _basic_thresholds as t\n"
+            "print(t.cache_info().currsize)\n"
+            "quadprim.cli.main(['scan', '--range', '3:5', '--output', os.devnull])\n"
+            "print(t.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_src_env(), text=True, check=True)
+    assert proc.stdout == "0\n1\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

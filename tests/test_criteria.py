@@ -19,7 +19,6 @@ from quadprim.criteria import (
     classify_prime_power,
     greedy_decompose,
     prime_count_cutoff,
-    r1_of,
     scan_bound,
     scan_interval,
     settle_prime_count_range,
@@ -101,15 +100,6 @@ def test_sieve_condition_is_exact():
             assert sieve_condition(ctx, dec)[0] == holds, (q, dec)
             seen += 1
     assert seen > 1_000
-
-
-def test_r1_of():
-    ctx = ctx_for_prime_power(41)
-    # q**2 - 1 = 1680 * ... with odd radical 3*5*7; q + 1 = 42 = 2*3*7
-    assert ctx.rprime == 105
-    assert r1_of(ctx, 105) == 21
-    assert r1_of(ctx, 5) == 1
-    assert r1_of(ctx, 1) == 1
 
 
 def test_greedy_decomposition_q41():
@@ -279,10 +269,10 @@ def test_scan_bound_passes_the_sieve_above_q_t():
     # largest odd primes moved, s = 0 being the basic condition
     table = {t: (s, q_t) for t, s, q_t in scan_bound()[0]}
     # q = 3 is the one odd q whose q**2 - 1 = 8 has a single prime
-    entries = arith._odd_prime_powers(5, 160_000)[0]
+    blocks, _, _, powers = arith._odd_prime_powers(5, 160_000)
     seen = set()
-    for q, p, k in entries:
-        ctx = arith._ctx(p, k, q)
+    for q in (q for qs in blocks for q in qs):
+        ctx = arith._ctx(*powers.get(q, (q, 1)), q)
         s, q_t = table[ctx.t_q]
         if q <= q_t:
             continue
@@ -345,6 +335,44 @@ def test_scan_equals_classifying_every_context(lo, hi):
     # ends where the scan's table does
     assert list(scan_interval(lo, hi)) == \
         [classify_prime_power(ctx) for ctx in _contexts(lo, hi)]
+
+
+def test_basic_thresholds_are_the_first_passing_q():
+    # every class (e, a, b) at its index (q & 2) << 5 | a << 3 | b: the
+    # basic inequality times e, e * q + A0 + B * sqrt(q) > 0, fails at
+    # T - 1 and holds at T, so by the scan's proof it holds exactly from T
+    thresholds = criteria._basic_thresholds()
+    assert len(thresholds) == 128
+    for r in (1, 3):  # q mod 4
+        e = 2 if r == 1 else 1
+        for a in range(8):
+            for b in range(8):
+                T, e_row, A0, B = thresholds[(r & 2) << 5 | a << 3 | b]
+                A0_exact, B_exact = e - 4 * 2**b, 4 * 2**b * (1 - e * 2**a)
+                assert (e_row, A0, B) == (e, A0_exact, B_exact), (r, a, b)
+                assert not _positive(e * (T - 1) + A0_exact, B_exact, T - 1), (r, a, b)
+                assert _positive(e * T + A0_exact, B_exact, T), (r, a, b)
+    assert max(T for T, *_ in thresholds) == 4_261_478_910
+
+
+def test_basic_margins_are_the_sign_test_sums():
+    # the margin of every basic pass of the full interval is
+    # (A + B * sqrt(q)) / e with the basic stage's integers A and B, to
+    # the bit, and a verdict is a basic pass exactly when the exact sign
+    # test passes
+    _, counts, base, _ = arith._odd_prime_powers(3, 1 << 20)
+    passes = 0
+    for v in scan_interval(3, 1 << 20):
+        q = v.q
+        w_r1 = 1 << counts[q + 1 - base]
+        e = 2 if q % 4 == 1 else 1
+        A = e * (q + 1) - 4 * w_r1
+        B = 4 * (w_r1 - e * (w_r1 << counts[q - 1 - base]))
+        assert (v.stage is Stage.BASIC_PASS) == _positive(A, B, q), q
+        if v.stage is Stage.BASIC_PASS:
+            assert v.margin == (A + B * math.sqrt(q)) / e, q
+            passes += 1
+    assert passes == 82_247 - 2_425
 
 
 def test_scan_runs_at_the_cap():

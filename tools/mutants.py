@@ -75,8 +75,8 @@ MUTANTS = (
            "c <= 1 for c in range(256)", "c == 1 for c in range(256)",
            ("tests/test_arith.py::test_enumerate_odd_prime_powers_small",)),
     Mutant("count-table-block-step", ARITH,
-           "for i in range(odd - base, len(counts), 65536))",
-           "for i in range(odd - base, len(counts), 65534))",
+           "for i in range(odd - base, len(counts), 16384))",
+           "for i in range(odd - base, len(counts), 16382))",
            ("tests/test_arith.py::test_enumerate_matches_prime_power_ctx",)),
     Mutant("count-table-sieved-to-hi-half", ARITH,
            "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
@@ -91,8 +91,8 @@ MUTANTS = (
            "if not 3 <= lo <= hi <= SCAN_Q_CAP:", "if not 3 <= lo <= hi:",
            ("tests/test_arith.py::test_enumerate_rejects_bad_range",)),
     # the scan's verdicts and keep test
-    Mutant("scan-keeps-only-failures", CLI,
-           "if stage is not basic or k != 1:", "if stage is not basic:",
+    Mutant("scan-keeps-only-failures", CRITERIA,
+           "elif q in powers:", "elif False:",
            ("tests/test_cli.py::test_scan_rows_match_library",)),
     Mutant("positive-with-A-zero", CRITERIA,
            "return A > 0 or B * B * q > A * A", "return A >= 0 or B * B * q > A * A",
@@ -106,12 +106,22 @@ MUTANTS = (
            ("tests/test_criteria.py::test_scan_bound_table",
             "tests/test_criteria.py::test_scan_bound_passes_the_sieve_above_q_t")),
     Mutant("scan-reclassifies-failures", CRITERIA,
-           "yield _classify(q, p, k, _odd_primes(q), 1, margin)",
-           "yield _classify(q, p, k, _odd_primes(q), 0, -inf)",
+           "kept[q] = v = _classify(q, p, k, _odd_primes(q), 1, margin)",
+           "kept[q] = v = _classify(q, p, k, _odd_primes(q), 0, -inf)",
            ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",)),
     Mutant("scan-counts-swapped", CRITERIA,
-           "up, down = 1 - base, -1 - base", "up, down = -1 - base, 1 - base",
+           "counts[q + down] << 3 | counts[q + up]]", "counts[q + up] << 3 | counts[q + down]]",
            ("tests/test_criteria.py::test_scan_equals_classifying_every_context",)),
+    # the basic stage's class thresholds
+    Mutant("thresholds-bisection-returns-lo", CRITERIA,
+           "b] = hi, e, A0, float(B)", "b] = lo, e, A0, float(B)",
+           ("tests/test_criteria.py::test_basic_thresholds_are_the_first_passing_q",)),
+    Mutant("thresholds-index-a-b-swapped", CRITERIA,
+           "classes[(r & 2) << 5 | a << 3 | b]", "classes[(r & 2) << 5 | b << 3 | a]",
+           ("tests/test_criteria.py::test_basic_thresholds_are_the_first_passing_q",)),
+    Mutant("thresholds-e-from-q-mod-4-is-3", CRITERIA,
+           "e = 2 if r == 1 else 1", "e = 2 if r == 3 else 1",
+           ("tests/test_criteria.py::test_basic_thresholds_are_the_first_passing_q",)),
     Mutant("scan-elapsed-text-in-json", CLI,
            'elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms',
            "elapsed_ms = str(elapsed_ms)",
