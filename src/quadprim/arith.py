@@ -10,7 +10,8 @@ needs.  Everything here is exact integer arithmetic.
 ``SCAN_Q_CAP``, one array per block of 16,384 numbers, from one count
 table of the distinct odd primes of every n from lo - 1 to hi + 1, and
 hands the scan that table and its base for the counts of n = q - 1 and
-q + 1.  ``factorize`` is the one way the package factors or decides
+q + 1; its primes come from ``_primes``, a byte sieve of the odd numbers
+alone.  ``factorize`` is the one way the package factors or decides
 primality, ``ctx_for_prime_power`` the one way it builds the context of
 a given q, and ``_odd_primes`` gives the scan the odd primes of
 q**2 - 1 without one.
@@ -19,7 +20,7 @@ q**2 - 1 without one.
 from __future__ import annotations
 
 from array import array
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import isqrt, log
 from typing import Iterator, NamedTuple
 
@@ -79,7 +80,9 @@ def factorize(n: int) -> Factorization:
 
     Trial division by 2, 3, 5 and a mod-30 wheel, stepping d by
     ``_GAPS``, while d*d <= m, m being what is left of n; a leftover
-    m > 1 has no factor up to its square root, so it is prime.  Exact
+    m > 1 has no factor up to its square root, so it is prime.  The
+    factors are appended ascending: d only grows, and a leftover m > 1
+    exceeds every d tried, since d*d > m > 1 ends the loop.  Exact
     for every positive integer.  The command line's largest input is
     q + 1 for a verified q <= 8192, and a context anywhere in the scan
     range needs at most SCAN_Q_CAP + 1 = 5255280, whose trial divisors
@@ -87,7 +90,7 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError("factorize requires a positive integer")
-    acc: dict[int, int] = {}
+    factors = []
     m, d, i = n, 2, 0
     while d * d <= m:
         if m % d == 0:
@@ -95,12 +98,12 @@ def factorize(n: int) -> Factorization:
             while m % d == 0:
                 m //= d
                 e += 1
-            acc[d] = e
+            factors.append((d, e))
         d += _GAPS[i]
         i = i + 1 if i < 10 else 3
     if m > 1:
-        acc[m] = 1
-    return Factorization(n, tuple(sorted(acc.items())))
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
 
 
 def euler_phi(fact: Factorization) -> int:
@@ -189,16 +192,20 @@ def primes_upto(n: int) -> list[int]:
 
 
 def _primes(n: int) -> Iterator[int]:
-    """The primes <= n, ascending, read lazily from a byte sieve."""
+    """The primes <= n, ascending, read lazily from a byte sieve.
+
+    2, then the odd primes: only the odd entries of the sieve are
+    marked and read, through a strided view, so no copy is made and no
+    int is created for an even number.
+    """
     if n < 2:
         return iter(())
     sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
+    for p in range(3, isqrt(n) + 1, 2):
         if sieve[p]:
             start = p * p
-            sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return compress(range(n + 1), sieve)
+            sieve[start :: 2 * p] = bytearray(len(range(start, n + 1, 2 * p)))
+    return chain((2,), compress(range(3, n + 1, 2), memoryview(sieve)[3::2]))
 
 
 def first_primes(count: int) -> list[int]:
@@ -231,18 +238,23 @@ def _odd_prime_powers(lo: int, hi: int) -> tuple[
     at most q / 3 and counts at least 2; a prime power counts 1, or 0 if
     it is a prime above (hi + 1) / 2.  So the entries are the odd q that
     count at most 1.
+    The table is counted from one walk of the odd primes of ``_primes``,
+    whose sieve marks and reads odd numbers only; the dict from a second,
+    short walk of those up to isqrt(hi), the only ones with a square
+    <= hi.
     """
     if not 3 <= lo <= hi <= SCAN_Q_CAP:
         raise ValueError(f"range must satisfy 3 <= lo <= hi <= {SCAN_Q_CAP}")
     base = lo - 1
     counts = bytearray(hi + 2 - base)
-    powers = {}
     # The odd primes are read lazily: a list of all of them, 43,389 up to
     # 2**19, is a burst of short-lived ints that can leave a pymalloc arena
     # pinned, about 1 MB more peak resident memory on the full scan.
     for p in islice(_primes((hi + 1) >> 1), 1, None):
         s = -base % p
         counts[s::p] = counts[s::p].translate(_INC)
+    powers = {}
+    for p in islice(_primes(isqrt(hi)), 1, None):
         value, k = p * p, 2
         while value <= hi:
             powers[value] = p, k

@@ -14,13 +14,11 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
-reads its columns a block at a time, keeps 16 bytes a q, and p, k and
-the stage only for the q that are not a basic pass at k = 1, and hands
-its rows over as a generator, so neither format holds more than a few
-hundred rows.  CSV rows are the bytes of ``csv.writer``, written as one
-``%`` template each: no cell of a command needs quoting, and a guard
-raises on one that would.  That halves the CSV time of the full scan's 82,247 rows
-and keeps the csv module out of every launch.
+keeps its columns, 16 bytes a q, and p, k and the stage only for the q
+that are not a basic pass at k = 1, so neither format holds more than a
+few hundred rows.  CSV rows are the bytes of ``csv.writer``, one ``%``
+template each, and a guard raises on a cell it would quote; the scan's
+basic passes at k = 1 are written straight from its columns.
 Every numeric argument, a q list, a span LO:HI or T1:T2, ``--scan-hi``
 or ``--threads``, is read by ``_ints``, the one reader of separated
 integers with a count and bounds.
@@ -36,7 +34,8 @@ import json
 import os
 import sys
 from array import array
-from itertools import chain, islice
+from bisect import bisect_left
+from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -99,10 +98,9 @@ def _row(q, p, k, command: str, result: str, detail: str,
 
 
 def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
-    if args.stable_output:
-        # elapsed_ms is the last cell
-        rows = (row[:-1] + (0,) for row in rows)
     if args.format == "json":
+        if args.stable_output:
+            rows = _zero_elapsed(rows)
         # the bytes of json.dump(..., indent=2), written one row at a time
         out.write('{\n  "rows": [')
         sep = "\n    "
@@ -116,7 +114,13 @@ def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
     else:
         for key in sorted(summary):
             out.write(f"# summary: {key}={summary[key]}\n")
-        _write_csv(out, chain((ROW_FIELDS,), rows))
+        out.write(_CSV_ROW % ROW_FIELDS)
+        _write_csv(out, rows, args.stable_output)
+
+
+def _zero_elapsed(rows: Iterable[tuple]) -> Iterator[tuple]:
+    # --stable-output: elapsed_ms, the last cell, is 0
+    return (row[:-1] + (0,) for row in rows)
 
 
 # A CSV row as csv.writer writes it when no cell needs quoting: each
@@ -129,27 +133,33 @@ _CSV_BATCH = 256
 
 
 def _plain_csv(text: str, n: int) -> bool:
-    # text is n rows of _CSV_ROW, and csv.writer would neither quote nor
-    # blank any of their cells: no cell adds a comma, \r or \n, holds a
-    # quote, or is None, which % writes as "None" and csv.writer as ""
+    # text is n rows of len(ROW_FIELDS) cells, and csv.writer would
+    # neither quote nor blank any of their cells: no cell adds a comma, \r
+    # or \n, holds a quote, or is None, which % writes as "None" and
+    # csv.writer as ""
     return (text.count(",") == (len(ROW_FIELDS) - 1) * n
             and text.count("\r") == n == text.count("\n")
             and '"' not in text and "None" not in text)
 
 
-def _write_csv(out, rows: Iterable[tuple]) -> None:
+def _write_csv(out, rows: Iterable[tuple], stable: bool = False) -> None:
     r"""Write rows as csv.writer(out).writerows(rows) would, or raise.
 
-    Raises ValueError on a row with a cell that csv.writer would quote or
-    write empty, one holding ``,``, ``"``, ``\r`` or ``\n`` or None
-    (the text None as well); no row of a command holds one.  Each row is
-    one % template, about half of csv.writer's time per row.
+    With stable, each row's last cell, elapsed_ms, is 0.  A ``_ScanRows``
+    gives its own text; other rows are formatted ``_CSV_BATCH`` at a time.
+    Raises ValueError on a cell csv.writer would quote or write empty, one
+    holding ``,``, ``"``, ``\r`` or ``\n`` or None (or the text None).
     """
-    rows = iter(rows)
-    while batch := list(islice(rows, _CSV_BATCH)):
-        text = "".join([_CSV_ROW % row for row in batch])
-        if not _plain_csv(text, len(batch)):
-            bad = next(row for row in batch if not _plain_csv(_CSV_ROW % row, 1))
+    if isinstance(rows, _ScanRows):
+        pieces = rows.csv_pieces(stable)
+    else:
+        rows = iter(_zero_elapsed(rows) if stable else rows)
+        pieces = (("".join([_CSV_ROW % row for row in batch]), len(batch))
+                  for batch in iter(lambda: list(islice(rows, _CSV_BATCH)), []))
+    for text, n in pieces:
+        if not _plain_csv(text, n):
+            bad = next((line for line in text.splitlines(keepends=True)
+                        if not _plain_csv(line, 1)), text)
             raise ValueError(f"CSV row has a cell csv.writer would quote or blank: {bad!r}")
         out.write(text)
 
@@ -226,51 +236,74 @@ def _q_list(cap: int):
 # -- scan -------------------------------------------------------------------
 
 
-def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]]:
+class _ScanRows:
+    """The rows of one scan, from the (qs, margins, kept) of each of its
+    ``scan_blocks``.  Iterating gives the row tuples; ``csv_pieces``
+    gives their CSV text without making them."""
+
+    __slots__ = ("blocks", "elapsed_ms")
+
+    def __init__(self, blocks: list[tuple[array, array, dict]], elapsed_ms: float) -> None:
+        self.blocks, self.elapsed_ms = blocks, elapsed_ms
+
+    def __iter__(self) -> Iterator[tuple]:
+        basic_value, elapsed_ms = Stage.BASIC_PASS.value, self.elapsed_ms
+        for qs, margins, kept in self.blocks:
+            for q, margin in zip(qs, margins):
+                v = kept.get(q)
+                if v is None:
+                    yield q, q, 1, "scan", basic_value, f"{margin:.6g}", elapsed_ms
+                else:
+                    p, k, stage = v
+                    yield q, p, k, "scan", stage.value, f"{margin:.6g}", elapsed_ms
+
+    def csv_pieces(self, stable: bool) -> Iterator[tuple[str, int]]:
+        """Yield (text, n), the CSV text of the next n rows.  Each basic
+        pass at k = 1 between two kept q of a block is one three-cell
+        template (%.6g formats a margin as f"{m:.6g}" does), at most
+        ``_CSV_BATCH`` a piece; a kept q is a piece of one ``_CSV_ROW``."""
+        elapsed = "0" if stable else str(self.elapsed_ms)
+        run = f"%d,%d,1,scan,{Stage.BASIC_PASS.value},%.6g,{elapsed}\r\n".__mod__
+
+        def run_pieces(qs, margins, i, j):  # basic passes qs[i:j] at k = 1
+            for a in range(i, j, _CSV_BATCH):
+                b = min(a + _CSV_BATCH, j)
+                q_run = qs[a:b]
+                yield "".join(map(run, zip(q_run, q_run, margins[a:b]))), b - a
+
+        for qs, margins, kept in self.blocks:
+            i = 0
+            for q, (p, k, stage) in kept.items():
+                j = bisect_left(qs, q, i)
+                yield from run_pieces(qs, margins, i, j)
+                yield _CSV_ROW % (q, p, k, "scan", stage.value, f"{margins[j]:.6g}", elapsed), 1
+                i = j + 1
+            yield from run_pieces(qs, margins, i, len(qs))
+
+
+def _scan_rows(lo: int, hi: int, args) -> tuple[_ScanRows, dict, list[int]]:
     """Rows, summary and exception list of one scan call.
 
     The summary lines come before the rows, so the scan is read to its
-    end first.  ``scan_blocks`` hands over its columns a block at a time,
-    and no verdict of a basic pass at k = 1 is ever built.  Each block's
-    q and margins are appended whole to two arrays, 16 bytes a q; of its
-    verdicts, those of the q that are not a basic pass at k = 1, 3% of
-    the full interval, only p, k and the stage are kept, which the rows
-    and the summary read, and no decomposition.  The rows are a generator
-    over the arrays, so each is formatted only as it is written.  Every
-    row carries an equal share of the scan call's time, formatted once
-    for all CSV rows.
+    end first.  Its blocks are kept as ``scan_blocks`` yields them, not
+    joined: two arrays grown to the full scan's 1.3 MB leave their old
+    copies in the heap.  Every row carries an equal share of the scan
+    call's time.
     """
     t0 = perf_counter()
-    qs, margins = array("q"), array("d")
-    kept = {}  # q -> (p, k, stage), ascending in q
     # One call for the whole interval: scan_blocks builds its count table
     # once per call, so splitting the interval repeats that work.
-    for block_qs, block_margins, block_kept in scan_blocks(lo, hi):
-        qs += block_qs
-        margins += block_margins
-        for q, v in block_kept.items():
-            kept[q] = v.p, v.k, v.stage
-    total = len(qs)
+    blocks = list(scan_blocks(lo, hi))
+    total = sum(len(qs) for qs, _, _ in blocks)
     elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)
-    elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms
     _progress(args, f"scan: finished q <= {hi} ({total} prime powers)")
     basic = Stage.BASIC_PASS
-    failures = [(q, stage) for q, (_, _, stage) in kept.items() if stage is not basic]
+    failures = [(q, stage) for _, _, kept in blocks for q, (_, _, stage) in kept.items()
+                if stage is not basic]
     counts = {stage: 0 for stage in Stage if stage is not basic}
     for _, stage in failures:
         counts[stage] += 1
     exceptions = [q for q, stage in failures if stage is Stage.EXCEPTION]
-
-    def rows() -> Iterator[tuple]:
-        basic_value = basic.value
-        for q, margin in zip(qs, margins):
-            v = kept.get(q)
-            if v is None:
-                yield q, q, 1, "scan", basic_value, f"{margin:.6g}", elapsed_ms
-            else:
-                p, k, stage = v
-                yield q, p, k, "scan", stage.value, f"{margin:.6g}", elapsed_ms
-
     summary = {
         "total": total,
         "basic_pass": total - len(failures),
@@ -281,7 +314,7 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[Iterator[tuple], dict, list[int]
         "largest_basic_failure": failures[-1][0] if failures else 0,
         "largest_exception": max(exceptions) if exceptions else 0,
     }
-    return rows(), summary, exceptions
+    return _ScanRows(blocks, elapsed_ms), summary, exceptions
 
 
 def _cmd_scan(args) -> tuple[Iterable[tuple], dict, list[str]]:

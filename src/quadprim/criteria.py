@@ -28,9 +28,10 @@ One exact walk, ``_moves``, steps epsilon = 1 - sum(1/p) down the moved
 primes, and with it r and the numerator of epsilon' over those that
 divide q + 1; it drives ``greedy_decompose``, the sieve stage of
 ``classify_prime_power`` and the scan, ``settle_prime_count_range`` and
-``scan_bound``.  The sieve stage signs its raw states in order, with
-W(kk) = 2**(t - s) and W(k1) = 2**(b - r) for t odd primes in all, and
-builds a ``SieveDecomposition`` only for the first that passes.
+``scan_bound``.  The sieve stage, ``_walk``, signs its raw states in
+order, with W(kk) = 2**(t - s) and W(k1) = 2**(b - r) for t odd primes
+in all, and stops at the first that passes; only a verdict builds that
+state's ``SieveDecomposition``, and ``scan_blocks`` builds none.
 
 The scan's interval [3, 2**20] leaves no q open: ``prime_count_cutoff``
 settles every q whose q**2 - 1 has 14 or more primes, and ``scan_bound``
@@ -49,11 +50,10 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import floor, inf, prod, sqrt
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .arith import (
     PrimePowerCtx,
@@ -62,6 +62,9 @@ from .arith import (
     first_primes,
     primes_upto,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SCAN_EXCEPTIONS",
@@ -248,6 +251,8 @@ def _max_prime_count(limit) -> int:
 def _sieve_bound(t: int, s: int, num: int, den: int) -> Fraction:
     """(2**(t + 1 - s) * ((s - 1) / epsilon + 2))**2, epsilon = num / den, with
     t primes in q**2 - 1 and s moved: the threshold of settle and scan_bound."""
+    from fractions import Fraction  # imported where used: see _DIVISOR_BOUND
+
     return (2 ** (t + 1 - s) * (Fraction((s - 1) * den, num) + 2)) ** 2
 
 
@@ -271,9 +276,13 @@ def settle_prime_count_range(t1: int, t2: int) -> bool:
     return _max_prime_count(q1 * q1 - 1) <= t1
 
 
-# Bound on the square-free divisor constant for a = 8; its true maximum
-# over prime prefixes is 4514.6265..., reached at the first 54 primes.
-_DIVISOR_BOUND = Fraction(45147, 10)
+# Bound on the square-free divisor constant for a = 8, as a numerator and
+# denominator; its true maximum over prime prefixes is 4514.6265...,
+# reached at the first 54 primes.  fractions is imported only where a
+# Fraction is built: it imports decimal, which costs every launch of the
+# command line about 0.4 MB resident and 2 ms, for the settle and bound
+# checks alone.
+_DIVISOR_BOUND = 45147, 10
 
 
 def _divisor_bound_holds(bound: Fraction) -> bool:
@@ -302,10 +311,12 @@ def prime_count_cutoff() -> int:
     - for every t from the cutoff up to c_max the sieved condition is
       settled by exact greedy arithmetic over the prime counts alone.
     """
-    cutoff = 14
-    if not _divisor_bound_holds(_DIVISOR_BOUND):
+    from fractions import Fraction
+
+    cutoff, bound = 14, Fraction(*_DIVISOR_BOUND)
+    if not _divisor_bound_holds(bound):
         raise RuntimeError("divisor bound constant check failed")
-    q0 = (2 * _DIVISOR_BOUND) ** 4
+    q0 = (2 * bound) ** 4
     c_max = _max_prime_count(q0 * q0 - 1)
     if c_max < cutoff:
         raise RuntimeError("prime count ceiling below the cutoff")
@@ -350,21 +361,31 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     return _classify(ctx.q, ctx.p, ctx.k, _odd_desc(ctx), 0, -inf)
 
 
-def _classify(q: int, p: int, k: int, primes_desc, start: int, best: float) -> CriterionVerdict:
-    # The verdict of q = p**k, whose q**2 - 1 has the odd primes primes_desc,
-    # descending, from the walk's states s >= start: the first that passes,
-    # else an exception with the largest margin tried, or best.
+def _walk(q: int, primes_desc, start: int, best: float) -> tuple[tuple | None, float]:
+    # The walk's states s >= start for q, whose q**2 - 1 has the odd primes
+    # primes_desc, descending: the first that passes and its margin, else
+    # None and the largest margin tried, or best.
     qp1 = q + 1
     t, b = len(primes_desc), sum(qp1 % d == 0 for d in primes_desc)
-    for s, num, den, r, num_prime in islice(_moves(primes_desc, qp1), start, None):
+    for state in islice(_moves(primes_desc, qp1), start, None):
+        s, num, den, r, num_prime = state
         ok, margin = _sieve_sign(q, s, r, num, num_prime, den, 1 << (t - s), 1 << (b - r))
         if ok:
-            if not s:
-                return CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
-            return CriterionVerdict(q, Stage.SIEVE_PASS, _decomposition(
-                primes_desc, qp1, s, num, den, r, num_prime), margin, p, k)
+            return state, margin
         best = max(best, margin)
-    return CriterionVerdict(q, Stage.EXCEPTION, None, best, p, k)
+    return None, best
+
+
+def _classify(q: int, p: int, k: int, primes_desc, start: int, best: float) -> CriterionVerdict:
+    # The verdict of q = p**k from ``_walk``: the first passing state, with
+    # its decomposition past s = 0, else an exception.
+    state, margin = _walk(q, primes_desc, start, best)
+    if state is None:
+        return CriterionVerdict(q, Stage.EXCEPTION, None, margin, p, k)
+    if not state[0]:
+        return CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
+    return CriterionVerdict(q, Stage.SIEVE_PASS, _decomposition(primes_desc, q + 1, *state),
+                            margin, p, k)
 
 
 @lru_cache(maxsize=1)
@@ -397,18 +418,24 @@ def _basic_thresholds() -> tuple[tuple[int, int, int, float], ...]:
     return tuple(classes)
 
 
-def scan_blocks(lo: int, hi: int) -> Iterator[tuple[array, array, dict[int, CriterionVerdict]]]:
+def scan_blocks(lo: int, hi: int) -> Iterator[
+        tuple[array, array, dict[int, tuple[int, int, Stage]]]]:
     """The scan of [lo, hi] in columns, one block of 16,384 numbers at a time.
 
     Yields (qs, margins, kept) per block: the odd prime powers of the
     block, ascending, in an ``array('q')``, the margins of their verdicts
-    in an ``array('d')``, and the verdicts of those q that are not a basic
-    pass at k = 1, ascending in q.  Every other q is a basic pass with
-    p = q and k = 1.  ``scan_interval`` states the rules; this is its loop.
+    in an ``array('d')``, and for those q that are not a basic pass at
+    k = 1 the triple (p, k, stage), ascending in q.  Every other q is a
+    basic pass with p = q and k = 1.  A q that fails the basic stage is
+    walked from s = 1 by ``_walk``, which builds no decomposition: its
+    stage is a sieve pass if a state passes, else an exception, and its
+    margin that of the passing state, else the largest tried.
+    ``scan_interval`` states the rules; this is its loop.
     """
     blocks, counts, base, powers = _odd_prime_powers(lo, hi)
     classes = _basic_thresholds()
     up, down = 1 - base, -1 - base
+    basic, sieve, exception = Stage.BASIC_PASS, Stage.SIEVE_PASS, Stage.EXCEPTION
     for qs in blocks:
         margins, kept = array("d"), {}
         add = margins.append
@@ -416,11 +443,12 @@ def scan_blocks(lo: int, hi: int) -> Iterator[tuple[array, array, dict[int, Crit
             T, e, A0, B = classes[(q & 2) << 5 | counts[q + down] << 3 | counts[q + up]]
             margin = (e * q + A0 + B * sqrt(q)) / e
             if q < T:
+                state, margin = _walk(q, _odd_primes(q), 1, margin)
                 p, k = powers.get(q, (q, 1))
-                kept[q] = v = _classify(q, p, k, _odd_primes(q), 1, margin)
-                margin = v.margin
+                kept[q] = p, k, exception if state is None else sieve
             elif q in powers:
-                kept[q] = CriterionVerdict(q, Stage.BASIC_PASS, None, margin, *powers[q])
+                p, k = powers[q]
+                kept[q] = p, k, basic
             add(margin)
         yield qs, margins, kept
 
@@ -458,12 +486,22 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
 
     ``scan_blocks`` does that work a block of 16,384 numbers at a time,
     and this generator holds one block: its q and margins in two arrays
-    and the verdicts that are not a basic pass at k = 1.  Every other
-    verdict is built as it is yielded, by ``tuple.__new__``, which is
-    all the named tuple's own Python-level ``__new__`` does.
+    and (p, k, stage) of the q that are not a basic pass at k = 1.  Each
+    verdict is built as it is yielded, by ``tuple.__new__``, which is all
+    the named tuple's own Python-level ``__new__`` does.  Only a sieve
+    pass needs more than its columns: its decomposition, which the scan
+    does not build, is rebuilt here by ``_classify``, factoring q - 1 and
+    q + 1 again and walking from s = 1 once more; the column's margin is
+    the passing state's, so the verdict is the same.
     """
-    new, basic = tuple.__new__, Stage.BASIC_PASS
+    new, basic, sieve = tuple.__new__, Stage.BASIC_PASS, Stage.SIEVE_PASS
     for qs, margins, kept in scan_blocks(lo, hi):
         get = kept.get
         for q, margin in zip(qs, margins):
-            yield get(q) or new(CriterionVerdict, (q, basic, None, margin, q, 1))
+            v = get(q)
+            if v is None:
+                yield new(CriterionVerdict, (q, basic, None, margin, q, 1))
+            elif v[2] is sieve:
+                yield _classify(q, v[0], v[1], _odd_primes(q), 1, margin)
+            else:
+                yield new(CriterionVerdict, (q, v[2], None, margin, v[0], v[1]))

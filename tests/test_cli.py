@@ -210,7 +210,7 @@ def test_scan_runs_without_a_pool(monkeypatch):
     parser = _build_parser()
     rows_two, *rest_two = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "2"]))
     rows_one, *rest_one = _scan_rows(3, 60_000, parser.parse_args(["scan", "--threads", "1"]))
-    # the rows are a generator; elapsed_ms, their last cell, times each call
+    # elapsed_ms, the rows' last cell, times each call
     rows_one = [row[:-1] for row in rows_one]
     assert [row[:-1] for row in rows_two] == rows_one
     assert rest_two == rest_one
@@ -323,9 +323,10 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # the records are named tuples: importing dataclasses would also pull
     # inspect, ast, dis and tokenize into every launch; CSV rows are
     # written without the csv module; the oracle decides in integers, with
-    # no complex arithmetic
-    code = ("import sys, quadprim.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv', 'cmath'} & sys.modules.keys()))")
+    # no complex arithmetic; fractions, with decimal, is imported only by
+    # the settle and bound checks that build a Fraction
+    code = ("import sys, quadprim.cli; print(sorted({'dataclasses', 'inspect', 'csv', "
+            "'cmath', 'fractions', 'decimal'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_src_env(), text=True, check=True)
     assert proc.stdout == "[]\n"
@@ -334,19 +335,22 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 @pytest.mark.parametrize("argv", [
     ["scan", "--range", "3:5000"],
     ["scan", "--range", "3:5000", "--stable-output"],
+    ["scan", "--range", "1048577:1200000"],
     ["settle-prime-counts"],
     ["verify-line", "--q-list", "5,9", "--mode", "both"],
     ["oracle", "--q-list", "5,7"],
     ["reproduce-all", "--scan-hi", "4000"],
-], ids=["scan", "scan-stable", "settle", "verify-witness", "oracle", "reproduce-all"])
+], ids=["scan", "scan-stable", "scan-long-runs", "settle", "verify-witness", "oracle",
+        "reproduce-all"])
 def test_csv_rows_are_csv_writer_bytes(argv):
     # every command's rows, failure witnesses and empty cells included,
-    # come out as csv.writer writes them
+    # come out as csv.writer writes them; the scan's CSV is written from
+    # its columns, and its rows are the tuples iterating them gives
     args = _build_parser().parse_args(argv)
     rows, summary, _ = args.handler(args)
-    rows = list(rows)
     out = io.StringIO(newline="")
-    _emit(args, out, iter(rows), summary)
+    _emit(args, out, rows, summary)
+    rows = list(rows)
     expected = io.StringIO(newline="")
     for key in sorted(summary):
         expected.write(f"# summary: {key}={summary[key]}\n")
@@ -356,6 +360,40 @@ def test_csv_rows_are_csv_writer_bytes(argv):
     assert out.getvalue() == expected.getvalue()
     if argv[0] == "verify-line":
         assert "gamma=" in out.getvalue()  # q = 5 fails with a witness
+
+
+@pytest.mark.parametrize("stable", [False, True], ids=["timed", "stable"])
+@pytest.mark.parametrize("span", ["3:300000", "1048577:1200000"])
+def test_scan_csv_and_json_agree_cell_for_cell(span, stable):
+    # one scan emitted in both formats: every CSV cell and summary value
+    # is the text of the JSON one.  Below 300000 the basic passes at
+    # k = 1 come in many short runs between kept q; above 2**20 in runs
+    # longer than one piece of the CSV writer
+    flags = ["--stable-output"] if stable else []
+    parser = _build_parser()
+    csv_args = parser.parse_args(["scan", "--range", span] + flags)
+    json_args = parser.parse_args(["scan", "--range", span, "--format", "json"] + flags)
+    rows, summary, _ = json_args.handler(json_args)
+    as_csv, as_json = io.StringIO(newline=""), io.StringIO()
+    _emit(csv_args, as_csv, rows, summary)
+    _emit(json_args, as_json, rows, summary)
+    doc = json.loads(as_json.getvalue())
+    lines = as_csv.getvalue().splitlines()
+    summary_lines = [line for line in lines if line.startswith("# summary: ")]
+    assert summary_lines == [f"# summary: {key}={doc['summary'][key]}"
+                             for key in sorted(doc["summary"])]
+    table = list(csv.reader(lines[len(summary_lines):]))
+    assert table[0] == list(ROW_FIELDS)
+    assert table[1:] == [[str(row[field]) for field in ROW_FIELDS] for row in doc["rows"]]
+    assert len(table) - 1 == doc["summary"]["total"] > 10_000
+    assert {row[-1] for row in table[1:]} == ({"0"} if stable else {str(rows.elapsed_ms)})
+    kept_at = [i for i, row in enumerate(doc["rows"])
+               if (row["result"], row["k"]) != ("basic-pass", 1)]
+    if span == "3:300000":
+        assert len(kept_at) > 2_000
+    else:
+        ends = [-1] + kept_at + [len(doc["rows"])]
+        assert max(b - a - 1 for a, b in zip(ends, ends[1:])) > cli._CSV_BATCH
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", None])

@@ -19,6 +19,7 @@ from quadprim.criteria import (
     classify_prime_power,
     greedy_decompose,
     prime_count_cutoff,
+    scan_blocks,
     scan_bound,
     scan_interval,
     settle_prime_count_range,
@@ -167,8 +168,9 @@ def test_greedy_k1_and_r_match_direct_recomputation():
 
 def test_classify_stops_at_first_passing_decomposition(monkeypatch):
     # the sieve stage signs the walk's states s = 1, 2, ... in order, none
-    # past the first that passes, and builds the decomposition of that one
-    # alone.  The scan decides s = 0 itself and skips it.
+    # past the first that passes.  The scan decides s = 0 itself and skips
+    # it, and scan_blocks builds no decomposition; scan_interval walks each
+    # sieve pass once more, to build the decomposition of that state alone.
     built = []
     tested = {}  # q -> [(s, holds), ...]
 
@@ -183,19 +185,26 @@ def test_classify_stops_at_first_passing_decomposition(monkeypatch):
 
     monkeypatch.setattr(criteria, "SieveDecomposition", counting_decomposition)
     monkeypatch.setattr(criteria, "_sieve_sign", counting_sign)
+    for _ in scan_blocks(3, 60_000):
+        pass
+    assert not built
+    walked = dict(tested)
+    tested.clear()
     verdicts = list(scan_interval(3, 60_000))
     failures = [v for v in verdicts if v.stage is not Stage.BASIC_PASS]
     passes = [v for v in failures if v.stage is Stage.SIEVE_PASS]
-    assert len(passes) > 100 and set(tested) <= {v.q for v in failures}
+    assert len(passes) > 100 and set(walked) <= {v.q for v in failures}
     for v in failures:
-        signed = tested.get(v.q, [])
+        signed = walked.get(v.q, [])
         assert [s for s, _ in signed] == list(range(1, len(signed) + 1)), v.q
         holds = [ok for _, ok in signed]
         if v.stage is Stage.SIEVE_PASS:
             assert holds == [False] * (len(holds) - 1) + [True], v.q
             assert v.decomposition.s == len(holds)
+            assert tested[v.q] == signed + signed, v.q
         else:
             assert not any(holds), v.q
+            assert tested.get(v.q, []) == signed, v.q
     assert len(built) == len(passes)
 
 
@@ -388,11 +397,20 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(arith, "factorize", counting_factorize)
-    verdicts = list(scan_interval(3, 50_000))
-    failures = [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS]
-    assert len(verdicts) == 5_202 and len(failures) > 100
+    kept = {}
+    for _, _, block_kept in scan_blocks(3, 50_000):
+        kept |= block_kept
+    failures = [q for q, (_, _, stage) in kept.items() if stage is not Stage.BASIC_PASS]
+    assert len(failures) > 100
     # q - 1 and q + 1 are factored once per basic failure, nothing for a pass
     assert factored == [n for q in failures for n in (q - 1, q + 1)]
+    factored.clear()
+    verdicts = list(scan_interval(3, 50_000))
+    assert len(verdicts) == 5_202
+    assert [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS] == failures
+    # scan_interval factors each sieve pass once more, for its decomposition
+    passes = [v.q for v in verdicts if v.stage is Stage.SIEVE_PASS]
+    assert sorted(factored) == sorted(n for q in failures + passes for n in (q - 1, q + 1))
 
 
 def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):

@@ -81,12 +81,22 @@ MUTANTS = (
     Mutant("count-table-sieved-to-hi-half", ARITH,
            "_primes((hi + 1) >> 1)", "_primes(hi >> 1)",
            ("tests/test_arith.py::test_small_windows_match_factorize",)),
+    Mutant("powers-from-primes-below-isqrt-hi", ARITH,
+           "_primes(isqrt(hi))", "_primes(isqrt(hi) - 1)",
+           ("tests/test_arith.py::test_small_windows_match_factorize",)),
+    Mutant("factorize-leftover-prime-first", ARITH,
+           "factors.append((m, 1))", "factors.insert(0, (m, 1))",
+           ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
     Mutant("factorize-stops-at-d-squared", ARITH,
            "while d * d <= m:", "while d * d < m:",
            ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
     Mutant("factorize-wheel-wraps-to-4", ARITH,
            "i = i + 1 if i < 10 else 3", "i = i + 1 if i < 10 else 4",
            ("tests/test_arith.py::test_factorize_reassembles_and_sorts",)),
+    Mutant("odd-prime-walk-starts-at-5", ARITH,
+           "for p in range(3, isqrt(n) + 1, 2):", "for p in range(5, isqrt(n) + 1, 2):",
+           ("tests/test_arith.py::test_first_primes",
+            "tests/test_arith.py::test_count_source_matches_factorize")),
     Mutant("scan-range-without-cap", ARITH,
            "if not 3 <= lo <= hi <= SCAN_Q_CAP:", "if not 3 <= lo <= hi:",
            ("tests/test_arith.py::test_enumerate_rejects_bad_range",)),
@@ -97,6 +107,10 @@ MUTANTS = (
     Mutant("positive-with-A-zero", CRITERIA,
            "return A > 0 or B * B * q > A * A", "return A >= 0 or B * B * q > A * A",
            ("tests/test_acceptance.py::test_c1_interval_scan",)),
+    Mutant("fractions-imported-on-load", CRITERIA,
+           "from functools import lru_cache\n",
+           "from fractions import Fraction\nfrom functools import lru_cache\n",
+           ("tests/test_cli.py::test_cli_import_leaves_out_dataclasses_and_inspect",)),
     Mutant("cutoff-without-denominator", CRITERIA,
            "if not 2 ** (8 * j) * den8 < num8 * prod:", "if not 2 ** (8 * j) < num8 * prod:",
            ("tests/test_criteria.py::test_divisor_bound_check_is_exact",)),
@@ -106,9 +120,14 @@ MUTANTS = (
            ("tests/test_criteria.py::test_scan_bound_table",
             "tests/test_criteria.py::test_scan_bound_passes_the_sieve_above_q_t")),
     Mutant("scan-reclassifies-failures", CRITERIA,
-           "kept[q] = v = _classify(q, p, k, _odd_primes(q), 1, margin)",
-           "kept[q] = v = _classify(q, p, k, _odd_primes(q), 0, -inf)",
+           "state, margin = _walk(q, _odd_primes(q), 1, margin)",
+           "state, margin = _walk(q, _odd_primes(q), 0, -inf)",
            ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",)),
+    Mutant("scan-interval-rebuilds-from-s0", CRITERIA,
+           "yield _classify(q, v[0], v[1], _odd_primes(q), 1, margin)",
+           "yield _classify(q, v[0], v[1], _odd_primes(q), 0, margin)",
+           ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",
+            "tests/test_criteria.py::test_classify_stops_at_first_passing_decomposition")),
     Mutant("scan-counts-swapped", CRITERIA,
            "counts[q + down] << 3 | counts[q + up]]", "counts[q + up] << 3 | counts[q + down]]",
            ("tests/test_criteria.py::test_scan_equals_classifying_every_context",)),
@@ -123,8 +142,8 @@ MUTANTS = (
            "e = 2 if r == 1 else 1", "e = 2 if r == 3 else 1",
            ("tests/test_criteria.py::test_basic_thresholds_are_the_first_passing_q",)),
     Mutant("scan-elapsed-text-in-json", CLI,
-           'elapsed_ms = str(elapsed_ms) if args.format == "csv" else elapsed_ms',
-           "elapsed_ms = str(elapsed_ms)",
+           "elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)",
+           "elapsed_ms = str(round((perf_counter() - t0) * 1000.0 / max(total, 1), 3))",
            ("tests/test_cli.py::test_scan_json_elapsed_is_a_number",)),
     Mutant("csv-guard-without-none", CLI,
            """and '"' not in text and "None" not in text)""", """and '"' not in text)""",
@@ -138,6 +157,24 @@ MUTANTS = (
            ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
             "tests/test_cli.py::test_verify_output_bytes_are_pinned",
             "tests/test_cli.py::test_oracle_output_bytes_are_pinned")),
+    # the scan's CSV written from its columns
+    Mutant("csv-run-boundary-bisect-right", CLI,
+           "j = bisect_left(qs, q, i)", 'j = __import__("bisect").bisect_right(qs, q, i)',
+           ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
+            "tests/test_cli.py::test_csv_rows_are_csv_writer_bytes",
+            "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell")),
+    Mutant("csv-run-piece-cap-off-by-one", CLI,
+           "b = min(a + _CSV_BATCH, j)", "b = min(a + _CSV_BATCH + 1, j)",
+           ("tests/test_cli.py::test_csv_rows_are_csv_writer_bytes[scan-long-runs]",
+            "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell"
+            "[1048577:1200000-timed]",
+            "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell"
+            "[1048577:1200000-stable]")),
+    Mutant("csv-run-keeps-elapsed-when-stable", CLI,
+           'elapsed = "0" if stable else str(self.elapsed_ms)', "elapsed = str(self.elapsed_ms)",
+           ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
+            "tests/test_cli.py::test_csv_rows_are_csv_writer_bytes[scan-stable]",
+            "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell[3:300000-stable]")),
     # the command line's reader of numeric arguments
     Mutant("span-without-order-check", CLI,
            "if a > b:", "if False:",
