@@ -14,11 +14,13 @@ Every handler returns ``(rows, summary, failures)`` and writes nothing but
 with leading `# summary:` comment lines, or a JSON object with `rows` and
 `summary`) and prints the failure lines on stderr.  Rows are tuples in
 ``ROW_FIELDS`` order; only JSON output turns them into objects.  The scan
-keeps its columns, 16 bytes a q, and p, k and the stage only for the q
+keeps its columns, 16 bytes a q, and p, k, stage and s only for the q
 that are not a basic pass at k = 1, so neither format holds more than a
 few hundred rows.  CSV rows are the bytes of ``csv.writer``, one ``%``
 template each, and a guard raises on a cell it would quote; the scan's
 basic passes at k = 1 are written straight from its columns.
+``--stable-output`` makes elapsed_ms 0 where it is measured, in ``_row``
+and in ``_scan_rows``, so no writer knows of it.
 Every numeric argument, a q list, a span LO:HI or T1:T2, ``--scan-hi``
 or ``--threads``, is read by ``_ints``, the one reader of separated
 integers with a count and bounds.
@@ -44,6 +46,7 @@ from .charoracle import ORACLE_Q_CAP, survey_line_identities, survey_translate_s
 from .criteria import (
     SCAN_EXCEPTIONS,
     Stage,
+    block_verdicts,
     prime_count_cutoff,
     scan_blocks,
     settle_prime_count_range,
@@ -92,15 +95,14 @@ def _fmt_witness(report: PropertyReport) -> str:
     return f"key={_fmt_elem(report.witness)}"
 
 
-def _row(q, p, k, command: str, result: str, detail: str,
-         elapsed_ms: float) -> tuple:
-    return (q, p, k, command, result, detail, round(elapsed_ms, 3))
+def _row(args, t0: float, q, p, k, command: str, result: str, detail: str) -> tuple:
+    # a row timed from t0; elapsed_ms, its last cell, is 0 with --stable-output
+    elapsed_ms = 0 if args.stable_output else round((perf_counter() - t0) * 1000.0, 3)
+    return (q, p, k, command, result, detail, elapsed_ms)
 
 
 def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
     if args.format == "json":
-        if args.stable_output:
-            rows = _zero_elapsed(rows)
         # the bytes of json.dump(..., indent=2), written one row at a time
         out.write('{\n  "rows": [')
         sep = "\n    "
@@ -115,12 +117,7 @@ def _emit(args, out, rows: Iterable[tuple], summary: dict) -> None:
         for key in sorted(summary):
             out.write(f"# summary: {key}={summary[key]}\n")
         out.write(_CSV_ROW % ROW_FIELDS)
-        _write_csv(out, rows, args.stable_output)
-
-
-def _zero_elapsed(rows: Iterable[tuple]) -> Iterator[tuple]:
-    # --stable-output: elapsed_ms, the last cell, is 0
-    return (row[:-1] + (0,) for row in rows)
+        _write_csv(out, rows)
 
 
 # A CSV row as csv.writer writes it when no cell needs quoting: each
@@ -142,18 +139,18 @@ def _plain_csv(text: str, n: int) -> bool:
             and '"' not in text and "None" not in text)
 
 
-def _write_csv(out, rows: Iterable[tuple], stable: bool = False) -> None:
+def _write_csv(out, rows: Iterable[tuple]) -> None:
     r"""Write rows as csv.writer(out).writerows(rows) would, or raise.
 
-    With stable, each row's last cell, elapsed_ms, is 0.  A ``_ScanRows``
-    gives its own text; other rows are formatted ``_CSV_BATCH`` at a time.
-    Raises ValueError on a cell csv.writer would quote or write empty, one
-    holding ``,``, ``"``, ``\r`` or ``\n`` or None (or the text None).
+    A ``_ScanRows`` gives its own text; other rows are formatted
+    ``_CSV_BATCH`` at a time.  Raises ValueError on a cell csv.writer
+    would quote or write empty, one holding ``,``, ``"``, ``\r`` or
+    ``\n`` or None (or the text None).
     """
     if isinstance(rows, _ScanRows):
-        pieces = rows.csv_pieces(stable)
+        pieces = rows.csv_pieces()
     else:
-        rows = iter(_zero_elapsed(rows) if stable else rows)
+        rows = iter(rows)
         pieces = (("".join([_CSV_ROW % row for row in batch]), len(batch))
                   for batch in iter(lambda: list(islice(rows, _CSV_BATCH)), []))
     for text, n in pieces:
@@ -247,22 +244,16 @@ class _ScanRows:
         self.blocks, self.elapsed_ms = blocks, elapsed_ms
 
     def __iter__(self) -> Iterator[tuple]:
-        basic_value, elapsed_ms = Stage.BASIC_PASS.value, self.elapsed_ms
-        for qs, margins, kept in self.blocks:
-            for q, margin in zip(qs, margins):
-                v = kept.get(q)
-                if v is None:
-                    yield q, q, 1, "scan", basic_value, f"{margin:.6g}", elapsed_ms
-                else:
-                    p, k, stage = v
-                    yield q, p, k, "scan", stage.value, f"{margin:.6g}", elapsed_ms
+        elapsed_ms = self.elapsed_ms
+        for q, stage, _, margin, p, k in block_verdicts(self.blocks):
+            yield q, p, k, "scan", stage.value, f"{margin:.6g}", elapsed_ms
 
-    def csv_pieces(self, stable: bool) -> Iterator[tuple[str, int]]:
+    def csv_pieces(self) -> Iterator[tuple[str, int]]:
         """Yield (text, n), the CSV text of the next n rows.  Each basic
         pass at k = 1 between two kept q of a block is one three-cell
         template (%.6g formats a margin as f"{m:.6g}" does), at most
         ``_CSV_BATCH`` a piece; a kept q is a piece of one ``_CSV_ROW``."""
-        elapsed = "0" if stable else str(self.elapsed_ms)
+        elapsed = self.elapsed_ms
         run = f"%d,%d,1,scan,{Stage.BASIC_PASS.value},%.6g,{elapsed}\r\n".__mod__
 
         def run_pieces(qs, margins, i, j):  # basic passes qs[i:j] at k = 1
@@ -273,7 +264,7 @@ class _ScanRows:
 
         for qs, margins, kept in self.blocks:
             i = 0
-            for q, (p, k, stage) in kept.items():
+            for q, (p, k, stage, _) in kept.items():
                 j = bisect_left(qs, q, i)
                 yield from run_pieces(qs, margins, i, j)
                 yield _CSV_ROW % (q, p, k, "scan", stage.value, f"{margins[j]:.6g}", elapsed), 1
@@ -288,17 +279,18 @@ def _scan_rows(lo: int, hi: int, args) -> tuple[_ScanRows, dict, list[int]]:
     end first.  Its blocks are kept as ``scan_blocks`` yields them, not
     joined: two arrays grown to the full scan's 1.3 MB leave their old
     copies in the heap.  Every row carries an equal share of the scan
-    call's time.
+    call's time, or 0 with --stable-output.
     """
     t0 = perf_counter()
     # One call for the whole interval: scan_blocks builds its count table
     # once per call, so splitting the interval repeats that work.
     blocks = list(scan_blocks(lo, hi))
     total = sum(len(qs) for qs, _, _ in blocks)
-    elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)
+    elapsed_ms = (0 if args.stable_output
+                  else round((perf_counter() - t0) * 1000.0 / max(total, 1), 3))
     _progress(args, f"scan: finished q <= {hi} ({total} prime powers)")
     basic = Stage.BASIC_PASS
-    failures = [(q, stage) for _, _, kept in blocks for q, (_, _, stage) in kept.items()
+    failures = [(q, stage) for _, _, kept in blocks for q, (_, _, stage, _) in kept.items()
                 if stage is not basic]
     counts = {stage: 0 for stage in Stage if stage is not basic}
     for _, stage in failures:
@@ -348,14 +340,12 @@ def _cmd_settle(args) -> tuple[list[tuple], dict, list[str]]:
     rows = []
     t0 = perf_counter()
     cutoff = prime_count_cutoff()
-    rows.append(_row("", "", "", "prime-count-cutoff", str(cutoff), "",
-                     (perf_counter() - t0) * 1000.0))
+    rows.append(_row(args, t0, "", "", "", "prime-count-cutoff", str(cutoff), ""))
     for t1, t2 in args.pairs:
         t0 = perf_counter()
         settled = settle_prime_count_range(t1, t2)
-        rows.append(_row("", "", "", "settle-prime-counts",
-                         "settled" if settled else "unsettled",
-                         f"t1={t1}|t2={t2}", (perf_counter() - t0) * 1000.0))
+        rows.append(_row(args, t0, "", "", "", "settle-prime-counts",
+                         "settled" if settled else "unsettled", f"t1={t1}|t2={t2}"))
     return rows, {"cutoff": cutoff, "pairs": len(args.pairs)}, []
 
 
@@ -383,9 +373,8 @@ def _cmd_verify(args) -> tuple[list[tuple], dict, list[str]]:
             t0 = perf_counter()
             report = verifier(fld)
             reports.add(report)
-            rows.append(_row(q, fld.p, fld.k, f"verify-{args.prop}:{flavor}",
-                             "holds" if report.holds else "fails",
-                             _fmt_witness(report), (perf_counter() - t0) * 1000.0))
+            rows.append(_row(args, t0, q, fld.p, fld.k, f"verify-{args.prop}:{flavor}",
+                             "holds" if report.holds else "fails", _fmt_witness(report)))
         if len(reports) != 1:
             problems.append(f"q={q}: reference and fast verifiers disagree")
             continue
@@ -415,10 +404,8 @@ def _cmd_oracle(args) -> tuple[list[tuple], dict, list[str]]:
         for name, survey, what in surveys:
             t0 = perf_counter()
             res = survey(fld)
-            rows.append(_row(q, fld.p, fld.k, f"oracle:{name}",
-                             "ok" if res.ok else "fail",
-                             f"defects={res.defects}",
-                             (perf_counter() - t0) * 1000.0))
+            rows.append(_row(args, t0, q, fld.p, fld.k, f"oracle:{name}",
+                             "ok" if res.ok else "fail", f"defects={res.defects}"))
             if not res.ok:
                 problems.append(f"q={q}: {what} has {res.defects} defects")
         _progress(args, f"oracle: q={q} done")
@@ -458,10 +445,9 @@ def _cmd_reproduce(args) -> tuple[list[tuple], dict, list[str]]:
                 phase_failures.append(f"expectation failed: settle rows {got}, "
                                       f"expected {SETTLE_EXPECTED}")
         failures += phase_failures
-        rows.append(_row("", "", "", f"reproduce-all:{phase.command}",
+        rows.append(_row(args, t0, "", "", "", f"reproduce-all:{phase.command}",
                          "fail" if phase_failures else "ok",
-                         "|".join(f"{key}={summary[key]}" for key in sorted(summary)),
-                         (perf_counter() - t0) * 1000.0))
+                         "|".join(f"{key}={summary[key]}" for key in sorted(summary))))
     return rows, {"phases": len(phases), "expect_failures": len(failures)}, failures
 
 

@@ -30,8 +30,9 @@ divide q + 1; it drives ``greedy_decompose``, the sieve stage of
 ``classify_prime_power`` and the scan, ``settle_prime_count_range`` and
 ``scan_bound``.  The sieve stage, ``_walk``, signs its raw states in
 order, with W(kk) = 2**(t - s) and W(k1) = 2**(b - r) for t odd primes
-in all, and stops at the first that passes; only a verdict builds that
-state's ``SieveDecomposition``, and ``scan_blocks`` builds none.
+in all, and stops at the first that passes.  A verdict names that state
+by s alone, the number of largest odd primes moved, which fixes the
+decomposition; only ``greedy_decompose`` builds a ``SieveDecomposition``.
 
 The scan's interval [3, 2**20] leaves no q open: ``prime_count_cutoff``
 settles every q whose q**2 - 1 has 14 or more primes, and ``scan_bound``
@@ -78,6 +79,7 @@ __all__ = [
     "scan_bound",
     "classify_prime_power",
     "scan_blocks",
+    "block_verdicts",
     "scan_interval",
 ]
 
@@ -130,15 +132,19 @@ class SieveDecomposition(NamedTuple):
 class CriterionVerdict(NamedTuple):
     """Outcome of the staged criteria for one prime power; immutable.
 
-    margin is lhs - rhs of the decisive inequality: the passing one for
-    BasicPass/SievePass, the closest failing attempt for Exception, and
-    infinity for EliminatedByPrimeCount.  p and k give q = p**k, as the
-    classifying context holds them.
+    s is the passing step of the greedy walk: 0 for BasicPass, the number
+    of primes moved for SievePass, and None for Exception and
+    EliminatedByPrimeCount.  ``list(greedy_decompose(ctx))[v.s]`` is the
+    passing decomposition.  margin is lhs - rhs of the decisive
+    inequality: the passing one for BasicPass/SievePass, the closest
+    failing attempt for Exception, and infinity for
+    EliminatedByPrimeCount.  p and k give q = p**k, as the classifying
+    context holds them.
     """
 
     q: int
     stage: Stage
-    decomposition: SieveDecomposition | None
+    s: int | None
     margin: float
     p: int
     k: int
@@ -205,16 +211,6 @@ def _moves(primes_desc, qp1: int = 1) -> Iterator[tuple[int, int, int, int, int]
         yield s, num, den, r, num_prime
 
 
-def _decomposition(primes_desc, qp1: int, s: int, num: int, den: int, r: int,
-                   num_prime: int) -> SieveDecomposition:
-    # the decomposition of one state of the walk: kk keeps the odd primes
-    # past the first s, and k1 those of them that divide q + 1
-    kept = primes_desc[s:]
-    return SieveDecomposition(kk=prod(kept), k1=prod(p for p in kept if qp1 % p == 0),
-                              sieve_primes=tuple(primes_desc[:s]), s=s, r=r, num=num,
-                              num_prime=num_prime, den=den)
-
-
 def _odd_desc(ctx: PrimePowerCtx) -> list[int]:
     return [p for p, _ in reversed(ctx.fact_q2m1.factors) if p != 2]
 
@@ -230,8 +226,13 @@ def greedy_decompose(ctx: PrimePowerCtx) -> Iterator[SieveDecomposition]:
     primes dividing q + 1, over which epsilon' = num_prime / den is taken.
     """
     primes_desc, qp1 = _odd_desc(ctx), ctx.q + 1
-    for state in _moves(primes_desc, qp1):
-        yield _decomposition(primes_desc, qp1, *state)
+    for s, num, den, r, num_prime in _moves(primes_desc, qp1):
+        # kk keeps the odd primes past the first s, and k1 those of them
+        # that divide q + 1
+        kept = primes_desc[s:]
+        yield SieveDecomposition(kk=prod(kept), k1=prod(p for p in kept if qp1 % p == 0),
+                                 sieve_primes=tuple(primes_desc[:s]), s=s, r=r, num=num,
+                                 num_prime=num_prime, den=den)
 
 
 def _max_prime_count(limit) -> int:
@@ -358,34 +359,23 @@ def classify_prime_power(ctx: PrimePowerCtx) -> CriterionVerdict:
     if ctx.t_q >= prime_count_cutoff():
         return CriterionVerdict(ctx.q, Stage.ELIMINATED_BY_PRIME_COUNT, None, inf,
                                 ctx.p, ctx.k)
-    return _classify(ctx.q, ctx.p, ctx.k, _odd_desc(ctx), 0, -inf)
+    s, margin = _walk(ctx.q, _odd_desc(ctx), 0, -inf)
+    stage = Stage.EXCEPTION if s is None else Stage.SIEVE_PASS if s else Stage.BASIC_PASS
+    return CriterionVerdict(ctx.q, stage, s, margin, ctx.p, ctx.k)
 
 
-def _walk(q: int, primes_desc, start: int, best: float) -> tuple[tuple | None, float]:
+def _walk(q: int, primes_desc, start: int, best: float) -> tuple[int | None, float]:
     # The walk's states s >= start for q, whose q**2 - 1 has the odd primes
-    # primes_desc, descending: the first that passes and its margin, else
-    # None and the largest margin tried, or best.
+    # primes_desc, descending: the s of the first that passes and its
+    # margin, else None and the largest margin tried, or best.
     qp1 = q + 1
     t, b = len(primes_desc), sum(qp1 % d == 0 for d in primes_desc)
-    for state in islice(_moves(primes_desc, qp1), start, None):
-        s, num, den, r, num_prime = state
+    for s, num, den, r, num_prime in islice(_moves(primes_desc, qp1), start, None):
         ok, margin = _sieve_sign(q, s, r, num, num_prime, den, 1 << (t - s), 1 << (b - r))
         if ok:
-            return state, margin
+            return s, margin
         best = max(best, margin)
     return None, best
-
-
-def _classify(q: int, p: int, k: int, primes_desc, start: int, best: float) -> CriterionVerdict:
-    # The verdict of q = p**k from ``_walk``: the first passing state, with
-    # its decomposition past s = 0, else an exception.
-    state, margin = _walk(q, primes_desc, start, best)
-    if state is None:
-        return CriterionVerdict(q, Stage.EXCEPTION, None, margin, p, k)
-    if not state[0]:
-        return CriterionVerdict(q, Stage.BASIC_PASS, None, margin, p, k)
-    return CriterionVerdict(q, Stage.SIEVE_PASS, _decomposition(primes_desc, q + 1, *state),
-                            margin, p, k)
 
 
 @lru_cache(maxsize=1)
@@ -419,18 +409,19 @@ def _basic_thresholds() -> tuple[tuple[int, int, int, float], ...]:
 
 
 def scan_blocks(lo: int, hi: int) -> Iterator[
-        tuple[array, array, dict[int, tuple[int, int, Stage]]]]:
+        tuple[array, array, dict[int, tuple[int, int, Stage, int | None]]]]:
     """The scan of [lo, hi] in columns, one block of 16,384 numbers at a time.
 
     Yields (qs, margins, kept) per block: the odd prime powers of the
     block, ascending, in an ``array('q')``, the margins of their verdicts
     in an ``array('d')``, and for those q that are not a basic pass at
-    k = 1 the triple (p, k, stage), ascending in q.  Every other q is a
-    basic pass with p = q and k = 1.  A q that fails the basic stage is
-    walked from s = 1 by ``_walk``, which builds no decomposition: its
-    stage is a sieve pass if a state passes, else an exception, and its
-    margin that of the passing state, else the largest tried.
-    ``scan_interval`` states the rules; this is its loop.
+    k = 1 the tuple (p, k, stage, s), ascending in q.  Every other q is a
+    basic pass with s = 0, p = q and k = 1.  A q that fails the basic
+    stage is walked from s = 1 by ``_walk``, which builds no
+    decomposition: it is a sieve pass at the first state that passes,
+    else an exception with s None, and its margin is that state's, else
+    the largest tried.  ``scan_interval`` states the rules; this is its
+    loop.
     """
     blocks, counts, base, powers = _odd_prime_powers(lo, hi)
     classes = _basic_thresholds()
@@ -443,14 +434,29 @@ def scan_blocks(lo: int, hi: int) -> Iterator[
             T, e, A0, B = classes[(q & 2) << 5 | counts[q + down] << 3 | counts[q + up]]
             margin = (e * q + A0 + B * sqrt(q)) / e
             if q < T:
-                state, margin = _walk(q, _odd_primes(q), 1, margin)
+                s, margin = _walk(q, _odd_primes(q), 1, margin)
                 p, k = powers.get(q, (q, 1))
-                kept[q] = p, k, exception if state is None else sieve
+                kept[q] = p, k, exception if s is None else sieve, s
             elif q in powers:
                 p, k = powers[q]
-                kept[q] = p, k, basic
+                kept[q] = p, k, basic, 0
             add(margin)
         yield qs, margins, kept
+
+
+def block_verdicts(blocks) -> Iterator[CriterionVerdict]:
+    """The verdict of every q in the ``scan_blocks`` blocks, ascending in
+    q; a q its block does not keep is a basic pass at s = 0 with p = q and
+    k = 1.  The one reader of the scan's columns, for ``scan_interval``
+    and the command line's rows.  Each verdict is built by
+    ``tuple.__new__``, which is all the named tuple's own Python-level
+    ``__new__`` does."""
+    new, basic = tuple.__new__, Stage.BASIC_PASS
+    for qs, margins, kept in blocks:
+        get = kept.get
+        for q, margin in zip(qs, margins):
+            p, k, stage, s = get(q, (q, 1, basic, 0))
+            yield new(CriterionVerdict, (q, stage, s, margin, p, k))
 
 
 def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
@@ -486,22 +492,8 @@ def scan_interval(lo: int, hi: int) -> Iterator[CriterionVerdict]:
 
     ``scan_blocks`` does that work a block of 16,384 numbers at a time,
     and this generator holds one block: its q and margins in two arrays
-    and (p, k, stage) of the q that are not a basic pass at k = 1.  Each
-    verdict is built as it is yielded, by ``tuple.__new__``, which is all
-    the named tuple's own Python-level ``__new__`` does.  Only a sieve
-    pass needs more than its columns: its decomposition, which the scan
-    does not build, is rebuilt here by ``_classify``, factoring q - 1 and
-    q + 1 again and walking from s = 1 once more; the column's margin is
-    the passing state's, so the verdict is the same.
+    and (p, k, stage, s) of the q that are not a basic pass at k = 1.
+    It reads them by ``block_verdicts``, and factors and walks nothing
+    itself.
     """
-    new, basic, sieve = tuple.__new__, Stage.BASIC_PASS, Stage.SIEVE_PASS
-    for qs, margins, kept in scan_blocks(lo, hi):
-        get = kept.get
-        for q, margin in zip(qs, margins):
-            v = get(q)
-            if v is None:
-                yield new(CriterionVerdict, (q, basic, None, margin, q, 1))
-            elif v[2] is sieve:
-                yield _classify(q, v[0], v[1], _odd_primes(q), 1, margin)
-            else:
-                yield new(CriterionVerdict, (q, v[2], None, margin, v[0], v[1]))
+    yield from block_verdicts(scan_blocks(lo, hi))

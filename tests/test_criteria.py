@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -168,9 +169,10 @@ def test_greedy_k1_and_r_match_direct_recomputation():
 
 def test_classify_stops_at_first_passing_decomposition(monkeypatch):
     # the sieve stage signs the walk's states s = 1, 2, ... in order, none
-    # past the first that passes.  The scan decides s = 0 itself and skips
-    # it, and scan_blocks builds no decomposition; scan_interval walks each
-    # sieve pass once more, to build the decomposition of that state alone.
+    # past the first that passes, and the verdict names that state by its
+    # s.  The scan decides s = 0 itself and skips it; neither scan_blocks
+    # nor scan_interval builds a decomposition, and scan_interval signs no
+    # state beyond those scan_blocks signs.
     built = []
     tested = {}  # q -> [(s, holds), ...]
 
@@ -191,6 +193,7 @@ def test_classify_stops_at_first_passing_decomposition(monkeypatch):
     walked = dict(tested)
     tested.clear()
     verdicts = list(scan_interval(3, 60_000))
+    assert tested == walked and not built
     failures = [v for v in verdicts if v.stage is not Stage.BASIC_PASS]
     passes = [v for v in failures if v.stage is Stage.SIEVE_PASS]
     assert len(passes) > 100 and set(walked) <= {v.q for v in failures}
@@ -200,12 +203,9 @@ def test_classify_stops_at_first_passing_decomposition(monkeypatch):
         holds = [ok for _, ok in signed]
         if v.stage is Stage.SIEVE_PASS:
             assert holds == [False] * (len(holds) - 1) + [True], v.q
-            assert v.decomposition.s == len(holds)
-            assert tested[v.q] == signed + signed, v.q
+            assert v.s == len(holds), v.q
         else:
-            assert not any(holds), v.q
-            assert tested.get(v.q, []) == signed, v.q
-    assert len(built) == len(passes)
+            assert not any(holds) and v.s is None, v.q
 
 
 def test_sieve_with_no_primes_matches_basic():
@@ -298,13 +298,17 @@ def test_no_scanned_q_is_settled_by_its_prime_count():
 
 
 def test_classify_known_stages():
-    assert classify_prime_power(ctx_for_prime_power(3)).stage is Stage.EXCEPTION
-    assert classify_prime_power(ctx_for_prime_power(41)).stage is Stage.EXCEPTION
-    assert classify_prime_power(ctx_for_prime_power(4561)).stage is Stage.BASIC_PASS
-    # the largest q failing the basic condition; the sieve rescues it
-    v = classify_prime_power(ctx_for_prime_power(1044889))
-    assert v.stage is Stage.SIEVE_PASS
-    assert v.decomposition is not None and v.decomposition.s >= 1
+    # (stage, s): s is the passing step of the greedy walk, 0 for the
+    # basic stage and None when no step passes
+    stages = {q: (v.stage, v.s) for q in (3, 41, 4561, 1044889)
+              for v in [classify_prime_power(ctx_for_prime_power(q))]}
+    assert stages == {
+        3: (Stage.EXCEPTION, None),
+        41: (Stage.EXCEPTION, None),
+        4561: (Stage.BASIC_PASS, 0),
+        # the largest q failing the basic condition; the sieve rescues it
+        1044889: (Stage.SIEVE_PASS, 3),
+    }
 
 
 def test_classification_margin_signs():
@@ -400,7 +404,7 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
     kept = {}
     for _, _, block_kept in scan_blocks(3, 50_000):
         kept |= block_kept
-    failures = [q for q, (_, _, stage) in kept.items() if stage is not Stage.BASIC_PASS]
+    failures = [q for q, (_, _, stage, _) in kept.items() if stage is not Stage.BASIC_PASS]
     assert len(failures) > 100
     # q - 1 and q + 1 are factored once per basic failure, nothing for a pass
     assert factored == [n for q in failures for n in (q - 1, q + 1)]
@@ -408,9 +412,8 @@ def test_scan_builds_contexts_only_for_basic_failures(monkeypatch):
     verdicts = list(scan_interval(3, 50_000))
     assert len(verdicts) == 5_202
     assert [v.q for v in verdicts if v.stage is not Stage.BASIC_PASS] == failures
-    # scan_interval factors each sieve pass once more, for its decomposition
-    passes = [v.q for v in verdicts if v.stage is Stage.SIEVE_PASS]
-    assert sorted(factored) == sorted(n for q in failures + passes for n in (q - 1, q + 1))
+    # scan_interval reads the columns of scan_blocks and factors nothing more
+    assert factored == [n for q in failures for n in (q - 1, q + 1)]
 
 
 def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):
@@ -430,26 +433,31 @@ def test_scan_hands_basic_failures_to_the_sieve(monkeypatch):
 def test_full_scan_failures_match_the_decompositions():
     # every verdict of the full interval that is not a basic pass is the
     # context's classification, field for field, and the one that
-    # greedy_decompose and sieve_condition give: the first decomposition
-    # that passes, else an exception with the largest margin of all
-    seen = 0
+    # greedy_decompose and sieve_condition give: s is the index of the
+    # first decomposition that passes, else an exception with s None and
+    # the largest margin of all.  Every basic pass has s = 0.
+    seen, sieve_steps = 0, Counter()
     for v in scan_interval(3, 1 << 20):
         if v.stage is Stage.BASIC_PASS:
+            assert v.s == 0, v.q
             continue
         ctx = ctx_for_prime_power(v.q)
         w = classify_prime_power(ctx)
-        assert (v.stage, v.decomposition, v.p, v.k) == (w.stage, w.decomposition, w.p, w.k)
+        assert (v.stage, v.s, v.p, v.k) == (w.stage, w.s, w.p, w.k)
         assert v.margin == w.margin, v.q
         signed = [(dec, *sieve_condition(ctx, dec)) for dec in greedy_decompose(ctx)]
-        passing = next((row for row in signed if row[1]), None)
+        passing = next((i for i, (_, ok, _) in enumerate(signed) if ok), None)
         if passing is None:
-            assert v.stage is Stage.EXCEPTION and v.decomposition is None
+            assert v.stage is Stage.EXCEPTION and v.s is None
             assert v.margin == max(margin for _, _, margin in signed), v.q
         else:
             assert v.stage is Stage.SIEVE_PASS
-            assert (v.decomposition, v.margin) == (passing[0], passing[2]), v.q
+            assert (v.s, v.margin) == (passing, signed[passing][2]), v.q
+            assert signed[v.s][0].s == v.s
+            sieve_steps[v.s] += 1
         seen += 1
     assert seen == 2_425
+    assert sieve_steps == {2: 1438, 3: 684, 4: 177, 5: 25}
 
 
 def test_scan_q3_has_no_odd_primes():

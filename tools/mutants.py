@@ -120,14 +120,27 @@ MUTANTS = (
            ("tests/test_criteria.py::test_scan_bound_table",
             "tests/test_criteria.py::test_scan_bound_passes_the_sieve_above_q_t")),
     Mutant("scan-reclassifies-failures", CRITERIA,
-           "state, margin = _walk(q, _odd_primes(q), 1, margin)",
-           "state, margin = _walk(q, _odd_primes(q), 0, -inf)",
+           "s, margin = _walk(q, _odd_primes(q), 1, margin)",
+           "s, margin = _walk(q, _odd_primes(q), 0, -inf)",
            ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",)),
-    Mutant("scan-interval-rebuilds-from-s0", CRITERIA,
-           "yield _classify(q, v[0], v[1], _odd_primes(q), 1, margin)",
-           "yield _classify(q, v[0], v[1], _odd_primes(q), 0, margin)",
-           ("tests/test_criteria.py::test_scan_hands_basic_failures_to_the_sieve",
-            "tests/test_criteria.py::test_classify_stops_at_first_passing_decomposition")),
+    # the passing step s a verdict names
+    Mutant("scan-stores-s-plus-one", CRITERIA,
+           "kept[q] = p, k, exception if s is None else sieve, s\n",
+           "kept[q] = p, k, exception if s is None else sieve, s and s + 1\n",
+           ("tests/test_criteria.py::test_full_scan_failures_match_the_decompositions",
+            "tests/test_criteria.py::test_classify_stops_at_first_passing_decomposition",
+            "tests/test_criteria.py::test_scan_equals_classifying_every_context")),
+    Mutant("classify-s0-as-sieve-pass", CRITERIA,
+           "else Stage.SIEVE_PASS if s else Stage.BASIC_PASS", "else Stage.SIEVE_PASS",
+           ("tests/test_criteria.py::test_classify_known_stages",
+            "tests/test_criteria.py::test_scan_equals_classifying_every_context")),
+    Mutant("scan-absent-q-without-s", CRITERIA,
+           "get(q, (q, 1, basic, 0))", "get(q, (q, 1, basic, None))",
+           ("tests/test_criteria.py::test_full_scan_failures_match_the_decompositions",
+            "tests/test_criteria.py::test_scan_equals_classifying_every_context")),
+    Mutant("scan-kept-basic-pass-without-s", CRITERIA,
+           "kept[q] = p, k, basic, 0", "kept[q] = p, k, basic, None",
+           ("tests/test_criteria.py::test_scan_equals_classifying_every_context",)),
     Mutant("scan-counts-swapped", CRITERIA,
            "counts[q + down] << 3 | counts[q + up]]", "counts[q + up] << 3 | counts[q + down]]",
            ("tests/test_criteria.py::test_scan_equals_classifying_every_context",)),
@@ -142,8 +155,8 @@ MUTANTS = (
            "e = 2 if r == 1 else 1", "e = 2 if r == 3 else 1",
            ("tests/test_criteria.py::test_basic_thresholds_are_the_first_passing_q",)),
     Mutant("scan-elapsed-text-in-json", CLI,
-           "elapsed_ms = round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)",
-           "elapsed_ms = str(round((perf_counter() - t0) * 1000.0 / max(total, 1), 3))",
+           "else round((perf_counter() - t0) * 1000.0 / max(total, 1), 3))",
+           "else str(round((perf_counter() - t0) * 1000.0 / max(total, 1), 3)))",
            ("tests/test_cli.py::test_scan_json_elapsed_is_a_number",)),
     Mutant("csv-guard-without-none", CLI,
            """and '"' not in text and "None" not in text)""", """and '"' not in text)""",
@@ -170,11 +183,16 @@ MUTANTS = (
             "[1048577:1200000-timed]",
             "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell"
             "[1048577:1200000-stable]")),
-    Mutant("csv-run-keeps-elapsed-when-stable", CLI,
-           'elapsed = "0" if stable else str(self.elapsed_ms)', "elapsed = str(self.elapsed_ms)",
+    # --stable-output, applied where each elapsed_ms is measured
+    Mutant("scan-elapsed-kept-when-stable", CLI,
+           "elapsed_ms = (0 if args.stable_output\n                  else ", "elapsed_ms = (",
            ("tests/test_cli.py::test_scan_output_bytes_are_pinned",
             "tests/test_cli.py::test_csv_rows_are_csv_writer_bytes[scan-stable]",
             "tests/test_cli.py::test_scan_csv_and_json_agree_cell_for_cell[3:300000-stable]")),
+    Mutant("row-elapsed-kept-when-stable", CLI,
+           "elapsed_ms = 0 if args.stable_output else round(", "elapsed_ms = round(",
+           ("tests/test_cli.py::test_verify_output_bytes_are_pinned",
+            "tests/test_cli.py::test_oracle_output_bytes_are_pinned")),
     # the command line's reader of numeric arguments
     Mutant("span-without-order-check", CLI,
            "if a > b:", "if False:",
@@ -187,8 +205,8 @@ MUTANTS = (
            ("tests/test_acceptance.py::test_c2_prime_count_settling",
             "tests/test_criteria.py::test_settle_on_every_pair")),
     Mutant("greedy-without-s0", CRITERIA,
-           "for state in _moves(primes_desc, qp1):",
-           "for state in islice(_moves(primes_desc, qp1), 1, None):",
+           "for s, num, den, r, num_prime in _moves(primes_desc, qp1):",
+           "for s, num, den, r, num_prime in islice(_moves(primes_desc, qp1), 1, None):",
            ("tests/test_criteria.py::test_greedy_decomposition_q41",
             "tests/test_criteria.py::test_sieve_with_no_primes_matches_basic")),
     Mutant("moves-subtract-den-times-p", CRITERIA,
