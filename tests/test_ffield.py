@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import math
+import random
+from array import array
 
 import pytest
 
@@ -279,11 +282,13 @@ def test_modulus_search_fails_instead_of_hanging(monkeypatch):
 
 
 def test_element_count(fields):
-    for q in (3, 9):
+    for q in (3, 9, 27):
         fld = fields[q]
         elems = list(fld.elements())
         assert len(elems) == q * q
         assert len(set(elems)) == q * q
+        # ascending in index_of, the order translate_classes depends on
+        assert elems == [fld.element_from_index(n) for n in range(q * q)]
 
 
 COORD_QS = (3, 13, 31, 9, 25, 27, 81, 125)
@@ -355,3 +360,77 @@ def test_fq_zech_table(coord_fields):
 def test_fq_tables_built_on_first_use():
     fld = build_field(ctx_for_prime_power(25))
     assert not {"_fq_frame", "fq_exp", "fq_log", "fq_zech"} & set(vars(fld))
+
+
+# k = 1 fields up to the command line's bound, then 9 and 27, then every
+# degree the verifiers reach at the largest p for that degree.  A broken
+# product makes build_field walk all p**deg candidate moduli, which ends
+# soon only for small fields, so those come first.
+KERNEL_QS = (3, 13, 41, 8191, 9, 27, 7921, 6859, 2401, 3125, 729, 2187, 6561)
+
+
+@pytest.fixture(scope="module")
+def kernel_field():
+    # built on first use, so a test fails at the first bad field
+    return functools.cache(lambda q: build_field(ctx_for_prime_power(q)))
+
+
+def _kernel_operands(fld):
+    # the all-(p-1) operand gives the largest convolution sums, the nearest
+    # the packed product's slots come to their bound; the rest are dense,
+    # sparse and structured elements
+    rng = random.Random(fld.q)
+    top = (fld.p - 1,) * fld.deg
+    dense = [tuple(rng.randrange(fld.p) for _ in range(fld.deg)) for _ in range(6)]
+    return [top, fld.zero, fld.one, fld.a, fld.zeta, fld.element_from_index(fld.p)] + dense
+
+
+def _schoolbook(u, v, f, p):
+    # the polynomial product, then long division by the monic f
+    deg = len(f) - 1
+    conv = [0] * (2 * deg - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            conv[i + j] += ui * vj
+    for t in range(2 * deg - 2, deg - 1, -1):
+        c = conv.pop()
+        for i in range(deg):
+            conv[t - deg + i] -= c * f[i]
+    return tuple(c % p for c in conv)
+
+
+def test_mul_matches_schoolbook_product(kernel_field):
+    for q in KERNEL_QS:
+        fld = kernel_field(q)
+        ops = _kernel_operands(fld)
+        for u in ops:
+            for v in ops:
+                assert fld.mul(u, v) == _schoolbook(u, v, fld.modulus, fld.p), (q, u, v)
+
+
+def test_add_and_sub_are_coordinatewise(kernel_field):
+    for q in KERNEL_QS:
+        fld = kernel_field(q)
+        ops = _kernel_operands(fld)
+        p = fld.p
+        for u in ops:
+            for v in ops:
+                assert fld.add(u, v) == tuple((a + b) % p for a, b in zip(u, v)), (q, u, v)
+                assert fld.sub(u, v) == tuple((a - b) % p for a, b in zip(u, v)), (q, u, v)
+
+
+def test_frobenius_is_the_q_power(kernel_field):
+    for q in KERNEL_QS:
+        fld = kernel_field(q)
+        for u in _kernel_operands(fld):
+            assert fld.frobenius_q(u) == fld.pow(u, q), (q, u)
+
+
+def test_product_slot_bound_is_enforced():
+    # the worst field up to the command line's bound, p = 89 at degree 4,
+    # needs 23 bits a slot; a p whose folded sum outgrows the widest slot
+    # is refused, not wrapped
+    assert 4 * 88**2 * (1 + 3 * 88) == 8_208_640 < 2**23
+    assert array(ffield._packing(89, 4)[0]).itemsize == 4
+    with pytest.raises(ValueError, match="slot"):
+        ffield._packing(2**31 - 1, 4)

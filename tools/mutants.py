@@ -260,6 +260,33 @@ MUTANTS = (
     Mutant("fq-exp-k1-step-by-b-squared", FFIELD,
            "exp.append(exp[-1] * b % p)", "exp.append(exp[-1] * b * b % p)",
            ("tests/test_ffield.py::test_fq_log_tables",)),
+    # the field kernel: degree-2 closed forms and the packed product
+    Mutant("product-slot-one-byte-narrower", FFIELD,
+           "array(t).itemsize * 8 >= bound.bit_length()",
+           "array(t).itemsize * 8 >= bound.bit_length() - 8",
+           ("tests/test_ffield.py::test_mul_matches_schoolbook_product",
+            "tests/test_ffield.py::test_frobenius_is_the_q_power",
+            "tests/test_ffield.py::test_product_slot_bound_is_enforced")),
+    Mutant("packed-rows-reversed", FFIELD,
+           "_ORDER)\n                                  for row in rows])",
+           "_ORDER)\n                                  for row in rows[::-1]])",
+           ("tests/test_ffield.py::test_mul_matches_schoolbook_product",
+            "tests/test_ffield.py::test_inverse_and_pow")),
+    Mutant("product-split-one-slot-low", FFIELD,
+           "low_bits = 8 * deg * width", "low_bits = 8 * (deg - 1) * width",
+           ("tests/test_ffield.py::test_mul_matches_schoolbook_product",
+            "tests/test_ffield.py::test_extension_moduli_are_pinned")),
+    # the k = 1 modulus is always x**2 + c0, so the degree-2 q-power matrix
+    # is diag(1, -1) and a transposed read is an equivalent mutant; the
+    # diagonal entries are read swapped instead
+    Mutant("frobenius-deg2-diagonal-swapped", FFIELD,
+           "(f00 * u0 + f01 * u1) % p", "(f11 * u0 + f01 * u1) % p",
+           ("tests/test_ffield.py::test_frobenius_is_the_q_power",
+            "tests/test_ffield.py::test_frobenius_is_field_automorphism")),
+    Mutant("sub-deg2-operands-swapped", FFIELD,
+           "return ((u0 - v0) % p, (u1 - v1) % p)", "return ((v0 - u0) % p, (v1 - u1) % p)",
+           ("tests/test_ffield.py::test_add_and_sub_are_coordinatewise",
+            "tests/test_ffield.py::test_field_axioms_sampled")),
     Mutant("gap-cache-keyed-by-j", VERIFY,
            "step = gap_powers.get(gap)", "step = gap_powers.get(j)",
            ("tests/test_verify.py::test_reference_walk_is_shared_across_slopes",)),
